@@ -30,6 +30,14 @@ cargo test -q --workspace --offline
 echo "==> magnum tests with MAGNUM_THREADS=4 (parallel field engine)"
 MAGNUM_THREADS=4 cargo test -q -p magnum --offline
 
+echo "==> property suites (vendored proptest stand-in)"
+cargo test --offline -q --features proptest
+cargo test --offline -q -p magnum --features proptest
+cargo test --offline -q -p swphys --features proptest
+
+echo "==> perfbench tests (its own workspace; a magnum API break fails here)"
+cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> demag bench smoke (one small grid, JSON emitter)"
 ./target/release/parbench --demag --grids 32 --evals 2 --threads 1,2 \
     --out target/BENCH_demag_smoke.json

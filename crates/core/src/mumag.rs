@@ -957,7 +957,8 @@ impl MumagBackend {
         drives: &[DriveSpec],
         wavelength: f64,
     ) -> Result<GateRun, SwGateError> {
-        self.measure(self.prepare(plan, drives, wavelength)?)
+        let prepared = self.prepare(plan, drives, wavelength)?;
+        Ok(self.measure_batch(vec![prepared])?.remove(0))
     }
 
     /// Rasterizes and wires a gate plan into a ready-to-run simulation
@@ -1109,49 +1110,13 @@ impl MumagBackend {
         })
     }
 
-    /// Settles and measures one prepared gate with single-bin DFT probes
-    /// at both outputs.
-    fn measure(&self, prepared: PreparedGate) -> Result<GateRun, SwGateError> {
-        let PreparedGate {
-            mut sim,
-            frequency,
-            period,
-            settle,
-            probes,
-        } = prepared;
-        sim.run(settle)?;
-
-        let probe_region = |rect: (f64, f64, f64, f64)| {
-            let (rx0, ry0, rx1, ry1) = rect;
-            RegionProbe::over_rect(sim.mesh(), rx0, ry0, rx1, ry1, Component::X)
-        };
-        let mut probe1 = DftProbe::new(probe_region(probes[0]), frequency);
-        let mut probe2 = DftProbe::new(probe_region(probes[1]), frequency);
-        let sample_interval = period / self.samples_per_period as f64;
-        sim.run_sampled(
-            self.measure_periods as f64 * period,
-            sample_interval,
-            |t, s| {
-                probe1.sample(t, s.magnetization());
-                probe2.sample(t, s.magnetization());
-            },
-        )?;
-
-        let snapshot = sim.snapshot(Component::X);
-        Ok(GateRun {
-            o1: Complex64::from_polar(probe1.amplitude(), probe1.phase()),
-            o2: Complex64::from_polar(probe2.amplitude(), probe2.phase()),
-            snapshot,
-            frequency,
-            simulated_time: sim.time(),
-        })
-    }
-
     /// Settles and measures K prepared gates in lockstep through one
-    /// batched LLG advance. Every member's trajectory — and therefore
-    /// every returned [`GateRun`] — is bitwise identical to running
-    /// [`MumagBackend::measure`] on it alone; batching K same-layout
-    /// patterns only amortizes the field sweeps.
+    /// batched LLG advance, with single-bin DFT probes at both outputs
+    /// of every member. A single gate is the K = 1 batch, which runs the
+    /// single-system kernels; every member's trajectory — and therefore
+    /// every returned [`GateRun`] — is bitwise identical to measuring it
+    /// alone, so batching K same-layout patterns only amortizes the
+    /// field sweeps.
     fn measure_batch(&self, prepared: Vec<PreparedGate>) -> Result<Vec<GateRun>, SwGateError> {
         let k = prepared.len();
         let host = &prepared[0];

@@ -6,530 +6,72 @@
 //! overhead (stencil tables, neighbour-presence branches, CSR offsets,
 //! fork/join, FFT twiddle/spectrum loads) on its own. A
 //! [`BatchedSimulation`] advances K member simulations in lockstep
-//! through one K-interleaved SoA sweep ([`LlgSystem::rhs_stage_batch`]):
-//! the shared geometry walk is amortized over all members and the
-//! innermost member loop runs over consecutive lanes the vectorizer can
-//! use.
+//! through one K-interleaved SoA sweep per stage: the shared geometry
+//! walk is amortized over all members and the innermost member loop runs
+//! over consecutive lanes the vectorizer can use.
+//!
+//! ## One stepper family
+//!
+//! There is no batch-only integrator: a batch runs the same
+//! [`crate::solver`] steppers a [`Simulation`] runs, at width K instead
+//! of 1. The stage function selects its kernels on K alone — the
+//! single-system kernels at K = 1, the lane kernels at K ≥ 2 — so a
+//! batch of one costs what a solo run costs, and every K ≥ 2 batch gets
+//! the lane kernels.
 //!
 //! ## Layout and parity
 //!
 //! State lives in a [`FieldBatch`] (member `s` of cell `i` at flat index
 //! `i·K + s`). Interleaving is a pure permutation and every per-element
 //! expression — field terms, torque, stage combinations, renormalization
-//! — is the exact sequence the single-system path evaluates, so each
-//! member's trajectory is bitwise identical to an independent run at any
-//! thread count. The one exception is the adaptive [`CashKarp45`]
-//! scheme: its error estimate is a max over the *whole batch*, so all
-//! members share one step-size sequence — deterministic and identical
-//! across thread counts, but not equal to K independently-controlled
-//! runs. Use Heun or RK4 when batch/independent parity matters.
+//! — is the same whatever K is, so each member's trajectory is bitwise
+//! identical to an independent run at any thread count. The one
+//! exception is the adaptive Cash–Karp scheme: its error estimate is a
+//! max over the *whole batch*, so all members share one step-size
+//! sequence — deterministic and identical across thread counts, and
+//! equal to an independent run when the members are identical, but not
+//! to K differently-driven independently-controlled runs. The controller
+//! state moves with the members: a batch starts from the smallest
+//! member suggestion and writes its own back on
+//! [`BatchedSimulation::sync_members`].
 //!
 //! ## Per-member state
 //!
 //! Members may differ in antenna *drives* (phase-encoded logic inputs)
 //! and in their thermal realization: each member keeps its own
-//! [`ThermalField`] RNG stream, drawn member-by-member into a
-//! per-member scratch and interleaved afterwards, so the streams never
-//! interleave and match the member's independent run draw for draw.
-//! Everything structural — mesh, mask, material terms, damping map, time
-//! step, integrator, antenna *coverage* — must be shared; construction
-//! validates what it can observe and rejects mismatches.
+//! [`ThermalField`] RNG stream, drawn member-by-member straight into its
+//! lanes, so the streams never interleave and match the member's
+//! independent run draw for draw. Everything structural — mesh, mask,
+//! material terms, damping map, time step, integrator, antenna
+//! *coverage* — must be shared; construction validates what it can
+//! observe and rejects mismatches.
 //!
-//! [`CashKarp45`]: crate::solver::CashKarp45
 //! [`ThermalField`]: crate::field::thermal::ThermalField
 
 use crate::error::MagnumError;
 use crate::excitation::Antenna;
-use crate::field3::{BatchMemberView, Field3, Field3Ptr, FieldBatch};
-use crate::llg::LlgSystem;
-use crate::math::Vec3;
-use crate::sim::Simulation;
-use crate::solver::{axpy_range, renormalize_and_check_batch, IntegratorKind};
-
-/// Shared scratch for one batched RHS stage: the interleaved base field
-/// and per-member de-interleave buffers for the unfused (FFT demag)
-/// pre-pass, plus the per-member per-antenna drive-field buffer
-/// (refilled in place each stage, so the hot loop never allocates).
-struct StageScratch {
-    base: FieldBatch,
-    m: Field3,
-    h: Field3,
-    ant: Vec<Vec<Vec3>>,
-}
-
-/// Fills `out[s]` with member `s`'s per-antenna drive fields at time
-/// `t` — per member the exact expression [`LlgSystem::antenna_fields`]
-/// evaluates. `out` is empty when no member has antennas.
-fn fill_member_antenna_fields(antennas: &[Vec<Antenna>], t: f64, out: &mut [Vec<Vec3>]) {
-    for (dst, ants) in out.iter_mut().zip(antennas) {
-        for (d, a) in dst.iter_mut().zip(ants) {
-            *d = a.direction() * a.drive().value(t);
-        }
-    }
-}
-
-/// One batched RHS stage: unfused pre-pass (one FFT plan *and* one demag
-/// scratch arena — padded planes, x-major spectrum buffer, per-thread
-/// row scratch — shared across members, so K runs pay for one set of
-/// transform state), per-member antenna drives at the stage time, then
-/// the fused K-interleaved sweep with the integrator's stage combination
-/// in `fuse`.
-#[allow(clippy::too_many_arguments)]
-fn eval_stage<F>(
-    system: &mut LlgSystem,
-    y: &FieldBatch,
-    t: f64,
-    k_out: &mut FieldBatch,
-    scratch: &mut StageScratch,
-    antennas: &[Vec<Antenna>],
-    thermal: &FieldBatch,
-    fuse: F,
-) where
-    F: Fn(usize, usize, Field3Ptr) + Sync,
-{
-    let wrote =
-        system.unfused_prepass_batch(y, t, &mut scratch.base, &mut scratch.m, &mut scratch.h);
-    fill_member_antenna_fields(antennas, t, &mut scratch.ant);
-    let base = if wrote { Some(&scratch.base) } else { None };
-    system.rhs_stage_batch(y, k_out, base, &scratch.ant, thermal, fuse);
-}
-
-/// Batched Heun stepper — the stage fuses of [`crate::solver::Heun`]
-/// applied to interleaved ranges (the axpy loops are elementwise, so they
-/// run on K-interleaved planes verbatim).
-struct BatchHeun {
-    k1: FieldBatch,
-    k2: FieldBatch,
-    predictor: FieldBatch,
-}
-
-impl BatchHeun {
-    fn new(cells: usize, k: usize) -> Self {
-        BatchHeun {
-            k1: FieldBatch::zeros(cells, k),
-            k2: FieldBatch::zeros(cells, k),
-            predictor: FieldBatch::zeros(cells, k),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        &mut self,
-        system: &mut LlgSystem,
-        scratch: &mut StageScratch,
-        antennas: &[Vec<Antenna>],
-        thermal: &FieldBatch,
-        t: f64,
-        dt: f64,
-        m: &mut FieldBatch,
-    ) -> Result<f64, MagnumError> {
-        // Safety for the fuse hooks: as in the single-system stepper —
-        // blocks fuse disjoint interleaved ranges, no sweep writes a
-        // buffer its field evaluation reads.
-        {
-            let pred = self.predictor.ptrs();
-            let m_in = m.read_ptr();
-            eval_stage(
-                system,
-                &*m,
-                t,
-                &mut self.k1,
-                scratch,
-                antennas,
-                thermal,
-                |i0, i1, k| unsafe { axpy_range(i0, i1, pred, m_in, k, dt) },
-            );
-        }
-        {
-            let k1 = self.k1.read_ptr();
-            let m_out = m.ptrs();
-            eval_stage(
-                system,
-                &self.predictor,
-                t + dt,
-                &mut self.k2,
-                scratch,
-                antennas,
-                thermal,
-                |i0, i1, k| unsafe {
-                    let (mx, my, mz) = m_out.planes();
-                    let (k1x, k1y, k1z) = k1.planes();
-                    let (k2x, k2y, k2z) = k.planes();
-                    for i in i0..i1 {
-                        *mx.add(i) += (*k1x.add(i) + *k2x.add(i)) * (dt / 2.0);
-                    }
-                    for i in i0..i1 {
-                        *my.add(i) += (*k1y.add(i) + *k2y.add(i)) * (dt / 2.0);
-                    }
-                    for i in i0..i1 {
-                        *mz.add(i) += (*k1z.add(i) + *k2z.add(i)) * (dt / 2.0);
-                    }
-                },
-            );
-        }
-        renormalize_and_check_batch(m, &system.mask, system.full_film(), t + dt, system.par())?;
-        Ok(dt)
-    }
-}
-
-/// Batched RK4 stepper mirroring [`crate::solver::RungeKutta4`].
-struct BatchRk4 {
-    k1: FieldBatch,
-    k2: FieldBatch,
-    k3: FieldBatch,
-    stage_a: FieldBatch,
-    stage_b: FieldBatch,
-}
-
-impl BatchRk4 {
-    fn new(cells: usize, k: usize) -> Self {
-        BatchRk4 {
-            k1: FieldBatch::zeros(cells, k),
-            k2: FieldBatch::zeros(cells, k),
-            k3: FieldBatch::zeros(cells, k),
-            stage_a: FieldBatch::zeros(cells, k),
-            stage_b: FieldBatch::zeros(cells, k),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        &mut self,
-        system: &mut LlgSystem,
-        scratch: &mut StageScratch,
-        antennas: &[Vec<Antenna>],
-        thermal: &FieldBatch,
-        t: f64,
-        dt: f64,
-        m: &mut FieldBatch,
-    ) -> Result<f64, MagnumError> {
-        {
-            let out = self.stage_a.ptrs();
-            let m_in = m.read_ptr();
-            eval_stage(
-                system,
-                &*m,
-                t,
-                &mut self.k1,
-                scratch,
-                antennas,
-                thermal,
-                |i0, i1, k| unsafe { axpy_range(i0, i1, out, m_in, k, dt / 2.0) },
-            );
-        }
-        {
-            let out = self.stage_b.ptrs();
-            let m_in = m.read_ptr();
-            eval_stage(
-                system,
-                &self.stage_a,
-                t + dt / 2.0,
-                &mut self.k2,
-                scratch,
-                antennas,
-                thermal,
-                |i0, i1, k| unsafe { axpy_range(i0, i1, out, m_in, k, dt / 2.0) },
-            );
-        }
-        {
-            let out = self.stage_a.ptrs();
-            let m_in = m.read_ptr();
-            eval_stage(
-                system,
-                &self.stage_b,
-                t + dt / 2.0,
-                &mut self.k3,
-                scratch,
-                antennas,
-                thermal,
-                |i0, i1, k| unsafe { axpy_range(i0, i1, out, m_in, k, dt) },
-            );
-        }
-        {
-            let k1 = self.k1.read_ptr();
-            let k2 = self.k2.read_ptr();
-            let k3 = self.k3.read_ptr();
-            let m_out = m.ptrs();
-            eval_stage(
-                system,
-                &self.stage_a,
-                t + dt,
-                &mut self.stage_b,
-                scratch,
-                antennas,
-                thermal,
-                |i0, i1, k| unsafe {
-                    let (mx, my, mz) = m_out.planes();
-                    let (k1x, k1y, k1z) = k1.planes();
-                    let (k2x, k2y, k2z) = k2.planes();
-                    let (k3x, k3y, k3z) = k3.planes();
-                    let (k4x, k4y, k4z) = k.planes();
-                    for i in i0..i1 {
-                        *mx.add(i) +=
-                            (*k1x.add(i) + (*k2x.add(i) + *k3x.add(i)) * 2.0 + *k4x.add(i))
-                                * (dt / 6.0);
-                    }
-                    for i in i0..i1 {
-                        *my.add(i) +=
-                            (*k1y.add(i) + (*k2y.add(i) + *k3y.add(i)) * 2.0 + *k4y.add(i))
-                                * (dt / 6.0);
-                    }
-                    for i in i0..i1 {
-                        *mz.add(i) +=
-                            (*k1z.add(i) + (*k2z.add(i) + *k3z.add(i)) * 2.0 + *k4z.add(i))
-                                * (dt / 6.0);
-                    }
-                },
-            );
-        }
-        renormalize_and_check_batch(m, &system.mask, system.full_film(), t + dt, system.par())?;
-        Ok(dt)
-    }
-}
-
-// Cash–Karp Butcher tableau (identical to the single-system stepper).
-const A: [[f64; 5]; 5] = [
-    [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0],
-    [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0],
-    [3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0, 0.0, 0.0],
-    [-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0, 0.0],
-    [
-        1631.0 / 55296.0,
-        175.0 / 512.0,
-        575.0 / 13824.0,
-        44275.0 / 110592.0,
-        253.0 / 4096.0,
-    ],
-];
-const C: [f64; 6] = [0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0];
-const B5: [f64; 6] = [
-    37.0 / 378.0,
-    0.0,
-    250.0 / 621.0,
-    125.0 / 594.0,
-    0.0,
-    512.0 / 1771.0,
-];
-const B4: [f64; 6] = [
-    2825.0 / 27648.0,
-    0.0,
-    18575.0 / 48384.0,
-    13525.0 / 55296.0,
-    277.0 / 14336.0,
-    1.0 / 4.0,
-];
-
-/// Batched Cash–Karp 5(4) stepper.
-///
-/// The embedded error estimate is the max-norm over *all* members, so
-/// the controller drives one shared step-size sequence for the whole
-/// batch (see the module docs for the parity caveat).
-struct BatchCashKarp {
-    tolerance: f64,
-    suggested: Option<f64>,
-    k: [FieldBatch; 6],
-    stage_a: FieldBatch,
-    stage_b: FieldBatch,
-    y5: FieldBatch,
-}
-
-impl BatchCashKarp {
-    fn new(cells: usize, k: usize, tolerance: f64) -> Self {
-        BatchCashKarp {
-            tolerance: tolerance.max(1e-14),
-            suggested: None,
-            k: std::array::from_fn(|_| FieldBatch::zeros(cells, k)),
-            stage_a: FieldBatch::zeros(cells, k),
-            stage_b: FieldBatch::zeros(cells, k),
-            y5: FieldBatch::zeros(cells, k),
-        }
-    }
-
-    /// Evaluates the six stages and returns the batch-wide max-norm
-    /// error estimate (exact `f64::max` fold, thread-count independent).
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &mut self,
-        system: &mut LlgSystem,
-        scratch: &mut StageScratch,
-        antennas: &[Vec<Antenna>],
-        thermal: &FieldBatch,
-        t: f64,
-        dt: f64,
-        m: &FieldBatch,
-    ) -> f64 {
-        let m_r = m.read_ptr();
-        for s in 0..6 {
-            let (head, tail) = self.k.split_at_mut(s);
-            let head_r: Vec<_> = head.iter().map(|kb| kb.read_ptr()).collect();
-            let k_out = &mut tail[0];
-            let (y, out): (&FieldBatch, _) = match s {
-                0 => (m, self.stage_a.ptrs()),
-                _ if s % 2 == 1 => (&self.stage_a, self.stage_b.ptrs()),
-                _ => (&self.stage_b, self.stage_a.ptrs()),
-            };
-            let ts = if s == 0 { t } else { t + C[s] * dt };
-            // Safety: as in the single-system stepper — disjoint
-            // interleaved index sets per block, read buffers not mutated
-            // during the sweep.
-            eval_stage(
-                system,
-                y,
-                ts,
-                k_out,
-                scratch,
-                antennas,
-                thermal,
-                |i0, i1, k| {
-                    if s == 5 {
-                        return;
-                    }
-                    for i in i0..i1 {
-                        let mut acc = unsafe { m_r.get(i) };
-                        for (jj, kb) in head_r.iter().enumerate() {
-                            acc += unsafe { kb.get(i) } * (A[s][jj] * dt);
-                        }
-                        acc += unsafe { k.read(i) } * (A[s][s] * dt);
-                        unsafe { out.write(i, acc) };
-                    }
-                },
-            );
-        }
-        let total = m.cells() * m.k();
-        let team = system.par();
-        let nb = team.threads().max(1);
-        let k = &self.k;
-        let md = m.data();
-        let out = self.y5.ptrs();
-        let partials = team.map_blocks(|b| {
-            let (start, end) = crate::par::chunk_bounds(total, nb, b);
-            let mut err: f64 = 0.0;
-            for i in start..end {
-                let mut y5 = md.get(i);
-                let mut y4 = md.get(i);
-                for (s, kb) in k.iter().enumerate() {
-                    let ks = kb.data().get(i);
-                    y5 += ks * (B5[s] * dt);
-                    y4 += ks * (B4[s] * dt);
-                }
-                // Safety: chunk ranges are disjoint across blocks.
-                unsafe { out.write(i, y5) };
-                err = err.max((y5 - y4).norm());
-            }
-            err
-        });
-        partials.into_iter().fold(0.0, f64::max)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        &mut self,
-        system: &mut LlgSystem,
-        scratch: &mut StageScratch,
-        antennas: &[Vec<Antenna>],
-        thermal: &FieldBatch,
-        t: f64,
-        dt: f64,
-        m: &mut FieldBatch,
-    ) -> Result<f64, MagnumError> {
-        let mut h = self.suggested.map_or(dt, |s| s.min(dt));
-        let min_step = dt * 1e-6;
-        loop {
-            let err = self.attempt(system, scratch, antennas, thermal, t, h, m);
-            if !err.is_finite() {
-                h *= 0.1;
-                if h < min_step {
-                    return Err(MagnumError::Diverged { time: t });
-                }
-                continue;
-            }
-            if err <= self.tolerance {
-                m.data_mut().copy_from(self.y5.data());
-                renormalize_and_check_batch(
-                    m,
-                    &system.mask,
-                    system.full_film(),
-                    t + h,
-                    system.par(),
-                )?;
-                let factor = if err == 0.0 {
-                    5.0
-                } else {
-                    (0.9 * (self.tolerance / err).powf(0.2)).clamp(0.2, 5.0)
-                };
-                self.suggested = Some((h * factor).min(dt));
-                return Ok(h);
-            }
-            let factor = (0.9 * (self.tolerance / err).powf(0.25)).clamp(0.1, 0.9);
-            h *= factor;
-            if h < min_step {
-                return Err(MagnumError::StepSizeUnderflow { time: t });
-            }
-        }
-    }
-}
-
-/// Integrator dispatch for the batch path.
-enum BatchStepper {
-    Heun(BatchHeun),
-    Rk4(BatchRk4),
-    // Boxed: the Cash-Karp state (error planes + controller) is ~2x the
-    // other variants; keep the enum small for the common fixed-step case.
-    CashKarp(Box<BatchCashKarp>),
-}
-
-impl BatchStepper {
-    fn new(kind: IntegratorKind, cells: usize, k: usize) -> Self {
-        match kind {
-            IntegratorKind::Heun => BatchStepper::Heun(BatchHeun::new(cells, k)),
-            IntegratorKind::RungeKutta4 => BatchStepper::Rk4(BatchRk4::new(cells, k)),
-            IntegratorKind::CashKarp45 { tolerance } => {
-                BatchStepper::CashKarp(Box::new(BatchCashKarp::new(cells, k, tolerance)))
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        &mut self,
-        system: &mut LlgSystem,
-        scratch: &mut StageScratch,
-        antennas: &[Vec<Antenna>],
-        thermal: &FieldBatch,
-        t: f64,
-        dt: f64,
-        m: &mut FieldBatch,
-    ) -> Result<f64, MagnumError> {
-        match self {
-            BatchStepper::Heun(s) => s.step(system, scratch, antennas, thermal, t, dt, m),
-            BatchStepper::Rk4(s) => s.step(system, scratch, antennas, thermal, t, dt, m),
-            BatchStepper::CashKarp(s) => s.step(system, scratch, antennas, thermal, t, dt, m),
-        }
-    }
-}
+use crate::field3::{BatchMemberView, FieldBatch};
+use crate::sim::{run_for, run_sampled, Clocked, Simulation};
+use crate::solver::Stepper;
 
 /// K same-geometry simulations advanced in lockstep through one batched
 /// sweep per integrator stage (see the module docs).
 ///
 /// Built from K [`Simulation`]s via [`BatchedSimulation::new`]; member
-/// 0's [`LlgSystem`] hosts the shared kernel, worker team and field
+/// 0's [`LlgSystem`](crate::llg::LlgSystem) hosts the shared kernel, worker team and field
 /// terms for the whole batch. Recover the members (with state written
 /// back) via [`BatchedSimulation::into_members`].
 pub struct BatchedSimulation {
     sims: Vec<Simulation>,
-    /// Per-member antennas (cloned out of the members so stage
-    /// evaluation does not alias the host system borrow).
-    member_antennas: Vec<Vec<Antenna>>,
+    /// Antennas of members `1..K` (cloned out of the members so stage
+    /// evaluation does not alias the host system borrow; member 0's live
+    /// in the host system).
+    others: Vec<Vec<Antenna>>,
     m: FieldBatch,
     /// K-interleaved thermal realization for the current step (empty at
     /// T = 0).
     thermal: FieldBatch,
-    /// Per-member draw buffer: each member's own RNG stream writes here
-    /// before interleaving, so streams never mix.
-    thermal_scratch: Vec<Vec3>,
-    stepper: BatchStepper,
-    scratch: StageScratch,
-    has_thermal: bool,
+    stepper: Stepper,
     time: f64,
     dt: f64,
 }
@@ -543,7 +85,9 @@ impl BatchedSimulation {
     /// sets and field axes — drives may differ, that is the point).
     /// Field terms are taken from member 0 and must be identical across
     /// members (same material and demag choice); this is the caller's
-    /// contract, as terms are not introspectable.
+    /// contract, as terms are not introspectable. An adaptive batch
+    /// starts from the smallest step size its members' controllers
+    /// suggest.
     ///
     /// # Errors
     ///
@@ -596,7 +140,7 @@ impl BatchedSimulation {
             }
         }
 
-        let member_antennas: Vec<Vec<Antenna>> = sims
+        let others: Vec<Vec<Antenna>> = sims[1..]
             .iter()
             .map(|sim| sim.system_ref().antennas.clone())
             .collect();
@@ -604,50 +148,25 @@ impl BatchedSimulation {
         for (s, sim) in sims.iter().enumerate() {
             m.load_member(s, sim.magnetization());
         }
-        let has_thermal = host.has_thermal();
-        let thermal = if has_thermal {
+        let thermal = if host.has_thermal() {
             FieldBatch::zeros(n, k)
         } else {
             FieldBatch::empty(k)
         };
-        let thermal_scratch = if has_thermal {
-            vec![Vec3::ZERO; n]
-        } else {
-            Vec::new()
-        };
-        let n_ant = host.system_ref().antennas.len();
-        let ant = if n_ant == 0 {
-            Vec::new()
-        } else {
-            vec![vec![Vec3::ZERO; n_ant]; k]
-        };
-        let scratch = if host.system_ref().has_unfused() {
-            StageScratch {
-                base: FieldBatch::zeros(n, k),
-                m: Field3::zeros(n),
-                h: Field3::zeros(n),
-                ant,
-            }
-        } else {
-            StageScratch {
-                base: FieldBatch::empty(k),
-                m: Field3::zeros(0),
-                h: Field3::zeros(0),
-                ant,
-            }
-        };
-        let stepper = BatchStepper::new(host.integrator_kind(), n, k);
+        let mut stepper = Stepper::new(host.integrator_kind(), host.system_ref(), k);
+        let suggested = sims
+            .iter()
+            .filter_map(|sim| sim.suggested_dt())
+            .reduce(f64::min);
+        stepper.set_suggested_dt(suggested);
         let time = host.time();
         let dt = host.time_step();
         Ok(BatchedSimulation {
             sims,
-            member_antennas,
+            others,
             m,
             thermal,
-            thermal_scratch,
             stepper,
-            scratch,
-            has_thermal,
             time,
             dt,
         })
@@ -686,12 +205,14 @@ impl BatchedSimulation {
         &self.sims[s]
     }
 
-    /// Writes the batch state (magnetization, clock) back into every
-    /// member simulation.
+    /// Writes the batch state (magnetization, clock, adaptive step-size
+    /// controller) back into every member simulation.
     pub fn sync_members(&mut self) {
+        let suggested = self.stepper.suggested_dt();
         for (s, sim) in self.sims.iter_mut().enumerate() {
             self.m.store_member(s, sim.magnetization_mut());
             sim.set_time_internal(self.time);
+            sim.set_suggested_dt(suggested);
         }
     }
 
@@ -709,24 +230,17 @@ impl BatchedSimulation {
     /// Propagates integrator failures ([`MagnumError::Diverged`],
     /// [`MagnumError::StepSizeUnderflow`]).
     pub fn step(&mut self) -> Result<(), MagnumError> {
-        if self.has_thermal {
-            // Draw each member's realization from its own generator into
-            // the member-shaped scratch, then interleave: the same
-            // ascending-cell draw sequence as the member's independent
-            // run, stream by stream.
-            for s in 0..self.sims.len() {
-                let thermal = self.sims[s]
-                    .thermal_field_mut()
-                    .expect("thermal presence validated at construction");
-                thermal.draw(self.dt, &mut self.thermal_scratch);
-                self.thermal.load_member(s, &self.thermal_scratch[..]);
+        // Each member draws from its own generator into its own lanes:
+        // the same ascending-cell draw sequence as its independent run,
+        // stream by stream.
+        for (s, sim) in self.sims.iter_mut().enumerate() {
+            if let Some(thermal) = sim.thermal_field_mut() {
+                thermal.draw_member(self.dt, &mut self.thermal, s);
             }
         }
-        let system = self.sims[0].system_mut();
         let taken = self.stepper.step(
-            system,
-            &mut self.scratch,
-            &self.member_antennas,
+            self.sims[0].system_mut(),
+            &self.others,
             &self.thermal,
             self.time,
             self.dt,
@@ -742,17 +256,12 @@ impl BatchedSimulation {
     ///
     /// Propagates the first step failure.
     pub fn run(&mut self, duration: f64) -> Result<(), MagnumError> {
-        let t_end = self.time + duration;
-        while self.time < t_end - 1e-21 {
-            self.step()?;
-        }
-        Ok(())
+        run_for(self, duration)
     }
 
     /// Runs for `duration` seconds, invoking `observer` every
     /// `sample_interval` seconds of simulated time (and once at the
-    /// start) — the batch analogue of [`Simulation::run_sampled`], with
-    /// the identical sample schedule.
+    /// start) — the sample schedule of [`Simulation::run_sampled`].
     ///
     /// # Errors
     ///
@@ -762,32 +271,22 @@ impl BatchedSimulation {
         &mut self,
         duration: f64,
         sample_interval: f64,
-        mut observer: F,
+        observer: F,
     ) -> Result<(), MagnumError>
     where
         F: FnMut(f64, &BatchedSimulation),
     {
-        if !(sample_interval.is_finite() && sample_interval > 0.0) {
-            return Err(MagnumError::InvalidConfig {
-                reason: format!(
-                    "sample interval must be positive and finite, got {sample_interval}"
-                ),
-            });
-        }
-        let t0 = self.time;
-        let t_end = t0 + duration;
-        let mut taken: u64 = 0;
-        while self.time < t_end - 1e-21 {
-            if self.time >= t0 + taken as f64 * sample_interval - 1e-21 {
-                observer(self.time, self);
-                taken += 1;
-            }
-            self.step()?;
-        }
-        if taken == 0 || t0 + taken as f64 * sample_interval <= t_end + 1e-21 {
-            observer(self.time, self);
-        }
-        Ok(())
+        run_sampled(self, duration, sample_interval, observer)
+    }
+}
+
+impl Clocked for BatchedSimulation {
+    fn clock(&self) -> f64 {
+        self.time
+    }
+
+    fn advance(&mut self) -> Result<(), MagnumError> {
+        self.step()
     }
 }
 
@@ -809,6 +308,7 @@ mod tests {
     use crate::excitation::Drive;
     use crate::field::demag::DemagMethod;
     use crate::material::Material;
+    use crate::math::Vec3;
     use crate::mesh::Mesh;
     use crate::sim::SimulationBuilder;
 

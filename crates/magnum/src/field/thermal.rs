@@ -18,6 +18,7 @@
 //! \[43\]) but discusses them in §IV-D; this module is what the `repro
 //! thermal` experiment uses to show gate operation survives T > 0.
 
+use crate::field3::FieldBatch;
 use crate::material::Material;
 use crate::math::{GaussianSource, Vec3};
 use crate::mesh::Mesh;
@@ -91,21 +92,41 @@ impl ThermalField {
     /// Panics if `out.len()` differs from the mesh cell count.
     pub fn draw(&mut self, dt: f64, out: &mut [Vec3]) {
         assert_eq!(out.len(), self.mask.len(), "thermal buffer size mismatch");
+        self.draw_with(dt, |i, v| out[i] = v);
+    }
+
+    /// [`ThermalField::draw`] straight into member `s` of a K-interleaved
+    /// batch: the same draw sequence, with no intermediate buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch's cell count differs from the mesh cell count.
+    pub(crate) fn draw_member(&mut self, dt: f64, out: &mut FieldBatch, s: usize) {
+        assert_eq!(out.cells(), self.mask.len(), "thermal buffer size mismatch");
+        self.draw_with(dt, |i, v| out.set(i, s, v));
+    }
+
+    /// Draws one realization in ascending cell order, handing each
+    /// cell's value to `put`.
+    fn draw_with(&mut self, dt: f64, mut put: impl FnMut(usize, Vec3)) {
         if self.temperature == 0.0 || dt <= 0.0 {
-            out.fill(Vec3::ZERO);
+            (0..self.mask.len()).for_each(|i| put(i, Vec3::ZERO));
             return;
         }
         let scale = (self.temperature / dt).sqrt();
-        for (i, o) in out.iter_mut().enumerate() {
+        for i in 0..self.mask.len() {
             if self.mask[i] {
                 let sigma = self.sigma_base[i] * scale;
-                *o = Vec3::new(
-                    sigma * self.normals.next_normal(),
-                    sigma * self.normals.next_normal(),
-                    sigma * self.normals.next_normal(),
+                put(
+                    i,
+                    Vec3::new(
+                        sigma * self.normals.next_normal(),
+                        sigma * self.normals.next_normal(),
+                        sigma * self.normals.next_normal(),
+                    ),
                 );
             } else {
-                *o = Vec3::ZERO;
+                put(i, Vec3::ZERO);
             }
         }
     }

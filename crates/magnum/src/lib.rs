@@ -74,7 +74,6 @@ pub mod prelude {
     pub use crate::mesh::Mesh;
     pub use crate::probe::{DftProbe, RegionProbe, Snapshot, SpectrumProbe};
     pub use crate::sim::{Relaxation, Simulation, SimulationBuilder};
-    pub use crate::solver::Integrator;
     pub use crate::MagnumError;
 }
 

@@ -14,32 +14,43 @@
 //! At construction every local term is compiled to a [`FusedTerm`] op, the
 //! magnetic cells are gathered into an index list with a precomputed
 //! 4-neighbour stencil, and antenna coverage is flattened into a CSR map.
-//! [`LlgSystem::rhs_stage`] then makes a single pass over the magnetic
-//! cells — evaluating every op, the antenna drives, the thermal field,
-//! the LLG torque *and* the caller's fused stage update per cell — split
-//! into contiguous blocks executed by the simulation's [`WorkerTeam`].
-//! Each cell's arithmetic is independent of the block partition and each
-//! block writes a disjoint output range, so results are bitwise identical
-//! for any thread count. Non-local terms (the FFT demag) run in a
-//! pre-pass through [`FieldTerm::accumulate_par`] on the same worker
-//! team — the whole spectral pipeline (row FFTs, tiled transposes,
-//! column FFTs, spectral multiply) decomposes into block-ordered spans
-//! on that team — using per-term scratch owned by the system (no locks,
-//! no per-call allocation); the reference paths (`effective_field`,
-//! `max_torque`, energy accounting) use the terms' thread-safe
-//! `accumulate` fallback, which is bitwise identical by contract.
+//! `LlgSystem::rhs_stage_batch` then makes a single pass over the
+//! magnetic cells — evaluating every op, the antenna drives, the thermal
+//! field, the LLG torque *and* the caller's fused stage update per cell —
+//! split into contiguous blocks executed by the simulation's
+//! [`WorkerTeam`]. Each cell's arithmetic is independent of the block
+//! partition and each block writes a disjoint output range, so results
+//! are bitwise identical for any thread count. Non-local terms (the FFT
+//! demag) run in a pre-pass through [`FieldTerm::accumulate_par`] on the
+//! same worker team — the whole spectral pipeline (row FFTs, tiled
+//! transposes, column FFTs, spectral multiply) decomposes into
+//! block-ordered spans on that team — using per-term scratch owned by the
+//! system (no locks, no per-call allocation); the reference paths
+//! (`effective_field`, `max_torque`, energy accounting) use the terms'
+//! thread-safe `accumulate` fallback, which is bitwise identical by
+//! contract.
 //!
 //! ## Single-sweep stage fusion
 //!
-//! The state and torque buffers are SoA [`Field3`] planes. Integrators
-//! pass a `fuse` closure to [`LlgSystem::rhs_stage`]; it is invoked with
-//! `(i, k_i)` right after the torque for cell `i` is computed, while the
-//! cell is still hot in cache, and typically writes the next stage input
-//! (`m + dt·b·k` style combinations) through disjoint-range raw plane
-//! pointers. Vacuum cells get `fuse(i, Vec3::ZERO)` so the stage
-//! arithmetic covers exactly the same cells the old full-mesh axpy passes
-//! did. Every cell is visited once per stage instead of once for the
-//! field, once for the torque and once per stage combination.
+//! The state and torque buffers are K-interleaved [`FieldBatch`]es (a
+//! single simulation is the K = 1 case, whose layout is a plain
+//! [`Field3`]). Integrators pass a `fuse` closure to the stage function;
+//! it is invoked once per block with the block's range right after its
+//! torques are written, while the data is still hot in cache, and
+//! typically writes the next stage input (`m + dt·b·k` style
+//! combinations) through disjoint-range raw plane pointers. Every cell is
+//! visited once per stage instead of once for the field, once for the
+//! torque and once per stage combination.
+//!
+//! ## Kernel selection by K
+//!
+//! The stage function picks its per-block kernels from the batch width
+//! alone. At K = 1 it runs the single-system kernels
+//! (`sweep_interior` / `sweep_scalar`) on the
+//! plain planes; at K ≥ 2 it runs the lane kernels, whose member loop is
+//! innermost over consecutive interleaved lanes. Both evaluate the same
+//! expression sequence per (cell, member), so a member of a batch is
+//! bitwise identical to the same simulation stepped alone.
 
 use crate::excitation::Antenna;
 use crate::field::{FieldTerm, FusedTerm};
@@ -51,6 +62,14 @@ use crate::MU0;
 /// Sentinel for "no neighbour" (mesh edge or vacuum) in the stencil.
 const NO_NEIGHBOUR: u32 = u32::MAX;
 
+/// Refills `out` with each antenna's drive field at time `t` (empty when
+/// there are no antennas). `out` keeps its capacity, so refilling it
+/// every stage allocates nothing once it has held the antenna count.
+pub(crate) fn drive_fields(antennas: &[Antenna], t: f64, out: &mut Vec<Vec3>) {
+    out.clear();
+    out.extend(antennas.iter().map(|a| a.direction() * a.drive().value(t)));
+}
+
 /// One contiguous slice of the mesh assigned to a worker block.
 #[derive(Debug, Clone, Copy)]
 struct Block {
@@ -60,9 +79,6 @@ struct Block {
     list: (usize, usize),
     /// Range into [`FusedKernel::segs`] covering `list`.
     segs: (usize, usize),
-    /// Whether `flat` contains any vacuum cells (skips the zeroing scan
-    /// on full films).
-    has_vacuum: bool,
 }
 
 /// A contiguous piece of a block's magnetic-cell list: either an interior
@@ -332,6 +348,36 @@ fn std_ops(ops: &[FusedTerm]) -> Option<StdOps> {
     Some(std)
 }
 
+/// What one stage sweep reads and writes: the K-interleaved stage-input
+/// planes, the per-member inputs of [`LlgSystem::rhs_stage_batch`] and
+/// the output planes.
+#[derive(Clone, Copy)]
+struct Sweep<'a> {
+    mx: &'a [f64],
+    my: &'a [f64],
+    mz: &'a [f64],
+    base: Option<&'a FieldBatch>,
+    ant_fields: &'a [Vec<Vec3>],
+    thermal: &'a FieldBatch,
+    kk: usize,
+    out: Field3Ptr,
+}
+
+impl<'a> Sweep<'a> {
+    /// The single member's pre-pass field, drive fields and thermal
+    /// realization as plain planes — valid at K = 1, where the batch
+    /// layout is the single-system layout.
+    #[inline(always)]
+    fn member0(&self) -> (Option<&'a Field3>, &'a [Vec3], &'a Field3) {
+        debug_assert_eq!(self.kk, 1);
+        (
+            self.base.map(FieldBatch::data),
+            self.ant_fields.first().map_or(&[][..], Vec::as_slice),
+            self.thermal.data(),
+        )
+    }
+}
+
 /// The precompiled single-pass kernel (see module docs).
 #[derive(Debug)]
 struct FusedKernel {
@@ -365,8 +411,6 @@ struct FusedKernel {
 pub(crate) struct SystemSpec {
     pub terms: Vec<Box<dyn FieldTerm>>,
     pub antennas: Vec<Antenna>,
-    /// Thermal buffer (empty at T = 0, one entry per cell otherwise).
-    pub thermal: Vec<Vec3>,
     /// Per-cell Gilbert damping.
     pub alpha: Vec<f64>,
     /// |γ| in rad/(s·T).
@@ -384,7 +428,6 @@ impl SystemSpec {
         let SystemSpec {
             terms,
             antennas,
-            thermal,
             alpha,
             gamma,
             mask,
@@ -490,7 +533,6 @@ impl SystemSpec {
                 flat,
                 list,
                 segs: (seg0, segs.len()),
-                has_vacuum: (flat.0..flat.1).any(|i| !mask[i]),
             });
         }
 
@@ -500,7 +542,6 @@ impl SystemSpec {
             terms,
             term_scratch,
             antennas,
-            thermal,
             alpha,
             prefactor: Vec::new(),
             gamma,
@@ -526,19 +567,18 @@ impl SystemSpec {
     }
 }
 
-/// The assembled LLG system: field terms, antennas, damping map and the
-/// frozen thermal-field buffer for the current step.
+/// The assembled LLG system: field terms, antennas and damping map. The
+/// per-step thermal realization is owned by the caller and passed to
+/// every stage explicitly.
 ///
-/// Constructed by [`crate::sim::SimulationBuilder`]; integrators only call
-/// [`LlgSystem::rhs`].
+/// Constructed by [`crate::sim::SimulationBuilder`]; the integrators
+/// drive it through its unfused pre-pass and fused stage function.
 pub struct LlgSystem {
     pub(crate) terms: Vec<Box<dyn FieldTerm>>,
     /// Per-term hot-path scratch (`None` for terms without any), indexed
     /// like `terms` and threaded through `accumulate_par` by `rhs`.
     term_scratch: Vec<Option<Box<dyn std::any::Any + Send + Sync>>>,
     pub(crate) antennas: Vec<Antenna>,
-    /// Thermal field realization for the current step (all zeros at T=0).
-    pub(crate) thermal: Vec<Vec3>,
     /// Per-cell Gilbert damping.
     pub(crate) alpha: Vec<f64>,
     /// Per-cell `−γμ₀/(1+α²)`, derived from `alpha` — precomputing it
@@ -636,20 +676,10 @@ impl LlgSystem {
         }
     }
 
-    /// Per-antenna drive fields at time `t` (empty when no antennas).
-    pub(crate) fn antenna_fields(&self, t: f64) -> Vec<Vec3> {
-        if self.antennas.is_empty() {
-            return Vec::new();
-        }
-        self.antennas
-            .iter()
-            .map(|a| a.direction() * a.drive().value(t))
-            .collect()
-    }
-
     /// Effective field at one magnetic cell, assembled from the serial
     /// pre-pass (`base`), the fused ops, the antenna drives and the
-    /// thermal buffer — in exactly the order the term-by-term path uses.
+    /// thermal realization (empty at T = 0) — in exactly the order the
+    /// term-by-term path uses.
     ///
     /// `mx`/`my`/`mz` are the component planes of the stage input; the
     /// exchange stencil gathers neighbours from them directly.
@@ -665,6 +695,7 @@ impl LlgSystem {
         mz: &[f64],
         base: Option<&Field3>,
         ant_fields: &[Vec3],
+        thermal: &Field3,
     ) -> Vec3 {
         let mut h = match base {
             Some(b) => b.get(i),
@@ -711,8 +742,8 @@ impl LlgSystem {
                 }
             }
         }
-        if !self.thermal.is_empty() {
-            h += self.thermal[i];
+        if !thermal.is_empty() {
+            h += thermal.get(i);
         }
         h
     }
@@ -727,37 +758,13 @@ impl LlgSystem {
         (mxh + mxmxh * alpha) * prefactor
     }
 
-    /// Hot-path pre-pass: runs each non-fusable term through
-    /// `accumulate_par` with the worker team and the term's own scratch —
-    /// lock-free and allocation-free, bitwise identical to the reference
-    /// `accumulate` path for any team size. Returns whether anything was
-    /// written into `h`.
-    fn unfused_prepass_par(&mut self, m: &Field3, t: f64, h: &mut Field3) -> bool {
-        if self.kernel.unfused.is_empty() {
-            return false;
-        }
-        h.fill(Vec3::ZERO);
-        let LlgSystem {
-            terms,
-            term_scratch,
-            kernel,
-            team,
-            ..
-        } = self;
-        for &ti in &kernel.unfused {
-            let scratch = term_scratch[ti]
-                .as_mut()
-                .map(|s| &mut **s as &mut (dyn std::any::Any + Send + Sync));
-            terms[ti].accumulate_par(m, t, h, team, scratch);
-        }
-        true
-    }
-
-    /// Computes the effective field (A/m) into `h` at time `t`.
+    /// Computes the deterministic effective field (A/m) — every field
+    /// term plus the antenna drives, without the thermal realization —
+    /// into `h` at time `t`.
     ///
-    /// This is the term-by-term reference path (used by energy accounting,
-    /// probes and tests); the integrator hot loop uses the fused kernel in
-    /// [`LlgSystem::rhs`] instead.
+    /// This is the term-by-term reference path (used by probes and
+    /// tests); the integrator hot loop uses the fused stage kernel
+    /// instead.
     pub fn effective_field(&self, m: &[Vec3], t: f64, h: &mut [Vec3]) {
         h.fill(Vec3::ZERO);
         for term in &self.terms {
@@ -766,150 +773,70 @@ impl LlgSystem {
         for antenna in &self.antennas {
             antenna.accumulate(t, h);
         }
-        if !self.thermal.is_empty() {
-            for (hi, th) in h.iter_mut().zip(self.thermal.iter()) {
-                *hi += *th;
+    }
+
+    /// One block's share of a K = 1 sweep: the segment walk dispatching
+    /// interior runs and scalar stretches to the single-system kernels.
+    ///
+    /// Kept out of line: inlined next to the lane kernels of
+    /// [`LlgSystem::sweep_block`], the single-system kernels measured
+    /// about 7% slower per RK4 step on a 256 × 128 film (2-CPU x86-64
+    /// host).
+    #[inline(never)]
+    fn sweep_block_one(&self, b: usize, sw: &Sweep) {
+        let block = self.kernel.blocks[b];
+        let Some(std) = self.kernel.std_ops else {
+            self.sweep_scalar(block.list.0, block.list.1, sw);
+            return;
+        };
+        for seg in &self.kernel.segs[block.segs.0..block.segs.1] {
+            if seg.interior {
+                self.sweep_interior(*seg, std, sw);
+            } else {
+                self.sweep_scalar(seg.ci0 as usize, seg.ci1 as usize, sw);
             }
         }
     }
 
-    /// Evaluates `dm/dt` into `dmdt`, using `h_scratch` for the field.
-    ///
-    /// Vacuum cells get zero torque.
-    pub fn rhs(&mut self, m: &Field3, t: f64, dmdt: &mut Field3, h_scratch: &mut Field3) {
-        self.rhs_stage(m, t, dmdt, h_scratch, |_, _, _| {});
-    }
-
-    /// The fused stage kernel: evaluates `dm/dt` of the stage input `y`
-    /// into `k_out`, then invokes `fuse(i0, i1, k)` once per worker block
-    /// with the block's flat cell range and a raw view of `k_out`, while
-    /// the block's data is still cache-resident. Integrators use `fuse`
-    /// to apply the axpy-style stage combinations (`m + dt·b·k`, the
-    /// final RK update, …) that used to be separate full-mesh passes.
-    ///
-    /// `fuse` gets a whole contiguous range rather than one cell at a
-    /// time so its loop stays a plain streaming axpy the compiler can
-    /// vectorize on its own — a per-cell callback inside the field sweep
-    /// defeats the sweep's vectorization through opaque raw-pointer
-    /// aliasing.
-    ///
-    /// Vacuum cells have `k = 0` written before `fuse` runs, so the fused
-    /// arithmetic covers exactly the index set the old full-mesh stage
-    /// passes did.
-    ///
-    /// `fuse` runs on worker threads; each block invokes it for a
-    /// disjoint cell range, so writing through raw plane pointers inside
-    /// `i0..i1` is sound. It must not read any cell another block may
-    /// write concurrently.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertions) if buffer lengths mismatch.
-    pub(crate) fn rhs_stage<F>(
-        &mut self,
-        y: &Field3,
-        t: f64,
-        k_out: &mut Field3,
-        h_scratch: &mut Field3,
-        fuse: F,
-    ) where
-        F: Fn(usize, usize, Field3Ptr) + Sync,
-    {
-        debug_assert_eq!(y.len(), self.len());
-        debug_assert_eq!(k_out.len(), self.len());
-        debug_assert_eq!(h_scratch.len(), self.len());
-        let wrote_base = self.unfused_prepass_par(y, t, h_scratch);
-        let out = k_out.ptrs();
-        // The mutable phase (per-term scratch) is over; the fused region
-        // only reads the system.
-        let this: &LlgSystem = &*self;
-        let base = if wrote_base { Some(&*h_scratch) } else { None };
-        let ant_fields = this.antenna_fields(t);
-        let (mx, my, mz) = (y.xs(), y.ys(), y.zs());
-        this.team.run(&|b| {
-            let block = this.kernel.blocks[b];
-            // Vacuum cells in this block's flat range get zero torque;
-            // magnetic cells are written by the segment loops below. The
-            // two partitions are disjoint per cell, so every `k_out`
-            // element is written exactly once across all blocks.
-            if block.has_vacuum {
-                for i in block.flat.0..block.flat.1 {
-                    if !this.mask[i] {
-                        // Safety: flat ranges are disjoint across blocks
-                        // and only vacuum cells are touched here.
-                        unsafe { out.write(i, Vec3::ZERO) };
-                    }
-                }
+    /// One block's share of a K ≥ 2 sweep: the segment walk dispatching
+    /// interior runs and scalar stretches to the lane kernels.
+    #[inline(always)]
+    fn sweep_block(&self, b: usize, sw: &Sweep, avx2: bool) {
+        let block = self.kernel.blocks[b];
+        let Some(std) = self.kernel.std_ops else {
+            self.sweep_scalar_batch(block.list.0, block.list.1, sw);
+            return;
+        };
+        for seg in &self.kernel.segs[block.segs.0..block.segs.1] {
+            if seg.interior {
+                self.sweep_interior_batch(*seg, std, sw, avx2);
+            } else {
+                self.sweep_scalar_batch(seg.ci0 as usize, seg.ci1 as usize, sw);
             }
-            match this.kernel.std_ops {
-                Some(std) => {
-                    for seg in &this.kernel.segs[block.segs.0..block.segs.1] {
-                        if seg.interior {
-                            this.sweep_interior(*seg, std, mx, my, mz, base, &ant_fields, out);
-                        } else {
-                            this.sweep_scalar(
-                                seg.ci0 as usize,
-                                seg.ci1 as usize,
-                                mx,
-                                my,
-                                mz,
-                                base,
-                                &ant_fields,
-                                out,
-                            );
-                        }
-                    }
-                }
-                None => this.sweep_scalar(
-                    block.list.0,
-                    block.list.1,
-                    mx,
-                    my,
-                    mz,
-                    base,
-                    &ant_fields,
-                    out,
-                ),
-            }
-            // On a full film every block's list range is its flat range,
-            // so the block fuses exactly the cells it just wrote — no
-            // cross-block ordering is needed and the data is still
-            // cache-resident.
-            if this.kernel.full_film {
-                fuse(block.flat.0, block.flat.1, out);
-            }
-        });
-        if !this.kernel.full_film {
-            // With vacuum the flat and list chunkings own different cell
-            // sets, so a block may fuse a cell another block wrote. The
-            // `team.run` barrier above orders every `k_out` write before
-            // the fuse reads.
-            this.team.run(&|b| {
-                let block = this.kernel.blocks[b];
-                fuse(block.flat.0, block.flat.1, out);
-            });
         }
     }
 
-    /// The general sweep body: handles boundary and vacuum-adjacent cells
-    /// (and arbitrary op sequences) via the stencil table and the ops
-    /// loop.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_scalar(
-        &self,
-        ci0: usize,
-        ci1: usize,
-        mx: &[f64],
-        my: &[f64],
-        mz: &[f64],
-        base: Option<&Field3>,
-        ant_fields: &[Vec3],
-        out: Field3Ptr,
-    ) {
+    /// [`LlgSystem::sweep_block`] compiled with AVX2 enabled, for hosts
+    /// that have it (checked at runtime by the caller): the inlined lane
+    /// kernels auto-vectorize 4-wide over the consecutive interleaved
+    /// lanes. Every operation is the same correctly-rounded IEEE
+    /// arithmetic, so results are bitwise identical to the baseline copy.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn sweep_block_avx2(&self, b: usize, sw: &Sweep) {
+        self.sweep_block(b, sw, true);
+    }
+
+    /// The general K = 1 sweep body: handles boundary and vacuum-adjacent
+    /// cells (and arbitrary op sequences) via the stencil table and the
+    /// ops loop.
+    fn sweep_scalar(&self, ci0: usize, ci1: usize, sw: &Sweep) {
+        let (mx, my, mz, out) = (sw.mx, sw.my, sw.mz, sw.out);
+        let (base, ant_fields, thermal) = sw.member0();
         for ci in ci0..ci1 {
             let i = self.kernel.cells[ci] as usize;
             let mi = Vec3::new(mx[i], my[i], mz[i]);
-            let h = self.fused_field(ci, i, mi, mx, my, mz, base, ant_fields);
+            let h = self.fused_field(ci, i, mi, mx, my, mz, base, ant_fields, thermal);
             let k = self.torque(i, mi, h);
             // Safety: list ranges are disjoint across blocks and only
             // magnetic cells are touched here.
@@ -917,27 +844,18 @@ impl LlgSystem {
         }
     }
 
-    /// The branchless interior sweep: every cell of the run has all four
-    /// neighbours at `i±1`/`i±nx` and consecutive flat indices, so the
-    /// stencil needs no table, no presence checks and no bounds checks —
-    /// the loop body is straight-line code over the component planes,
-    /// which is what lets LLVM vectorize it. Each cell evaluates the
-    /// exact same expression tree as [`LlgSystem::fused_field`] +
+    /// The branchless K = 1 interior sweep: every cell of the run has all
+    /// four neighbours at `i±1`/`i±nx` and consecutive flat indices, so
+    /// the stencil needs no table, no presence checks and no bounds
+    /// checks — the loop body is straight-line code over the component
+    /// planes, which is what lets LLVM vectorize it. Each cell evaluates
+    /// the exact same expression tree as [`LlgSystem::fused_field`] +
     /// [`LlgSystem::torque`] (same terms, same order), so the result is
     /// bitwise identical to the scalar path.
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn sweep_interior(
-        &self,
-        seg: Segment,
-        std: StdOps,
-        mx: &[f64],
-        my: &[f64],
-        mz: &[f64],
-        base: Option<&Field3>,
-        ant_fields: &[Vec3],
-        out: Field3Ptr,
-    ) {
+    fn sweep_interior(&self, seg: Segment, std: StdOps, sw: &Sweep) {
+        let (mx, my, mz, out) = (sw.mx, sw.my, sw.mz, sw.out);
+        let (base, ant_fields, thermal) = sw.member0();
         let i0 = self.kernel.cells[seg.ci0 as usize] as usize;
         let len = (seg.ci1 - seg.ci0) as usize;
         let nx = self.kernel.nx;
@@ -949,7 +867,7 @@ impl LlgSystem {
         // `Option`s ahead of the loop leaves a straight-line body that
         // LLVM can unswitch and vectorize; the generic arm below keeps
         // loop-invariant conditionals per cell, which blocks that.
-        if ant_fields.is_empty() && self.thermal.is_empty() && base.is_none() {
+        if ant_fields.is_empty() && thermal.is_empty() && base.is_none() {
             if let (Some((coeff_x, coeff_y)), Some((ku, axis)), Some(ms), Some(zee)) =
                 (std.ex, std.uni, std.film, std.zee)
             {
@@ -1019,8 +937,8 @@ impl LlgSystem {
                     }
                 }
             }
-            if !self.thermal.is_empty() {
-                h += self.thermal[i];
+            if !thermal.is_empty() {
+                h += thermal.get(i);
             }
             let (alpha, prefactor) = unsafe { (*ap.add(i), *pp.add(i)) };
             let mxh = mi.cross(h);
@@ -1037,17 +955,23 @@ impl LlgSystem {
         !self.kernel.unfused.is_empty()
     }
 
-    /// Batched analogue of the unfused pre-pass: de-interleaves each
-    /// member of `y`, runs every non-fusable term through
-    /// `accumulate_par` with the *shared* worker team and per-term
-    /// scratch, and interleaves the result into `base`. Because the K
-    /// members reuse one term instance and one scratch, the K Newell
-    /// demag convolutions share a single FFT plan — twiddle tables,
-    /// transpose buffers and kernel spectra are loaded once per batch
-    /// step instead of once per member. Per member the call sequence is
-    /// exactly the single-system pre-pass (zero-fill, then each term in
-    /// order on the same team), so the result is bitwise identical to K
-    /// independent runs. Returns whether anything was written.
+    /// The unfused pre-pass: runs every non-fusable term of each member
+    /// of `y` through `accumulate_par` with the *shared* worker team and
+    /// per-term scratch, writing the K-interleaved result into `base` —
+    /// lock-free and allocation-free, bitwise identical to the reference
+    /// `accumulate` path for any team size. Returns whether anything was
+    /// written.
+    ///
+    /// At K = 1 the batch planes *are* a plain [`Field3`], so `y` and
+    /// `base` go to the terms directly and `m_scratch`/`h_scratch` are
+    /// unused (they may be empty). At K ≥ 2 each member is de-interleaved
+    /// into `m_scratch`, accumulated into `h_scratch` and interleaved
+    /// into `base`. Because the K members reuse one term instance and
+    /// one scratch, the K Newell demag convolutions share a single FFT
+    /// plan — twiddle tables, transpose buffers and kernel spectra are
+    /// loaded once per batch step instead of once per member. Per member
+    /// the call sequence is the same (zero-fill, then each term in order
+    /// on the same team), so the result does not depend on K.
     pub(crate) fn unfused_prepass_batch(
         &mut self,
         y: &FieldBatch,
@@ -1059,65 +983,82 @@ impl LlgSystem {
         if self.kernel.unfused.is_empty() {
             return false;
         }
-        debug_assert_eq!(y.cells(), self.len());
-        debug_assert_eq!(base.cells(), self.len());
+        let n = self.len();
+        debug_assert_eq!(y.cells(), n);
+        debug_assert_eq!(base.cells(), n);
         debug_assert_eq!(base.k(), y.k());
-        debug_assert_eq!(m_scratch.len(), self.len());
-        debug_assert_eq!(h_scratch.len(), self.len());
-        for s in 0..y.k() {
-            y.store_member(s, m_scratch);
-            h_scratch.fill(Vec3::ZERO);
-            let LlgSystem {
-                terms,
-                term_scratch,
-                kernel,
-                team,
-                ..
-            } = self;
+        let LlgSystem {
+            terms,
+            term_scratch,
+            kernel,
+            team,
+            ..
+        } = self;
+        let mut accumulate = |m: &Field3, h: &mut Field3| {
+            h.fill(Vec3::ZERO);
             for &ti in &kernel.unfused {
                 let scratch = term_scratch[ti]
                     .as_mut()
                     .map(|s| &mut **s as &mut (dyn std::any::Any + Send + Sync));
-                terms[ti].accumulate_par(m_scratch, t, h_scratch, team, scratch);
+                terms[ti].accumulate_par(m, t, h, team, scratch);
             }
+        };
+        if y.k() == 1 {
+            accumulate(y.data(), base.data_mut());
+            return true;
+        }
+        debug_assert_eq!(m_scratch.len(), n);
+        debug_assert_eq!(h_scratch.len(), n);
+        for s in 0..y.k() {
+            y.store_member(s, m_scratch);
+            accumulate(m_scratch, h_scratch);
             base.load_member(s, &*h_scratch);
         }
         true
     }
 
-    /// Batched analogue of [`LlgSystem::rhs_stage`]: advances the K
-    /// members of `y` — simulations sharing this system's geometry,
-    /// damping map and fused kernel — through one sweep over the
-    /// K-interleaved planes.
+    /// The fused stage kernel: evaluates `dm/dt` of the K members of
+    /// `y` — simulations sharing this system's geometry, damping map and
+    /// fused kernel — into `k_out` through one sweep over the
+    /// K-interleaved planes, then invokes `fuse(i0, i1, k)` once per
+    /// worker block with an interleaved flat range and a raw view of
+    /// `k_out`, while the block's data is still cache-resident.
+    /// Integrators use `fuse` to apply the axpy-style stage combinations
+    /// (`m + dt·b·k`, the final RK update, …).
     ///
-    /// Per-member inputs that differ across the batch are explicit:
-    /// `ant_fields[s]` holds member `s`'s per-antenna drive fields at
-    /// the stage time (members must have antennas covering the same
-    /// cells so the shared CSR map applies; only drive values differ),
-    /// `thermal` is the K-interleaved per-member thermal realization
-    /// (empty at T = 0), and `base` is the K-interleaved output of
+    /// `fuse` gets a whole contiguous range rather than one cell at a
+    /// time so its loop stays a plain streaming axpy the compiler can
+    /// vectorize on its own — a per-cell callback inside the field sweep
+    /// defeats the sweep's vectorization through opaque raw-pointer
+    /// aliasing. It runs on worker threads; each block invokes it for a
+    /// disjoint range, so writing through raw plane pointers inside
+    /// `i0..i1` is sound. It must not read any index another block may
+    /// write concurrently.
+    ///
+    /// Per-member inputs are explicit: `ant_fields[s]` holds member
+    /// `s`'s per-antenna drive fields at the stage time (members must
+    /// have antennas covering the same cells so the shared CSR map
+    /// applies; only drive values differ), `thermal` is the
+    /// K-interleaved per-member thermal realization (empty at T = 0),
+    /// and `base` is the K-interleaved output of
     /// [`LlgSystem::unfused_prepass_batch`] (or `None`).
     ///
-    /// `k_out`'s vacuum lanes must already be zero on entry: only
-    /// magnetic lanes are written, so a `FieldBatch::zeros` buffer
-    /// reused across stages keeps its vacuum zeros without the
-    /// single-system path's per-stage vacuum pass.
-    ///
-    /// Per (cell, member) the arithmetic — term order, neighbour
-    /// gathers, antenna accumulation, torque — is the exact expression
-    /// sequence the single-system sweep evaluates, so each member's
-    /// slice of `k_out` is bitwise identical to an independent run. The
-    /// win is structural: the stencil table, neighbour-presence
+    /// The kernels are selected on K alone (see the module docs): the
+    /// single-system kernels at K = 1, the lane kernels at K ≥ 2. Per
+    /// (cell, member) both evaluate the exact same expression sequence —
+    /// term order, neighbour gathers, antenna accumulation, torque — so
+    /// each member's slice of `k_out` does not depend on K. The lane
+    /// kernels' win is structural: the stencil table, neighbour-presence
     /// branches, CSR offsets and per-cell damping loads are amortized
     /// over K members, and with K innermost the member loop runs over
     /// consecutive lanes the vectorizer can use.
     ///
-    /// `fuse` receives interleaved flat ranges (cell range × K) with
-    /// the same disjoint-ownership contract as in `rhs_stage` — but on
-    /// shaped meshes the ranges cover only the magnetic runs: vacuum
-    /// lanes are never fused (their values are zero on both sides of
-    /// every fuse, so the single-system result `0 + 0·c = 0` is what
-    /// skipping leaves in place).
+    /// `k_out`'s vacuum lanes must already be zero on entry: only
+    /// magnetic lanes are written, so a `FieldBatch::zeros` buffer
+    /// reused across stages keeps its vacuum zeros. Likewise, on shaped
+    /// meshes the fuse ranges cover only the magnetic runs: vacuum lanes
+    /// are zero on both sides of every fuse, so the result `0 + 0·c = 0`
+    /// is what skipping leaves in place.
     pub(crate) fn rhs_stage_batch<F>(
         &self,
         y: &FieldBatch,
@@ -1137,33 +1078,52 @@ impl LlgSystem {
         debug_assert!(thermal.is_empty() || (thermal.cells() == self.len() && thermal.k() == kk));
         let out = k_out.ptrs();
         let this: &LlgSystem = self;
-        let (mx, my, mz) = (y.data().xs(), y.data().ys(), y.data().zs());
-        // One runtime check per stage: the batch sweep's inner loops run
+        let sw = Sweep {
+            mx: y.data().xs(),
+            my: y.data().ys(),
+            mz: y.data().zs(),
+            base,
+            ant_fields,
+            thermal,
+            kk,
+            out,
+        };
+        // One runtime check per stage: the lane kernels' inner loops run
         // over consecutive interleaved lanes, which pays off most when
-        // compiled 4-wide — so the whole per-block sweep exists twice,
-        // baseline and AVX2, and the AVX2 copy is picked when the host
-        // supports it. Same Rust code, so identical IEEE results: wider
-        // lanes change throughput, never rounding.
+        // compiled 4-wide — so the whole per-block lane sweep exists
+        // twice, baseline and AVX2, and the AVX2 copy is picked when the
+        // host supports it. Same Rust code, so identical IEEE results:
+        // wider lanes change throughput, never rounding.
         #[cfg(target_arch = "x86_64")]
         let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
-        this.team.run(&|b| {
+        let sweep = |b: usize| {
+            if kk == 1 {
+                this.sweep_block_one(b, &sw);
+                return;
+            }
             #[cfg(target_arch = "x86_64")]
             if use_avx2 {
                 // Safety: AVX2 support was checked at runtime above.
-                unsafe {
-                    this.sweep_block_batch_avx2(b, mx, my, mz, base, ant_fields, thermal, kk, out)
-                };
-            } else {
-                this.sweep_block_batch(b, mx, my, mz, base, ant_fields, thermal, kk, out, false);
+                unsafe { this.sweep_block_avx2(b, &sw) };
+                return;
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            this.sweep_block_batch(b, mx, my, mz, base, ant_fields, thermal, kk, out, false);
+            this.sweep_block(b, &sw, false);
+        };
+        this.team.run(&|b| {
+            sweep(b);
+            // On a full film every block's list range is its flat range,
+            // so the block fuses exactly the cells it just wrote — no
+            // cross-block ordering is needed and the data is still
+            // cache-resident.
             if this.kernel.full_film {
                 let block = this.kernel.blocks[b];
                 fuse(block.flat.0 * kk, block.flat.1 * kk, out);
             }
         });
         if !this.kernel.full_film {
+            // With vacuum, a block's magnetic runs may hold cells another
+            // block's list range wrote; the `team.run` barrier above
+            // orders every `k_out` write before the fuse reads.
             this.team.run(&|b| {
                 // Fuse only the magnetic lanes. Vacuum lanes of every
                 // batch buffer are zero (the builder zeroes vacuum
@@ -1189,94 +1149,6 @@ impl LlgSystem {
         }
     }
 
-    /// One block's share of the batched sweep: the segment walk
-    /// dispatching interior runs and scalar stretches.
-    ///
-    /// Unlike `rhs_stage`, vacuum lanes are NOT re-zeroed here: the
-    /// contract is that the caller provides `k_out` with vacuum lanes
-    /// already zero (`FieldBatch::zeros`), and this sweep only ever
-    /// writes magnetic lanes — so the zeros persist across calls and
-    /// the batch skips K·vacuum stores per stage. The batch steppers
-    /// allocate with `zeros` and reuse the buffers, satisfying this by
-    /// construction.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn sweep_block_batch(
-        &self,
-        b: usize,
-        mx: &[f64],
-        my: &[f64],
-        mz: &[f64],
-        base: Option<&FieldBatch>,
-        ant_fields: &[Vec<Vec3>],
-        thermal: &FieldBatch,
-        kk: usize,
-        out: Field3Ptr,
-        avx2: bool,
-    ) {
-        let block = self.kernel.blocks[b];
-        match self.kernel.std_ops {
-            Some(std) => {
-                for seg in &self.kernel.segs[block.segs.0..block.segs.1] {
-                    if seg.interior {
-                        self.sweep_interior_batch(
-                            *seg, std, mx, my, mz, base, ant_fields, thermal, kk, out, avx2,
-                        );
-                    } else {
-                        self.sweep_scalar_batch(
-                            seg.ci0 as usize,
-                            seg.ci1 as usize,
-                            mx,
-                            my,
-                            mz,
-                            base,
-                            ant_fields,
-                            thermal,
-                            kk,
-                            out,
-                        );
-                    }
-                }
-            }
-            None => self.sweep_scalar_batch(
-                block.list.0,
-                block.list.1,
-                mx,
-                my,
-                mz,
-                base,
-                ant_fields,
-                thermal,
-                kk,
-                out,
-            ),
-        }
-    }
-
-    /// [`LlgSystem::sweep_block_batch`] compiled with AVX2 enabled, for
-    /// hosts that have it (checked at runtime by the caller). The inlined
-    /// sweep bodies auto-vectorize 4-wide over the consecutive
-    /// interleaved lanes; every operation is the same correctly-rounded
-    /// IEEE arithmetic, so results are bitwise identical to the baseline
-    /// copy.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_block_batch_avx2(
-        &self,
-        b: usize,
-        mx: &[f64],
-        my: &[f64],
-        mz: &[f64],
-        base: Option<&FieldBatch>,
-        ant_fields: &[Vec<Vec3>],
-        thermal: &FieldBatch,
-        kk: usize,
-        out: Field3Ptr,
-    ) {
-        self.sweep_block_batch(b, mx, my, mz, base, ant_fields, thermal, kk, out, true);
-    }
-
     /// Batched general sweep body (see [`LlgSystem::sweep_scalar`]): the
     /// stencil table, CSR offsets and damping loads are hoisted per cell
     /// and the member loop runs innermost over the interleaved planes.
@@ -1289,21 +1161,18 @@ impl LlgSystem {
     /// in exactly the single-system order, so members remain bitwise
     /// identical to independent runs; only the interleaving of work
     /// across lanes changes.
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn sweep_scalar_batch(
-        &self,
-        ci0: usize,
-        ci1: usize,
-        mx: &[f64],
-        my: &[f64],
-        mz: &[f64],
-        base: Option<&FieldBatch>,
-        ant_fields: &[Vec<Vec3>],
-        thermal: &FieldBatch,
-        kk: usize,
-        out: Field3Ptr,
-    ) {
+    fn sweep_scalar_batch(&self, ci0: usize, ci1: usize, sw: &Sweep) {
+        let Sweep {
+            mx,
+            my,
+            mz,
+            base,
+            ant_fields,
+            thermal,
+            kk,
+            out,
+        } = *sw;
         /// Lane-chunk width for the batched scalar sweep: big enough to
         /// amortize per-cell branch hoisting for every realistic batch,
         /// small enough for comfortable stack buffers.
@@ -1446,22 +1315,24 @@ impl LlgSystem {
     /// branch-free arm. Covered cells evaluate the identical expression
     /// sequence plus their antenna drives, so parity with independent
     /// runs is preserved cell for cell.
-    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn sweep_interior_batch(
         &self,
         seg: Segment,
         std: StdOps,
-        mx: &[f64],
-        my: &[f64],
-        mz: &[f64],
-        base: Option<&FieldBatch>,
-        ant_fields: &[Vec<Vec3>],
-        thermal: &FieldBatch,
-        kk: usize,
-        out: Field3Ptr,
+        sw: &Sweep,
         #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))] avx2: bool,
     ) {
+        let Sweep {
+            mx,
+            my,
+            mz,
+            base,
+            ant_fields,
+            thermal,
+            kk,
+            out,
+        } = *sw;
         let i0 = self.kernel.cells[seg.ci0 as usize] as usize;
         let len = (seg.ci1 - seg.ci0) as usize;
         let nxk = self.kernel.nx * kk;
@@ -1734,8 +1605,10 @@ impl LlgSystem {
         }
     }
 
-    /// Maximum torque |dm/dt| over all cells, in 1/s — used as a
-    /// convergence criterion by [`crate::sim::Simulation::relax`].
+    /// Maximum deterministic torque |dm/dt| over all cells, in 1/s (the
+    /// field of [`LlgSystem::effective_field`], no thermal realization)
+    /// — used as a convergence criterion by
+    /// [`crate::sim::Simulation::relax`].
     ///
     /// Evaluated block-parallel with a per-block running maximum, so no
     /// full-mesh buffers are allocated; only a non-fusable term forces
@@ -1755,7 +1628,9 @@ impl LlgSystem {
             Some(Field3::from_vec3s(&hv))
         };
         let base = pre.as_ref();
-        let ant_fields = self.antenna_fields(t);
+        let mut ant_fields = Vec::new();
+        drive_fields(&self.antennas, t, &mut ant_fields);
+        let no_thermal = Field3::zeros(0);
         let (mx, my, mz) = (m.xs(), m.ys(), m.zs());
         let partials = self.team.map_blocks(|b| {
             let block = self.kernel.blocks[b];
@@ -1763,7 +1638,7 @@ impl LlgSystem {
             for ci in block.list.0..block.list.1 {
                 let i = self.kernel.cells[ci] as usize;
                 let mi = Vec3::new(mx[i], my[i], mz[i]);
-                let h = self.fused_field(ci, i, mi, mx, my, mz, base, &ant_fields);
+                let h = self.fused_field(ci, i, mi, mx, my, mz, base, &ant_fields, &no_thermal);
                 local = local.max(self.torque(i, mi, h).norm());
             }
             local
@@ -1838,7 +1713,6 @@ mod tests {
         SystemSpec {
             terms: vec![Box::new(Zeeman::uniform(field))],
             antennas: Vec::new(),
-            thermal: Vec::new(),
             alpha: vec![alpha],
             gamma: GAMMA,
             mask: vec![true],
@@ -1846,6 +1720,34 @@ mod tests {
             threads: 1,
         }
         .build()
+    }
+
+    /// One K = 1 stage evaluation of `dm/dt` at time `t`, with the
+    /// system's own antenna drives and the given thermal realization
+    /// (empty at T = 0), fusing nothing.
+    fn rhs(sys: &mut LlgSystem, m: &Field3, t: f64, thermal: &FieldBatch) -> Field3 {
+        let n = sys.len();
+        let mut y = FieldBatch::zeros(n, 1);
+        y.data_mut().copy_from(m);
+        let mut base = FieldBatch::zeros(n, 1);
+        let (mut no_m, mut no_h) = (Field3::zeros(0), Field3::zeros(0));
+        let wrote = sys.unfused_prepass_batch(&y, t, &mut base, &mut no_m, &mut no_h);
+        let mut ant = Vec::new();
+        drive_fields(&sys.antennas, t, &mut ant);
+        let mut k = FieldBatch::zeros(n, 1);
+        sys.rhs_stage_batch(
+            &y,
+            &mut k,
+            wrote.then_some(&base),
+            &[ant],
+            thermal,
+            |_, _, _| {},
+        );
+        k.data().clone()
+    }
+
+    fn no_thermal() -> FieldBatch {
+        FieldBatch::empty(1)
     }
 
     #[test]
@@ -1861,9 +1763,7 @@ mod tests {
         let h0 = 1e5;
         let mut sys = single_cell_system(0.0, Vec3::Z * h0);
         let m = Field3::from_vec3s(&[Vec3::X]);
-        let mut dmdt = Field3::zeros(1);
-        let mut h = Field3::zeros(1);
-        sys.rhs(&m, 0.0, &mut dmdt, &mut h);
+        let dmdt = rhs(&mut sys, &m, 0.0, &no_thermal());
         // m×H = X×Z·h0 = -Y·h0; prefactor −γμ₀ ⇒ dm/dt = +γμ₀h0·Y
         let expected = GAMMA * MU0 * h0;
         assert!((dmdt.get(0).y - expected).abs() / expected < 1e-12);
@@ -1875,9 +1775,7 @@ mod tests {
     fn damping_pulls_towards_field() {
         let mut sys = single_cell_system(0.1, Vec3::Z * 1e5);
         let m = Field3::from_vec3s(&[Vec3::X]);
-        let mut dmdt = Field3::zeros(1);
-        let mut h = Field3::zeros(1);
-        sys.rhs(&m, 0.0, &mut dmdt, &mut h);
+        let dmdt = rhs(&mut sys, &m, 0.0, &no_thermal());
         // The damping term rotates m towards +z.
         assert!(
             dmdt.get(0).z > 0.0,
@@ -1890,9 +1788,7 @@ mod tests {
         // dm/dt ⊥ m always, so d|m|²/dt = 2 m·dm/dt = 0.
         let mut sys = single_cell_system(0.25, Vec3::new(3e4, -2e4, 5e4));
         let m = Field3::from_vec3s(&[Vec3::new(0.6, 0.64, 0.48).normalized()]);
-        let mut dmdt = Field3::zeros(1);
-        let mut h = Field3::zeros(1);
-        sys.rhs(&m, 0.0, &mut dmdt, &mut h);
+        let dmdt = rhs(&mut sys, &m, 0.0, &no_thermal());
         assert!(m.get(0).dot(dmdt.get(0)).abs() < 1e-3);
     }
 
@@ -1901,7 +1797,6 @@ mod tests {
         let mut sys = SystemSpec {
             terms: vec![Box::new(Zeeman::uniform(Vec3::Z * 1e5))],
             antennas: Vec::new(),
-            thermal: Vec::new(),
             alpha: vec![0.01],
             gamma: GAMMA,
             mask: vec![false],
@@ -1911,33 +1806,41 @@ mod tests {
         .build();
         let m = Field3::from_vec3s(&[Vec3::X]);
         assert_eq!(sys.max_torque(&m, 0.0), 0.0);
-        let mut dmdt = Field3::from_vec3s(&[Vec3::X]);
-        let mut h = Field3::zeros(1);
-        sys.rhs(&m, 0.0, &mut dmdt, &mut h);
-        assert_eq!(dmdt.get(0), Vec3::ZERO, "rhs must overwrite vacuum torque");
+        // The sweep never writes vacuum lanes, so a zeroed k stays zero.
+        let dmdt = rhs(&mut sys, &m, 0.0, &no_thermal());
+        assert_eq!(dmdt.get(0), Vec3::ZERO, "vacuum lane must keep zero torque");
     }
 
     #[test]
-    fn thermal_buffer_enters_the_field() {
+    fn thermal_realization_enters_the_stage_field() {
+        // m ∥ ẑ with no deterministic field: any torque comes from the
+        // thermal realization passed to the stage (H ∥ x̂).
         let mut sys = single_cell_system(0.01, Vec3::ZERO);
-        sys.thermal = vec![Vec3::X * 123.0];
-        let m = vec![Vec3::Z];
-        let mut h = vec![Vec3::ZERO];
-        sys.effective_field(&m, 0.0, &mut h);
-        assert!((h[0].x - 123.0).abs() < 1e-12);
-        // And the fused path sees it too: torque on m ∥ ẑ under H ∥ x̂.
-        assert!(sys.max_torque(&Field3::from_vec3s(&m), 0.0) > 0.0);
+        let m = Field3::from_vec3s(&[Vec3::Z]);
+        assert_eq!(rhs(&mut sys, &m, 0.0, &no_thermal()).get(0), Vec3::ZERO);
+        let mut thermal = FieldBatch::zeros(1, 1);
+        thermal.set(0, 0, Vec3::X * 123.0);
+        assert!(rhs(&mut sys, &m, 0.0, &thermal).get(0).norm() > 0.0);
+        // The reference paths are deterministic: no thermal term.
+        assert_eq!(sys.max_torque(&m, 0.0), 0.0);
     }
 
     #[test]
     fn higher_damping_slows_precession_rate() {
         // The 1/(1+α²) prefactor reduces the precession component.
         let m = Field3::from_vec3s(&[Vec3::X]);
-        let mut dmdt_lo = Field3::zeros(1);
-        let mut dmdt_hi = Field3::zeros(1);
-        let mut h = Field3::zeros(1);
-        single_cell_system(0.0, Vec3::Z * 1e5).rhs(&m, 0.0, &mut dmdt_lo, &mut h);
-        single_cell_system(1.0, Vec3::Z * 1e5).rhs(&m, 0.0, &mut dmdt_hi, &mut h);
+        let dmdt_lo = rhs(
+            &mut single_cell_system(0.0, Vec3::Z * 1e5),
+            &m,
+            0.0,
+            &no_thermal(),
+        );
+        let dmdt_hi = rhs(
+            &mut single_cell_system(1.0, Vec3::Z * 1e5),
+            &m,
+            0.0,
+            &no_thermal(),
+        );
         assert!((dmdt_hi.get(0).y.abs() - dmdt_lo.get(0).y.abs() / 2.0).abs() < 1.0);
     }
 
@@ -1977,7 +1880,6 @@ mod tests {
                 Box::new(Zeeman::uniform(Vec3::new(1e3, 0.0, 2e3))),
             ],
             antennas: vec![antenna],
-            thermal: Vec::new(),
             alpha: (0..n).map(|i| 0.004 + 1e-5 * i as f64).collect(),
             gamma: material.gamma(),
             mask: mesh.mask().to_vec(),
@@ -1994,9 +1896,7 @@ mod tests {
         let t = 13e-12;
         let n = m.len();
         let ms = Field3::from_vec3s(&m);
-        let mut dmdt = Field3::zeros(n);
-        let mut scratch = Field3::zeros(n);
-        sys.rhs(&ms, t, &mut dmdt, &mut scratch);
+        let dmdt = rhs(&mut sys, &ms, t, &no_thermal());
         // Reference: term-by-term field, then the LLG formula.
         let mut h = vec![Vec3::ZERO; n];
         sys.effective_field(&m, t, &mut h);
@@ -2037,7 +1937,6 @@ mod tests {
                 Box::new(Zeeman::uniform(Vec3::new(0.0, 0.0, 5e4))),
             ],
             antennas: Vec::new(),
-            thermal: Vec::new(),
             alpha: vec![material.gilbert_damping(); n],
             gamma: material.gamma(),
             mask: vec![true; n],
@@ -2062,9 +1961,7 @@ mod tests {
             let (mut sys, m2) = full_film_std_system(threads);
             assert_eq!(m, m2);
             let ms = Field3::from_vec3s(&m2);
-            let mut dmdt = Field3::zeros(n);
-            let mut scratch = Field3::zeros(n);
-            sys.rhs(&ms, t, &mut dmdt, &mut scratch);
+            let dmdt = rhs(&mut sys, &ms, t, &no_thermal());
             for i in 0..n {
                 let alpha = sys.alpha[i];
                 let prefactor = -sys.gamma * MU0 / (1.0 + alpha * alpha);
@@ -2083,72 +1980,26 @@ mod tests {
     fn rhs_is_bitwise_identical_across_thread_counts() {
         let t = 7e-12;
         let (mut serial, m) = masked_multiterm_system(1);
-        let n = m.len();
         let ms = Field3::from_vec3s(&m);
-        let mut expected = Field3::zeros(n);
-        let mut scratch = Field3::zeros(n);
-        serial.rhs(&ms, t, &mut expected, &mut scratch);
+        let expected = rhs(&mut serial, &ms, t, &no_thermal());
         let torque_serial = serial.max_torque(&ms, t);
         for threads in [2, 3, 4, 7] {
             let (mut sys, m2) = masked_multiterm_system(threads);
             assert_eq!(m, m2);
             let ms2 = Field3::from_vec3s(&m2);
-            let mut dmdt = Field3::zeros(n);
-            sys.rhs(&ms2, t, &mut dmdt, &mut scratch);
+            let dmdt = rhs(&mut sys, &ms2, t, &no_thermal());
             assert_eq!(dmdt, expected, "threads={threads} diverged");
             assert_eq!(sys.max_torque(&ms2, t), torque_serial);
         }
     }
 
     #[test]
-    fn stage_fusion_covers_every_cell_exactly_once() {
-        // The fuse ranges must cover every cell — magnetic and vacuum
-        // alike — exactly once, with the vacuum cells reporting zero
-        // torque in `k`. That is what lets the integrators fold their
-        // old full-mesh stage passes into the fuse hook without changing
-        // which cells they touch.
-        for threads in [1, 3, 4] {
-            let (mut sys, m) = masked_multiterm_system(threads);
-            let n = m.len();
-            let ms = Field3::from_vec3s(&m);
-            let mut k = Field3::zeros(n);
-            let mut scratch = Field3::zeros(n);
-            let hits: Vec<std::sync::atomic::AtomicU32> = (0..n)
-                .map(|_| std::sync::atomic::AtomicU32::new(0))
-                .collect();
-            sys.rhs_stage(&ms, 3e-12, &mut k, &mut scratch, |i0, i1, kv| {
-                for (i, hit) in hits.iter().enumerate().take(i1).skip(i0) {
-                    hit.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let ki = unsafe { kv.read(i) };
-                    if !sys_mask_is_magnetic(&m, i) {
-                        assert_eq!(ki, Vec3::ZERO, "vacuum cell {i} got nonzero k");
-                    }
-                }
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(
-                    h.load(std::sync::atomic::Ordering::Relaxed),
-                    1,
-                    "cell {i} fused {threads} threads"
-                );
-            }
-        }
-    }
-
-    /// The multiterm fixture zeroes m on vacuum cells, so a nonzero m
-    /// marks a magnetic cell.
-    fn sys_mask_is_magnetic(m: &[Vec3], i: usize) -> bool {
-        m[i] != Vec3::ZERO
-    }
-
-    #[test]
     fn batched_rhs_is_bitwise_identical_to_member_runs() {
-        use crate::field3::FieldBatch;
         // K members share geometry/terms but differ in state, drive
         // phase (emulated by evaluating the antennas at different
-        // times) and thermal realization. The batched sweep must
-        // reproduce each member's independent rhs bit for bit, at
-        // several thread counts.
+        // times) and thermal realization. The K = 3 lane kernels must
+        // reproduce each member's K = 1 evaluation (the single-system
+        // kernels) bit for bit, at several thread counts.
         let kk = 3;
         let times = [3e-12, 7.5e-12, 11e-12];
         let (probe_sys, m0) = masked_multiterm_system(1);
@@ -2176,19 +2027,23 @@ mod tests {
                     .collect()
             })
             .collect();
-        // Reference: independent single-system runs.
+        // Reference: independent single-system evaluations.
         let mut expected: Vec<Field3> = Vec::new();
         for s in 0..kk {
             let (mut sys, _) = masked_multiterm_system(1);
-            sys.thermal = member_thermal[s].clone();
+            let mut thermal = FieldBatch::zeros(n, 1);
+            thermal.load_member(0, member_thermal[s].as_slice());
             let ms = Field3::from_vec3s(&member_m[s]);
-            let mut dmdt = Field3::zeros(n);
-            let mut scratch = Field3::zeros(n);
-            sys.rhs(&ms, times[s], &mut dmdt, &mut scratch);
-            expected.push(dmdt);
+            expected.push(rhs(&mut sys, &ms, times[s], &thermal));
         }
-        let ant_fields: Vec<Vec<Vec3>> =
-            times.iter().map(|&t| probe_sys.antenna_fields(t)).collect();
+        let ant_fields: Vec<Vec<Vec3>> = times
+            .iter()
+            .map(|&t| {
+                let mut f = Vec::new();
+                drive_fields(&probe_sys.antennas, t, &mut f);
+                f
+            })
+            .collect();
         for threads in [1, 2, 4] {
             let (sys, _) = masked_multiterm_system(threads);
             let mut y = FieldBatch::zeros(n, kk);
@@ -2208,10 +2063,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_fuse_covers_interleaved_ranges_once() {
-        use crate::field3::FieldBatch;
-        let kk = 2;
-        for threads in [1, 3] {
+    fn fuse_covers_magnetic_lanes_once() {
+        // The fuse ranges must cover every magnetic lane exactly once —
+        // at K = 1 (single-system kernels) and K = 2 (lane kernels) —
+        // and skip vacuum lanes, whose k stays zero.
+        for (kk, threads) in [(1, 1), (1, 3), (1, 4), (2, 1), (2, 3)] {
             let (sys, m) = masked_multiterm_system(threads);
             let n = m.len();
             let mut y = FieldBatch::zeros(n, kk);
@@ -2223,10 +2079,13 @@ mod tests {
             let hits: Vec<std::sync::atomic::AtomicU32> = (0..n * kk)
                 .map(|_| std::sync::atomic::AtomicU32::new(0))
                 .collect();
-            let ant_fields: Vec<Vec<Vec3>> = (0..kk).map(|_| sys.antenna_fields(1e-12)).collect();
-            sys.rhs_stage_batch(&y, &mut k_out, None, &ant_fields, &thermal, |i0, i1, _| {
-                for hit in hits.iter().take(i1).skip(i0) {
+            let mut drives = Vec::new();
+            drive_fields(&sys.antennas, 1e-12, &mut drives);
+            let ant_fields = vec![drives; kk];
+            sys.rhs_stage_batch(&y, &mut k_out, None, &ant_fields, &thermal, |i0, i1, kv| {
+                for (fi, hit) in hits.iter().enumerate().take(i1).skip(i0) {
                     hit.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    assert_ne!(unsafe { kv.read(fi) }, Vec3::ZERO, "magnetic lane {fi}");
                 }
             });
             for (fi, h) in hits.iter().enumerate() {
@@ -2236,8 +2095,11 @@ mod tests {
                 assert_eq!(
                     h.load(std::sync::atomic::Ordering::Relaxed),
                     expected,
-                    "flat index {fi} fused {threads} threads"
+                    "flat index {fi} fused at K = {kk}, {threads} threads"
                 );
+                if expected == 0 {
+                    assert_eq!(k_out.data().get(fi), Vec3::ZERO, "vacuum lane {fi}");
+                }
             }
         }
     }

@@ -333,6 +333,22 @@ impl WorkerTeam {
         });
     }
 
+    /// Runs `f(block)` for every block and folds the per-block results
+    /// into `init` in block order (a deterministic reduction). Unlike
+    /// [`WorkerTeam::map_blocks`] it allocates nothing on a serial team,
+    /// which keeps per-step reductions out of the allocator.
+    pub(crate) fn fold_blocks<R, F, G>(&self, init: R, f: F, fold: G) -> R
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+        G: Fn(R, R) -> R,
+    {
+        if self.threads == 1 {
+            return fold(init, f(0));
+        }
+        self.map_blocks(f).into_iter().fold(init, fold)
+    }
+
     /// Runs `f(block)` for every block and returns the per-block results
     /// in block order (deterministic reduction input).
     pub fn map_blocks<R, F>(&self, f: F) -> Vec<R>

@@ -10,30 +10,36 @@ use crate::field::exchange::Exchange;
 use crate::field::thermal::ThermalField;
 use crate::field::zeeman::Zeeman;
 use crate::field::FieldTerm;
-use crate::field3::Field3;
+use crate::field3::{Field3, FieldBatch};
 use crate::geometry::{rasterize, Shape};
 use crate::llg::{LlgSystem, SystemSpec};
 use crate::material::Material;
 use crate::math::Vec3;
 use crate::mesh::Mesh;
 use crate::probe::{Component, Snapshot};
-use crate::solver::{Integrator, IntegratorKind};
+use crate::solver::{IntegratorKind, Stepper};
 use crate::{GAMMA, MU0};
 
 /// A ready-to-run micromagnetic simulation.
 ///
 /// Built with [`Simulation::builder`]; see the crate-level example.
+///
+/// The state is a K = 1 [`FieldBatch`] (whose layout is a plain
+/// [`Field3`]) advanced by the same stepper family a
+/// [`crate::batch::BatchedSimulation`] uses at K ≥ 2.
 pub struct Simulation {
     mesh: Mesh,
     material: Material,
-    m: Field3,
+    m: FieldBatch,
     system: LlgSystem,
-    integrator: Box<dyn Integrator>,
-    /// The kind the builder resolved `integrator` from, kept so a
-    /// [`crate::batch::BatchedSimulation`] can instantiate the matching
-    /// batch stepper.
+    stepper: Stepper,
+    /// The kind the builder resolved `stepper` from, kept so a
+    /// [`crate::batch::BatchedSimulation`] can build the matching K-wide
+    /// stepper.
     integrator_kind: IntegratorKind,
     thermal: Option<ThermalField>,
+    /// The thermal realization for the current step (empty at T = 0).
+    h_thermal: FieldBatch,
     /// Uniform α = 0.5 map swapped into the system during [`Simulation::relax`]
     /// (allocated on first use, reused afterwards).
     relax_alpha: Vec<f64>,
@@ -87,19 +93,19 @@ impl Simulation {
     /// [`Field3::get`]/[`Field3::iter`] for `Vec3`-shaped access or
     /// [`Field3::to_vec`] for an AoS copy.
     pub fn magnetization(&self) -> &Field3 {
-        &self.m
+        self.m.data()
     }
 
     /// Magnetization at cell `(ix, iy)`.
     pub fn magnetization_at(&self, ix: usize, iy: usize) -> Vec3 {
-        self.m.get(self.mesh.linear_index(ix, iy))
+        self.m.get(self.mesh.linear_index(ix, iy), 0)
     }
 
     /// Mean unit magnetization over the magnetic cells.
     pub fn magnetization_mean(&self) -> Vec3 {
         let count = self.mesh.magnetic_cell_count().max(1);
         let sum: Vec3 = self
-            .m
+            .magnetization()
             .iter()
             .zip(self.mesh.mask().iter())
             .filter(|(_, &mag)| mag)
@@ -132,11 +138,16 @@ impl Simulation {
     /// [`MagnumError::StepSizeUnderflow`]).
     pub fn step(&mut self) -> Result<(), MagnumError> {
         if let Some(thermal) = self.thermal.as_mut() {
-            thermal.draw(self.dt, &mut self.system.thermal);
+            thermal.draw_member(self.dt, &mut self.h_thermal, 0);
         }
-        let taken = self
-            .integrator
-            .step(&mut self.system, self.time, self.dt, &mut self.m)?;
+        let taken = self.stepper.step(
+            &mut self.system,
+            &[],
+            &self.h_thermal,
+            self.time,
+            self.dt,
+            &mut self.m,
+        )?;
         self.time += taken;
         Ok(())
     }
@@ -147,11 +158,7 @@ impl Simulation {
     ///
     /// Propagates the first step failure.
     pub fn run(&mut self, duration: f64) -> Result<(), MagnumError> {
-        let t_end = self.time + duration;
-        while self.time < t_end - 1e-21 {
-            self.step()?;
-        }
-        Ok(())
+        run_for(self, duration)
     }
 
     /// Runs for `duration` seconds, invoking `observer` with the current
@@ -173,35 +180,12 @@ impl Simulation {
         &mut self,
         duration: f64,
         sample_interval: f64,
-        mut observer: F,
+        observer: F,
     ) -> Result<(), MagnumError>
     where
         F: FnMut(f64, &Simulation),
     {
-        if !(sample_interval.is_finite() && sample_interval > 0.0) {
-            return Err(MagnumError::InvalidConfig {
-                reason: format!(
-                    "sample interval must be positive and finite, got {sample_interval}"
-                ),
-            });
-        }
-        let t0 = self.time;
-        let t_end = t0 + duration;
-        let mut taken: u64 = 0;
-        while self.time < t_end - 1e-21 {
-            if self.time >= t0 + taken as f64 * sample_interval - 1e-21 {
-                observer(self.time, self);
-                taken += 1;
-            }
-            self.step()?;
-        }
-        // The loop exits at t_end, so a sample scheduled for the final
-        // instant has not fired yet; take it now. If the next scheduled
-        // sample lies beyond the run, everything due has already fired.
-        if taken == 0 || t0 + taken as f64 * sample_interval <= t_end + 1e-21 {
-            observer(self.time, self);
-        }
-        Ok(())
+        run_sampled(self, duration, sample_interval, observer)
     }
 
     /// Relaxes the system towards its energy minimum by integrating with
@@ -226,39 +210,40 @@ impl Simulation {
         // Swap the relaxation damping map in instead of cloning the live
         // one: after the first call this allocates nothing, and the swap
         // keeps the system's precomputed torque prefactors in sync.
-        if self.relax_alpha.len() != self.m.len() {
-            self.relax_alpha = vec![0.5; self.m.len()];
+        if self.relax_alpha.len() != self.m.cells() {
+            self.relax_alpha = vec![0.5; self.m.cells()];
         }
         self.system.swap_alpha(&mut self.relax_alpha);
         let saved_antennas = std::mem::take(&mut self.system.antennas);
-        let saved_thermal = std::mem::take(&mut self.system.thermal);
+        let no_thermal = FieldBatch::empty(1);
         let mut error = None;
         let mut outcome = Relaxation {
             converged: false,
-            torque: self.system.max_torque(&self.m, self.time),
+            torque: self.system.max_torque(self.m.data(), self.time),
             steps: 0,
         };
         outcome.converged = outcome.torque < torque_tolerance;
         while !outcome.converged && outcome.steps < max_steps {
-            match self
-                .integrator
-                .step(&mut self.system, self.time, self.dt, &mut self.m)
-            {
-                Ok(_) => {}
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
+            let stepped = self.stepper.step(
+                &mut self.system,
+                &[],
+                &no_thermal,
+                self.time,
+                self.dt,
+                &mut self.m,
+            );
+            if let Err(e) = stepped {
+                error = Some(e);
+                break;
             }
             outcome.steps += 1;
-            outcome.torque = self.system.max_torque(&self.m, self.time);
+            outcome.torque = self.system.max_torque(self.m.data(), self.time);
             outcome.converged = outcome.torque < torque_tolerance;
         }
         // Swap back: the system regains its original damping (and
         // prefactors), `relax_alpha` is the α = 0.5 map again.
         self.system.swap_alpha(&mut self.relax_alpha);
         self.system.antennas = saved_antennas;
-        self.system.thermal = saved_thermal;
         match error {
             Some(e) => Err(e),
             None => Ok(outcome),
@@ -272,21 +257,22 @@ impl Simulation {
     /// `accumulate_par`), instead of a locked fallback.
     pub fn total_energy(&mut self) -> f64 {
         self.system.energy(
-            &self.m,
+            self.m.data(),
             self.time,
             self.material.saturation_magnetization(),
             self.mesh.cell_volume(),
         )
     }
 
-    /// Maximum torque |dm/dt| (1/s) in the current state.
+    /// Maximum deterministic torque |dm/dt| (1/s) in the current state
+    /// (field terms and antenna drives, no thermal realization).
     pub fn max_torque(&self) -> f64 {
-        self.system.max_torque(&self.m, self.time)
+        self.system.max_torque(self.m.data(), self.time)
     }
 
     /// Captures a spatial snapshot of a magnetization component.
     pub fn snapshot(&self, component: Component) -> Snapshot {
-        Snapshot::capture(&self.mesh, &self.m, component)
+        Snapshot::capture(&self.mesh, self.m.data(), component)
     }
 
     /// The assembled LLG system (batch backend plumbing).
@@ -302,7 +288,18 @@ impl Simulation {
 
     /// Mutable access to the magnetization, for batch write-back.
     pub(crate) fn magnetization_mut(&mut self) -> &mut Field3 {
-        &mut self.m
+        self.m.data_mut()
+    }
+
+    /// The adaptive controller's next step size (`None` for fixed-step
+    /// integrators) — it moves into and out of a batch with the member.
+    pub(crate) fn suggested_dt(&self) -> Option<f64> {
+        self.stepper.suggested_dt()
+    }
+
+    /// Overwrites the adaptive controller's next step size.
+    pub(crate) fn set_suggested_dt(&mut self, suggested: Option<f64>) {
+        self.stepper.set_suggested_dt(suggested);
     }
 
     /// The member's own thermal generator (its RNG stream), if T > 0.
@@ -332,9 +329,69 @@ impl std::fmt::Debug for Simulation {
             .field("mesh", &(self.mesh.nx(), self.mesh.ny()))
             .field("time", &self.time)
             .field("dt", &self.dt)
-            .field("integrator", &self.integrator.name())
+            .field("integrator", &self.integrator_kind)
             .finish()
     }
+}
+
+impl Clocked for Simulation {
+    fn clock(&self) -> f64 {
+        self.time
+    }
+
+    fn advance(&mut self) -> Result<(), MagnumError> {
+        self.step()
+    }
+}
+
+/// A state advanced one step at a time on one clock — [`Simulation`] and
+/// [`crate::batch::BatchedSimulation`] share their run loops through it.
+pub(crate) trait Clocked {
+    /// The current simulation time in seconds.
+    fn clock(&self) -> f64;
+    /// Advances by one step.
+    fn advance(&mut self) -> Result<(), MagnumError>;
+}
+
+/// Steps `sim` for `duration` seconds (rounded up to whole steps).
+pub(crate) fn run_for<S: Clocked>(sim: &mut S, duration: f64) -> Result<(), MagnumError> {
+    let t_end = sim.clock() + duration;
+    while sim.clock() < t_end - 1e-21 {
+        sim.advance()?;
+    }
+    Ok(())
+}
+
+/// Steps `sim` for `duration` seconds, calling `observer` on the sample
+/// schedule documented at [`Simulation::run_sampled`].
+pub(crate) fn run_sampled<S: Clocked, F: FnMut(f64, &S)>(
+    sim: &mut S,
+    duration: f64,
+    sample_interval: f64,
+    mut observer: F,
+) -> Result<(), MagnumError> {
+    if !(sample_interval.is_finite() && sample_interval > 0.0) {
+        return Err(MagnumError::InvalidConfig {
+            reason: format!("sample interval must be positive and finite, got {sample_interval}"),
+        });
+    }
+    let t0 = sim.clock();
+    let t_end = t0 + duration;
+    let mut taken: u64 = 0;
+    while sim.clock() < t_end - 1e-21 {
+        if sim.clock() >= t0 + taken as f64 * sample_interval - 1e-21 {
+            observer(sim.clock(), sim);
+            taken += 1;
+        }
+        sim.advance()?;
+    }
+    // The loop exits at t_end, so a sample scheduled for the final
+    // instant has not fired yet; take it now. If the next scheduled
+    // sample lies beyond the run, everything due has already fired.
+    if taken == 0 || t0 + taken as f64 * sample_interval <= t_end + 1e-21 {
+        observer(sim.clock(), sim);
+    }
+    Ok(())
 }
 
 /// Outcome of [`Simulation::relax`].
@@ -596,10 +653,12 @@ impl SimulationBuilder {
                 reason: "initial magnetization direction must be non-zero".into(),
             });
         }
-        let mut m = Field3::zeros(n);
+        // Vacuum cells stay zero for the simulation's lifetime: the
+        // stage sweeps never write them (see `LlgSystem::rhs_stage_batch`).
+        let mut m = FieldBatch::zeros(n, 1);
         for (i, &mag) in mesh.mask().iter().enumerate() {
             if mag {
-                m.set(i, direction);
+                m.set(i, 0, direction);
             }
         }
 
@@ -668,10 +727,10 @@ impl SimulationBuilder {
         } else {
             None
         };
-        let thermal_buffer = if thermal.is_some() {
-            vec![Vec3::ZERO; n]
+        let h_thermal = if thermal.is_some() {
+            FieldBatch::zeros(n, 1)
         } else {
-            Vec::new()
+            FieldBatch::empty(1)
         };
 
         // Automatic time step from the largest field scale present.
@@ -711,7 +770,6 @@ impl SimulationBuilder {
         let system = SystemSpec {
             terms,
             antennas,
-            thermal: thermal_buffer,
             alpha,
             gamma: material.gamma(),
             // One-time setup copy: the system owns its mask so the hot
@@ -721,17 +779,17 @@ impl SimulationBuilder {
             threads,
         }
         .build();
-        let integrator_kind = integrator;
-        let integrator = integrator.instantiate(n);
+        let stepper = Stepper::new(integrator, &system, 1);
 
         Ok(Simulation {
             mesh,
             material,
             m,
             system,
-            integrator,
-            integrator_kind,
+            stepper,
+            integrator_kind: integrator,
             thermal,
+            h_thermal,
             relax_alpha: Vec::new(),
             time: 0.0,
             dt,
@@ -1086,10 +1144,10 @@ mod tests {
     #[test]
     fn thermal_run_defaults_to_heun() {
         let sim = fecob_strip(4, 4).temperature(300.0).build().unwrap();
-        assert_eq!(sim.integrator.name(), "heun");
+        assert_eq!(sim.integrator_kind(), IntegratorKind::Heun);
         // Deterministic runs keep the RK4 default.
         let sim = fecob_strip(4, 4).build().unwrap();
-        assert_eq!(sim.integrator.name(), "rk4");
+        assert_eq!(sim.integrator_kind(), IntegratorKind::RungeKutta4);
     }
 
     #[test]

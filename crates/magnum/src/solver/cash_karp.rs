@@ -1,9 +1,8 @@
 //! Adaptive Cash–Karp 5(4) embedded Runge–Kutta integrator.
 
-use super::{renormalize_and_check, Integrator};
+use super::Stages;
 use crate::error::MagnumError;
-use crate::field3::Field3;
-use crate::llg::LlgSystem;
+use crate::field3::{Field3Read, FieldBatch};
 use crate::par::chunk_bounds;
 
 /// Adaptive 5th-order integrator with an embedded 4th-order error
@@ -12,24 +11,24 @@ use crate::par::chunk_bounds;
 /// The step is retried with a smaller `dt` until the max-norm of the
 /// difference between the 5th- and 4th-order solutions is below the
 /// configured tolerance; the accepted step size is returned and the next
-/// suggestion is available via [`CashKarp45::suggested_dt`].
+/// suggestion is kept in `suggested`. The max-norm runs over *all*
+/// members, so a batch shares one step-size sequence; a simulation that
+/// joins a batch hands its controller state over and gets it back when
+/// the batch dissolves.
 ///
 /// Each of the six stages is one fused sweep: the sweep computing `k_s`
 /// also assembles the stage input for `k_{s+1}` (the `m + Σ a·dt·k`
-/// combination, accumulated in the same ascending order as the old
-/// separate stage pass) in its fuse hook. Two stage buffers ping-pong so
-/// a sweep never writes the buffer its field evaluation reads. The
-/// embedded-error finish remains its own block-parallel reduction, as it
-/// was before the fusion.
-#[derive(Debug)]
-pub struct CashKarp45 {
+/// combination, accumulated in ascending order) in its fuse hook. Two
+/// stage buffers ping-pong so a sweep never writes the buffer its field
+/// evaluation reads. The embedded-error finish is its own block-parallel
+/// reduction.
+pub(crate) struct CashKarp45 {
     tolerance: f64,
-    suggested: Option<f64>,
-    k: [Field3; 6],
-    stage_a: Field3,
-    stage_b: Field3,
-    y5: Field3,
-    h_scratch: Field3,
+    pub(super) suggested: Option<f64>,
+    k: [FieldBatch; 6],
+    stage_a: FieldBatch,
+    stage_b: FieldBatch,
+    y5: FieldBatch,
 }
 
 // Cash–Karp Butcher tableau.
@@ -65,24 +64,17 @@ const B4: [f64; 6] = [
 ];
 
 impl CashKarp45 {
-    /// Creates an adaptive integrator for `cells` cells with the given
+    /// Stage buffers for `k` members of `cells` cells, with the given
     /// absolute per-step tolerance on the unit magnetization.
-    pub fn new(cells: usize, tolerance: f64) -> Self {
+    pub(crate) fn new(cells: usize, k: usize, tolerance: f64) -> Self {
         CashKarp45 {
             tolerance: tolerance.max(1e-14),
             suggested: None,
-            k: std::array::from_fn(|_| Field3::zeros(cells)),
-            stage_a: Field3::zeros(cells),
-            stage_b: Field3::zeros(cells),
-            y5: Field3::zeros(cells),
-            h_scratch: Field3::zeros(cells),
+            k: std::array::from_fn(|_| FieldBatch::zeros(cells, k)),
+            stage_a: FieldBatch::zeros(cells, k),
+            stage_b: FieldBatch::zeros(cells, k),
+            y5: FieldBatch::zeros(cells, k),
         }
-    }
-
-    /// The step size the controller would like to use next, if a step has
-    /// been taken already.
-    pub fn suggested_dt(&self) -> Option<f64> {
-        self.suggested
     }
 
     /// Evaluates the six stages and returns the max-norm error estimate.
@@ -90,26 +82,25 @@ impl CashKarp45 {
     /// The per-block error maxima are folded in block order; `f64::max`
     /// over disjoint index sets is exact, so the estimate (and therefore
     /// the step-size control path) is identical for any thread count.
-    fn attempt(&mut self, system: &mut LlgSystem, t: f64, dt: f64, m: &Field3) -> f64 {
+    fn attempt(&mut self, st: &mut Stages<'_>, t: f64, dt: f64, m: &FieldBatch) -> f64 {
         let m_r = m.read_ptr();
+        // Unchecked read views of every k buffer, taken once: stage `s`
+        // writes k[s] and its fuse hook reads only k[0..s], so the fused
+        // inner loop stays branch-free and nothing is collected per stage.
+        let k_r: [Field3Read; 6] = std::array::from_fn(|j| self.k[j].read_ptr());
         for s in 0..6 {
-            // Split borrows: k[s] is written, k[0..s] are read in the
-            // fuse hook — through unchecked `Field3Read` pointers taken
-            // after the split, so the fused inner loop stays branch-free.
-            let (head, tail) = self.k.split_at_mut(s);
-            let head_r: Vec<_> = head.iter().map(|kb| kb.read_ptr()).collect();
-            let k_out = &mut tail[0];
-            let (y, out): (&Field3, _) = match s {
+            let (y, out): (&FieldBatch, _) = match s {
                 0 => (m, self.stage_a.ptrs()),
                 _ if s % 2 == 1 => (&self.stage_a, self.stage_b.ptrs()),
                 _ => (&self.stage_b, self.stage_a.ptrs()),
             };
+            let head_r = &k_r[..s];
             let ts = if s == 0 { t } else { t + C[s] * dt };
             // Safety (all unchecked reads below): each block fuses a
             // disjoint index set, `i` is in bounds for every buffer, and
             // the buffers behind `m_r`/`head_r` are not mutated during
             // the sweep.
-            system.rhs_stage(y, ts, k_out, &mut self.h_scratch, |i0, i1, k| {
+            st.eval(y, ts, &mut self.k[s], |i0, i1, k| {
                 if s == 5 {
                     return;
                 }
@@ -125,44 +116,46 @@ impl CashKarp45 {
                 }
             });
         }
-        let n = m.len();
-        let team = system.par();
+        let total = m.cells() * m.k();
+        let team = st.team();
         let nb = team.threads().max(1);
         let k = &self.k;
+        let md = m.data();
         let out = self.y5.ptrs();
-        let partials = team.map_blocks(|b| {
-            let (start, end) = chunk_bounds(n, nb, b);
-            let mut err: f64 = 0.0;
-            for i in start..end {
-                let mut y5 = m.get(i);
-                let mut y4 = m.get(i);
-                for (s, kb) in k.iter().enumerate() {
-                    let ks = kb.get(i);
-                    y5 += ks * (B5[s] * dt);
-                    y4 += ks * (B4[s] * dt);
+        team.fold_blocks(
+            0.0,
+            |b| {
+                let (start, end) = chunk_bounds(total, nb, b);
+                let mut err: f64 = 0.0;
+                for i in start..end {
+                    let mut y5 = md.get(i);
+                    let mut y4 = md.get(i);
+                    for (s, kb) in k.iter().enumerate() {
+                        let ks = kb.data().get(i);
+                        y5 += ks * (B5[s] * dt);
+                        y4 += ks * (B4[s] * dt);
+                    }
+                    // Safety: chunk ranges are disjoint across blocks.
+                    unsafe { out.write(i, y5) };
+                    err = err.max((y5 - y4).norm());
                 }
-                // Safety: chunk ranges are disjoint across blocks.
-                unsafe { out.write(i, y5) };
-                err = err.max((y5 - y4).norm());
-            }
-            err
-        });
-        partials.into_iter().fold(0.0, f64::max)
+                err
+            },
+            f64::max,
+        )
     }
-}
 
-impl Integrator for CashKarp45 {
-    fn step(
+    pub(super) fn step(
         &mut self,
-        system: &mut LlgSystem,
+        st: &mut Stages<'_>,
         t: f64,
         dt: f64,
-        m: &mut Field3,
+        m: &mut FieldBatch,
     ) -> Result<f64, MagnumError> {
         let mut h = self.suggested.map_or(dt, |s| s.min(dt));
         let min_step = dt * 1e-6;
         loop {
-            let err = self.attempt(system, t, h, m);
+            let err = self.attempt(st, t, h, m);
             if !err.is_finite() {
                 // Retry with a much smaller step before giving up.
                 h *= 0.1;
@@ -172,8 +165,8 @@ impl Integrator for CashKarp45 {
                 continue;
             }
             if err <= self.tolerance {
-                m.copy_from(&self.y5);
-                renormalize_and_check(m, &system.mask, system.full_film(), t + h, system.par())?;
+                m.data_mut().copy_from(self.y5.data());
+                st.renormalize(m, t + h)?;
                 // Controller: grow conservatively, cap at the hint `dt`.
                 let factor = if err == 0.0 {
                     5.0
@@ -190,17 +183,16 @@ impl Integrator for CashKarp45 {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "cash_karp_45"
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::math::Vec3;
-    use crate::solver::test_support::{macrospin, macrospin_analytic};
+    use crate::solver::test_support::{macrospin, macrospin_analytic, macrospin_stepper, step};
+    use crate::solver::IntegratorKind;
+
+    fn cash_karp(tolerance: f64) -> IntegratorKind {
+        IntegratorKind::CashKarp45 { tolerance }
+    }
 
     #[test]
     fn meets_tolerance_on_macrospin() {
@@ -208,29 +200,25 @@ mod tests {
         let h0 = 1e5;
         let t_end = 100e-12;
         let mut sys = macrospin(alpha, h0);
-        let mut integ = CashKarp45::new(1, 1e-10);
-        let mut m = Field3::from_vec3s(&[Vec3::X]);
+        let (mut integ, mut m) = macrospin_stepper(cash_karp(1e-10), &sys);
         let mut t = 0.0;
         while t < t_end - 1e-18 {
-            let taken = integ
-                .step(&mut sys, t, (t_end - t).min(1e-12), &mut m)
-                .unwrap();
+            let taken = step(&mut integ, &mut sys, t, (t_end - t).min(1e-12), &mut m).unwrap();
             t += taken;
         }
         let expected = macrospin_analytic(alpha, h0, t_end);
         assert!(
-            (m.get(0) - expected).norm() < 1e-6,
+            (m.get(0, 0) - expected).norm() < 1e-6,
             "adaptive error {}",
-            (m.get(0) - expected).norm()
+            (m.get(0, 0) - expected).norm()
         );
     }
 
     #[test]
     fn shrinks_step_when_tolerance_is_tight() {
         let mut sys = macrospin(0.1, 1e6);
-        let mut integ = CashKarp45::new(1, 1e-12);
-        let mut m = Field3::from_vec3s(&[Vec3::X]);
-        let taken = integ.step(&mut sys, 0.0, 1e-11, &mut m).unwrap();
+        let (mut integ, mut m) = macrospin_stepper(cash_karp(1e-12), &sys);
+        let taken = step(&mut integ, &mut sys, 0.0, 1e-11, &mut m).unwrap();
         assert!(taken <= 1e-11);
         assert!(integ.suggested_dt().is_some());
     }
@@ -238,21 +226,17 @@ mod tests {
     #[test]
     fn loose_tolerance_accepts_the_hint() {
         let mut sys = macrospin(0.1, 1e4);
-        let mut integ = CashKarp45::new(1, 1e-3);
-        let mut m = Field3::from_vec3s(&[Vec3::X]);
-        let taken = integ.step(&mut sys, 0.0, 1e-14, &mut m).unwrap();
+        let (mut integ, mut m) = macrospin_stepper(cash_karp(1e-3), &sys);
+        let taken = step(&mut integ, &mut sys, 0.0, 1e-14, &mut m).unwrap();
         assert_eq!(taken, 1e-14);
     }
 
     #[test]
     fn suggestion_never_exceeds_hint() {
         let mut sys = macrospin(0.05, 1e5);
-        let mut integ = CashKarp45::new(1, 1e-6);
-        let mut m = Field3::from_vec3s(&[Vec3::X]);
+        let (mut integ, mut m) = macrospin_stepper(cash_karp(1e-6), &sys);
         for i in 0..50 {
-            integ
-                .step(&mut sys, i as f64 * 1e-13, 1e-13, &mut m)
-                .unwrap();
+            step(&mut integ, &mut sys, i as f64 * 1e-13, 1e-13, &mut m).unwrap();
             assert!(integ.suggested_dt().unwrap() <= 1e-13 + 1e-30);
         }
     }

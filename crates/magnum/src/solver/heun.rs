@@ -1,9 +1,8 @@
 //! Heun (predictor-corrector) integrator.
 
-use super::{axpy_range, renormalize_and_check, Integrator};
+use super::{axpy_range, Stages};
 use crate::error::MagnumError;
-use crate::field3::Field3;
-use crate::llg::LlgSystem;
+use crate::field3::FieldBatch;
 
 /// Second-order Heun scheme.
 ///
@@ -14,35 +13,30 @@ use crate::llg::LlgSystem;
 ///
 /// Both stages are single fused sweeps: the predictor `m + dt·k1` and the
 /// corrector `m + (k1+k2)·dt/2` are applied in the RHS sweep's fuse hook
-/// instead of separate full-mesh passes. The per-cell expressions are
-/// unchanged, so trajectories are bitwise identical to the unfused form.
-#[derive(Debug)]
-pub struct Heun {
-    k1: Field3,
-    k2: Field3,
-    predictor: Field3,
-    h_scratch: Field3,
+/// instead of separate full-mesh passes. The axpy loops are elementwise,
+/// so they run on K-interleaved planes verbatim.
+pub(crate) struct Heun {
+    k1: FieldBatch,
+    k2: FieldBatch,
+    predictor: FieldBatch,
 }
 
 impl Heun {
-    /// Creates a Heun integrator for `cells` cells.
-    pub fn new(cells: usize) -> Self {
+    /// Stage buffers for `k` members of `cells` cells.
+    pub(crate) fn new(cells: usize, k: usize) -> Self {
         Heun {
-            k1: Field3::zeros(cells),
-            k2: Field3::zeros(cells),
-            predictor: Field3::zeros(cells),
-            h_scratch: Field3::zeros(cells),
+            k1: FieldBatch::zeros(cells, k),
+            k2: FieldBatch::zeros(cells, k),
+            predictor: FieldBatch::zeros(cells, k),
         }
     }
-}
 
-impl Integrator for Heun {
-    fn step(
+    pub(super) fn step(
         &mut self,
-        system: &mut LlgSystem,
+        st: &mut Stages<'_>,
         t: f64,
         dt: f64,
-        m: &mut Field3,
+        m: &mut FieldBatch,
     ) -> Result<f64, MagnumError> {
         // Stage 1: k1 = f(t, m), fusing the predictor write. Reads use
         // unchecked `Field3Read` so the axpy loop stays branch-free and
@@ -50,8 +44,8 @@ impl Integrator for Heun {
         {
             let pred = self.predictor.ptrs();
             let m_in = m.read_ptr();
-            system.rhs_stage(&*m, t, &mut self.k1, &mut self.h_scratch, |i0, i1, k| {
-                // Safety: each block fuses a disjoint cell range, and the
+            st.eval(&*m, t, &mut self.k1, |i0, i1, k| {
+                // Safety: each block fuses a disjoint range, and the
                 // buffers behind the raw pointers outlive the sweep.
                 unsafe { axpy_range(i0, i1, pred, m_in, k, dt) };
             });
@@ -62,42 +56,31 @@ impl Integrator for Heun {
         {
             let k1 = self.k1.read_ptr();
             let m_out = m.ptrs();
-            system.rhs_stage(
-                &self.predictor,
-                t + dt,
-                &mut self.k2,
-                &mut self.h_scratch,
-                |i0, i1, k| unsafe {
-                    // Per-plane corrector loops, as in `axpy_range`.
-                    let (mx, my, mz) = m_out.planes();
-                    let (k1x, k1y, k1z) = k1.planes();
-                    let (k2x, k2y, k2z) = k.planes();
-                    for i in i0..i1 {
-                        *mx.add(i) += (*k1x.add(i) + *k2x.add(i)) * (dt / 2.0);
-                    }
-                    for i in i0..i1 {
-                        *my.add(i) += (*k1y.add(i) + *k2y.add(i)) * (dt / 2.0);
-                    }
-                    for i in i0..i1 {
-                        *mz.add(i) += (*k1z.add(i) + *k2z.add(i)) * (dt / 2.0);
-                    }
-                },
-            );
+            st.eval(&self.predictor, t + dt, &mut self.k2, |i0, i1, k| unsafe {
+                // Per-plane corrector loops, as in `axpy_range`.
+                let (mx, my, mz) = m_out.planes();
+                let (k1x, k1y, k1z) = k1.planes();
+                let (k2x, k2y, k2z) = k.planes();
+                for i in i0..i1 {
+                    *mx.add(i) += (*k1x.add(i) + *k2x.add(i)) * (dt / 2.0);
+                }
+                for i in i0..i1 {
+                    *my.add(i) += (*k1y.add(i) + *k2y.add(i)) * (dt / 2.0);
+                }
+                for i in i0..i1 {
+                    *mz.add(i) += (*k1z.add(i) + *k2z.add(i)) * (dt / 2.0);
+                }
+            });
         }
-        renormalize_and_check(m, &system.mask, system.full_film(), t + dt, system.par())?;
+        st.renormalize(m, t + dt)?;
         Ok(dt)
-    }
-
-    fn name(&self) -> &'static str {
-        "heun"
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::math::Vec3;
-    use crate::solver::test_support::{macrospin, macrospin_analytic};
+    use crate::solver::test_support::{macrospin, macrospin_analytic, macrospin_stepper, step};
+    use crate::solver::IntegratorKind;
 
     #[test]
     fn converges_at_second_order() {
@@ -108,15 +91,14 @@ mod tests {
         let mut sys = macrospin(alpha, h);
         let mut errors = Vec::new();
         for &dt in &[2e-14, 1e-14, 5e-15] {
-            let mut m = Field3::from_vec3s(&[Vec3::X]);
-            let mut integ = Heun::new(1);
+            let (mut integ, mut m) = macrospin_stepper(IntegratorKind::Heun, &sys);
             let steps = (t_end / dt).round() as usize;
             let mut t = 0.0;
             for _ in 0..steps {
-                integ.step(&mut sys, t, dt, &mut m).unwrap();
+                step(&mut integ, &mut sys, t, dt, &mut m).unwrap();
                 t += dt;
             }
-            errors.push((m.get(0) - expected).norm());
+            errors.push((m.get(0, 0) - expected).norm());
         }
         // Halving dt should cut the error by ~4 (2nd order); allow slack
         // because renormalization perturbs the asymptotics slightly.
@@ -131,8 +113,8 @@ mod tests {
     #[test]
     fn step_returns_dt() {
         let mut sys = macrospin(0.01, 1e5);
-        let mut m = Field3::from_vec3s(&[Vec3::X]);
-        let taken = Heun::new(1).step(&mut sys, 0.0, 1e-14, &mut m).unwrap();
+        let (mut integ, mut m) = macrospin_stepper(IntegratorKind::Heun, &sys);
+        let taken = step(&mut integ, &mut sys, 0.0, 1e-14, &mut m).unwrap();
         assert_eq!(taken, 1e-14);
     }
 }

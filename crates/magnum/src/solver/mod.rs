@@ -1,16 +1,26 @@
 //! Time integrators for the LLG equation.
 //!
-//! Three integrators are provided, mirroring the options micromagnetic
-//! packages offer:
+//! Three schemes are provided, mirroring the options micromagnetic
+//! packages offer (pick one with [`IntegratorKind`]):
 //!
-//! * [`Heun`] — 2nd order predictor-corrector; the correct choice when the
+//! * Heun — 2nd order predictor-corrector; the correct choice when the
 //!   thermal field is active (converges to the Stratonovich solution).
-//! * [`RungeKutta4`] — classic 4th order fixed-step; the default for
-//!   deterministic spin-wave runs.
-//! * [`CashKarp45`] — adaptive 5(4) pair with error control, for stiff
-//!   setups or when the caller wants accuracy-driven step sizes.
+//! * RK4 — classic 4th order fixed-step; the default for deterministic
+//!   spin-wave runs.
+//! * Cash–Karp 5(4) — adaptive pair with error control, for stiff setups
+//!   or when the caller wants accuracy-driven step sizes.
 //!
-//! All integrators renormalize `|m| = 1` on magnetic cells after each
+//! ## One stepper family
+//!
+//! Every scheme advances a K-interleaved [`FieldBatch`]. A
+//! [`crate::sim::Simulation`] is the K = 1 case and a
+//! [`crate::batch::BatchedSimulation`] the K ≥ 2 case of the same
+//! stepper; nothing in a scheme depends on K. Each stage is one fused
+//! sweep through `LlgSystem::rhs_stage_batch` with the stage
+//! combination applied in the sweep's `fuse` hook, and the sweep picks
+//! its kernels from K (see the [`crate::llg`] module docs).
+//!
+//! All schemes renormalize `|m| = 1` on magnetic cells after each
 //! accepted step (the LLG flow conserves the norm exactly; the projection
 //! removes the integrator's truncation-error drift).
 
@@ -18,13 +28,15 @@ mod cash_karp;
 mod heun;
 mod rk4;
 
-pub use cash_karp::CashKarp45;
-pub use heun::Heun;
-pub use rk4::RungeKutta4;
+use cash_karp::CashKarp45;
+use heun::Heun;
+use rk4::RungeKutta4;
 
 use crate::error::MagnumError;
+use crate::excitation::Antenna;
 use crate::field3::{Field3, Field3Ptr, Field3Read, FieldBatch};
-use crate::llg::LlgSystem;
+use crate::llg::{drive_fields, LlgSystem};
+use crate::math::Vec3;
 use crate::par::{chunk_bounds, WorkerTeam};
 
 /// `out[i] = a[i] + k[i]·c` over `i0..i1`, one component plane at a time.
@@ -63,33 +75,6 @@ pub(crate) unsafe fn axpy_range(
     }
 }
 
-/// A time integrator advancing the magnetization state.
-///
-/// The state is a SoA [`Field3`]; every stage is a single fused sweep
-/// through [`LlgSystem::rhs_stage`], with the stage combination applied
-/// in the sweep's `fuse` hook instead of a separate full-mesh pass.
-pub trait Integrator: Send {
-    /// Advances `m` by one step starting at time `t` with suggested step
-    /// `dt`, returning the step size actually taken (adaptive integrators
-    /// may take less).
-    ///
-    /// # Errors
-    ///
-    /// * [`MagnumError::Diverged`] if the state becomes non-finite.
-    /// * [`MagnumError::StepSizeUnderflow`] if an adaptive integrator
-    ///   cannot meet its tolerance.
-    fn step(
-        &mut self,
-        system: &mut LlgSystem,
-        t: f64,
-        dt: f64,
-        m: &mut Field3,
-    ) -> Result<f64, MagnumError>;
-
-    /// Short human-readable name.
-    fn name(&self) -> &'static str;
-}
-
 /// Which integrator a [`crate::sim::SimulationBuilder`] should construct.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum IntegratorKind {
@@ -105,78 +90,184 @@ pub enum IntegratorKind {
     },
 }
 
-impl IntegratorKind {
-    /// Instantiates the integrator for a system of `cells` cells.
-    pub fn instantiate(self, cells: usize) -> Box<dyn Integrator> {
-        match self {
-            IntegratorKind::Heun => Box::new(Heun::new(cells)),
-            IntegratorKind::RungeKutta4 => Box::new(RungeKutta4::new(cells)),
-            IntegratorKind::CashKarp45 { tolerance } => Box::new(CashKarp45::new(cells, tolerance)),
+/// A time stepper for K lockstep members of one system: the scheme's
+/// stage buffers plus the scratch every stage shares.
+pub(crate) struct Stepper {
+    scheme: Scheme,
+    scratch: StageScratch,
+}
+
+/// The scheme-specific state.
+enum Scheme {
+    Heun(Heun),
+    Rk4(RungeKutta4),
+    // Boxed: the Cash–Karp state (error planes + controller) is ~2x the
+    // other variants; keep the enum small for the common fixed-step case.
+    CashKarp(Box<CashKarp45>),
+}
+
+/// Scratch shared by every stage of a step: the interleaved base field of
+/// the unfused pre-pass, the per-member de-interleave buffers it needs at
+/// K ≥ 2, and the per-member drive fields (refilled in place each stage,
+/// so the hot loop never allocates).
+struct StageScratch {
+    base: FieldBatch,
+    m: Field3,
+    h: Field3,
+    ant: Vec<Vec<Vec3>>,
+}
+
+impl Stepper {
+    /// A stepper of the given kind for `k` lockstep members of `system`.
+    pub(crate) fn new(kind: IntegratorKind, system: &LlgSystem, k: usize) -> Self {
+        let cells = system.len();
+        let scheme = match kind {
+            IntegratorKind::Heun => Scheme::Heun(Heun::new(cells, k)),
+            IntegratorKind::RungeKutta4 => Scheme::Rk4(RungeKutta4::new(cells, k)),
+            IntegratorKind::CashKarp45 { tolerance } => {
+                Scheme::CashKarp(Box::new(CashKarp45::new(cells, k, tolerance)))
+            }
+        };
+        let unfused = system.has_unfused();
+        // At K = 1 the pre-pass works on the batch planes directly and
+        // needs no de-interleave buffers.
+        let member = if unfused && k > 1 { cells } else { 0 };
+        let scratch = StageScratch {
+            base: if unfused {
+                FieldBatch::zeros(cells, k)
+            } else {
+                FieldBatch::empty(k)
+            },
+            m: Field3::zeros(member),
+            h: Field3::zeros(member),
+            ant: vec![Vec::new(); k],
+        };
+        Stepper { scheme, scratch }
+    }
+
+    /// Advances the K members of `m` by one step from time `t` with
+    /// suggested step `dt`, returning the step actually taken (the
+    /// adaptive scheme may take less).
+    ///
+    /// `system` is member 0's system and carries its antennas; `others`
+    /// holds the antennas of members `1..K` (empty at K = 1). `thermal`
+    /// is the K-interleaved thermal realization for this step (empty at
+    /// T = 0).
+    ///
+    /// # Errors
+    ///
+    /// * [`MagnumError::Diverged`] if the state becomes non-finite.
+    /// * [`MagnumError::StepSizeUnderflow`] if the adaptive scheme
+    ///   cannot meet its tolerance.
+    pub(crate) fn step(
+        &mut self,
+        system: &mut LlgSystem,
+        others: &[Vec<Antenna>],
+        thermal: &FieldBatch,
+        t: f64,
+        dt: f64,
+        m: &mut FieldBatch,
+    ) -> Result<f64, MagnumError> {
+        debug_assert_eq!(others.len() + 1, m.k());
+        let mut stages = Stages {
+            system,
+            scratch: &mut self.scratch,
+            others,
+            thermal,
+        };
+        match &mut self.scheme {
+            Scheme::Heun(s) => s.step(&mut stages, t, dt, m),
+            Scheme::Rk4(s) => s.step(&mut stages, t, dt, m),
+            Scheme::CashKarp(s) => s.step(&mut stages, t, dt, m),
+        }
+    }
+
+    /// The step size the adaptive controller would take next (`None` for
+    /// the fixed-step schemes, and before the first accepted step).
+    pub(crate) fn suggested_dt(&self) -> Option<f64> {
+        match &self.scheme {
+            Scheme::CashKarp(s) => s.suggested,
+            _ => None,
+        }
+    }
+
+    /// Overwrites the adaptive controller's next step size (a no-op for
+    /// the fixed-step schemes) — how the controller state moves between
+    /// a simulation and a batch it joins.
+    pub(crate) fn set_suggested_dt(&mut self, suggested: Option<f64>) {
+        if let Scheme::CashKarp(s) = &mut self.scheme {
+            s.suggested = suggested;
         }
     }
 }
 
-/// Renormalizes magnetic cells to |m| = 1 and reports divergence.
+/// Everything the stages of one step share: the host system, the stage
+/// scratch and the per-member inputs.
+struct Stages<'a> {
+    system: &'a mut LlgSystem,
+    scratch: &'a mut StageScratch,
+    others: &'a [Vec<Antenna>],
+    thermal: &'a FieldBatch,
+}
+
+impl Stages<'_> {
+    /// One stage: the unfused pre-pass (one FFT plan *and* one demag
+    /// scratch arena shared across members, so K runs pay for one set of
+    /// transform state), the per-member antenna drives at the stage time,
+    /// then the fused sweep with the scheme's stage combination in `fuse`.
+    fn eval<F>(&mut self, y: &FieldBatch, t: f64, k_out: &mut FieldBatch, fuse: F)
+    where
+        F: Fn(usize, usize, Field3Ptr) + Sync,
+    {
+        let sc = &mut *self.scratch;
+        let wrote = self
+            .system
+            .unfused_prepass_batch(y, t, &mut sc.base, &mut sc.m, &mut sc.h);
+        let system: &LlgSystem = self.system;
+        for (s, out) in sc.ant.iter_mut().enumerate() {
+            let antennas = match s {
+                0 => &system.antennas,
+                _ => &self.others[s - 1],
+            };
+            drive_fields(antennas, t, out);
+        }
+        let base = if wrote { Some(&sc.base) } else { None };
+        system.rhs_stage_batch(y, k_out, base, &sc.ant, self.thermal, fuse);
+    }
+
+    /// Renormalizes every member after an accepted step ending at `t`.
+    fn renormalize(&self, m: &mut FieldBatch, t: f64) -> Result<(), MagnumError> {
+        renormalize_and_check(
+            m,
+            &self.system.mask,
+            self.system.full_film(),
+            t,
+            self.system.par(),
+        )
+    }
+
+    /// The worker team of the host system.
+    fn team(&self) -> &WorkerTeam {
+        self.system.par()
+    }
+}
+
+/// Renormalizes magnetic cells of every member of a K-interleaved batch
+/// to |m| = 1 and reports divergence.
 ///
-/// Runs block-parallel on the system's worker team; per-block results are
-/// collected in block order, so the reported error (first bad block) is
-/// deterministic for a fixed thread count.
+/// Runs block-parallel on the system's worker team; blocks chunk over
+/// *cells* (each owning its cells' full K lanes) and per-block results are
+/// folded in block order, so the reported error (first bad block) is
+/// deterministic for a fixed thread count. The arithmetic per (cell,
+/// member) element — finiteness test, norm, componentwise divide — does
+/// not depend on K or on the partition.
 ///
-/// On a full film (no vacuum anywhere) the mask test disappears and the
-/// loop runs tiled: norms for a small tile first, then one divide loop
+/// The loop runs tiled: norms for a small tile first, then one divide loop
 /// per component plane. Divide and square root are exactly rounded in
-/// IEEE 754, so the vectorized tile produces bitwise the same `m` as the
+/// IEEE 754, so the vectorized tile produces bitwise the same `m` as a
 /// per-cell loop; only the state left behind on a `Diverged` error (which
 /// aborts the run) can differ within the failing tile.
 pub(crate) fn renormalize_and_check(
-    m: &mut Field3,
-    mask: &[bool],
-    full_film: bool,
-    t: f64,
-    team: &WorkerTeam,
-) -> Result<(), MagnumError> {
-    let n = m.len();
-    let nb = team.threads().max(1);
-    debug_assert_eq!(full_film, mask.iter().all(|&magnetic| magnetic));
-    let out = m.ptrs();
-    let results = team.map_blocks(|b| {
-        let (start, end) = chunk_bounds(n, nb, b);
-        if full_film {
-            // Safety: chunk ranges are disjoint across blocks and in
-            // bounds for all three planes.
-            unsafe { renormalize_range(out, start, end, t) }
-        } else {
-            for (i, &magnetic) in mask.iter().enumerate().take(end).skip(start) {
-                if !magnetic {
-                    continue;
-                }
-                // Safety: chunk ranges are disjoint across blocks.
-                let mut mi = unsafe { out.read(i) };
-                if !mi.is_finite() {
-                    return Err(MagnumError::Diverged { time: t });
-                }
-                let norm = mi.norm();
-                if norm == 0.0 {
-                    return Err(MagnumError::Diverged { time: t });
-                }
-                mi /= norm;
-                unsafe { out.write(i, mi) };
-            }
-            Ok(())
-        }
-    });
-    results.into_iter().collect()
-}
-
-/// Batched analogue of [`renormalize_and_check`]: renormalizes every
-/// member of a K-interleaved batch.
-///
-/// The arithmetic per (cell, member) element — finiteness test, norm,
-/// componentwise divide — is exactly the single-system expression
-/// sequence, and blocks chunk over *cells* (each owning its cells' full
-/// K-lanes), so each member's slice is bitwise identical to an
-/// independent run at any thread count.
-pub(crate) fn renormalize_and_check_batch(
     m: &mut FieldBatch,
     mask: &[bool],
     full_film: bool,
@@ -188,10 +279,9 @@ pub(crate) fn renormalize_and_check_batch(
     let nb = team.threads().max(1);
     debug_assert_eq!(full_film, mask.iter().all(|&magnetic| magnetic));
     let out = m.ptrs();
-    // The interleaved ranges here are long (cells × K), so the divide-
-    // and sqrt-heavy tile body is worth compiling 4-wide where the host
-    // supports it; `vdivpd`/`vsqrtpd` are correctly rounded, so results
-    // are bitwise identical to the baseline copy.
+    // The divide- and sqrt-heavy tile body is worth compiling 4-wide
+    // where the host supports it; `vdivpd`/`vsqrtpd` are correctly
+    // rounded, so results are bitwise identical to the baseline copy.
     #[cfg(target_arch = "x86_64")]
     let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
     let renorm = |i0: usize, i1: usize| {
@@ -204,22 +294,19 @@ pub(crate) fn renormalize_and_check_batch(
         // Safety: as above.
         unsafe { renormalize_range(out, i0, i1, t) }
     };
-    let results = team.map_blocks(|b| {
-        let (start, end) = chunk_bounds(n, nb, b);
-        if full_film {
-            // Elementwise over the interleaved planes: identical per-lane
-            // arithmetic to the single-system tiled body.
-            // Safety: cell chunks are disjoint across blocks, so the
-            // interleaved ranges are too, and in bounds for all planes.
-            renorm(start * kk, end * kk)
-        } else {
+    team.fold_blocks(
+        Ok(()),
+        |b| {
+            let (start, end) = chunk_bounds(n, nb, b);
+            if full_film {
+                // Safety: cell chunks are disjoint across blocks, so the
+                // interleaved ranges are too, and in bounds for all planes.
+                return renorm(start * kk, end * kk);
+            }
             // Magnetic cells come in contiguous runs (the rows of the
             // shape), and a run's K lanes are one contiguous interleaved
-            // range — so even the masked arm uses the vectorized tile
-            // body, run by run. Per lane the arithmetic (norm expression,
-            // componentwise divide, acceptance test) is exactly the
-            // single-system sequence, so members stay bitwise identical
-            // to independent runs.
+            // range — so the masked arm uses the tiled body too, run by
+            // run.
             let mut i = start;
             while i < end {
                 if !mask[i] {
@@ -233,15 +320,14 @@ pub(crate) fn renormalize_and_check_batch(
                 renorm(run0 * kk, i * kk)?;
             }
             Ok(())
-        }
-    });
-    results.into_iter().collect()
+        },
+        Result::and,
+    )
 }
 
-/// The tiled full-film renormalization body: same per-cell arithmetic as
-/// the masked loop (`norm = sqrt(x²+y²+z²)` with the same summation
-/// order, componentwise `/= norm`), restructured so each loop touches few
-/// enough pointers to vectorize.
+/// The tiled renormalization body: per element `norm = sqrt(x²+y²+z²)`
+/// (that summation order), then componentwise `/= norm`, restructured so
+/// each loop touches few enough pointers to vectorize.
 ///
 /// # Safety
 ///
@@ -265,9 +351,9 @@ unsafe fn renormalize_range(
             let (x, y, z) = (*px.add(i), *py.add(i), *pz.add(i));
             let norm = (x * x + y * y + z * z).sqrt();
             norms[i - i0] = norm;
-            // Same acceptance test as the masked loop: all components
-            // finite and a nonzero norm. An overflowed (infinite) norm
-            // with finite components divides through, as before.
+            // Acceptance test: all components finite and a nonzero norm.
+            // An overflowed (infinite) norm with finite components
+            // divides through.
             ok &= x.is_finite() && y.is_finite() && z.is_finite() && norm != 0.0;
         }
         if !ok {
@@ -308,7 +394,10 @@ unsafe fn renormalize_range_avx2(
 
 #[cfg(test)]
 pub(crate) mod test_support {
+    use super::{IntegratorKind, Stepper};
+    use crate::error::MagnumError;
     use crate::field::zeeman::Zeeman;
+    use crate::field3::FieldBatch;
     use crate::llg::{LlgSystem, SystemSpec};
     use crate::math::Vec3;
     use crate::GAMMA;
@@ -319,7 +408,6 @@ pub(crate) mod test_support {
         SystemSpec {
             terms: vec![Box::new(Zeeman::uniform(Vec3::Z * h))],
             antennas: Vec::new(),
-            thermal: Vec::new(),
             alpha: vec![alpha],
             gamma: GAMMA,
             mask: vec![true],
@@ -327,6 +415,25 @@ pub(crate) mod test_support {
             threads: 1,
         }
         .build()
+    }
+
+    /// A macrospin stepper of the given kind (K = 1) and the initial
+    /// state m = x̂.
+    pub fn macrospin_stepper(kind: IntegratorKind, sys: &LlgSystem) -> (Stepper, FieldBatch) {
+        let mut m = FieldBatch::zeros(1, 1);
+        m.set(0, 0, Vec3::X);
+        (Stepper::new(kind, sys, 1), m)
+    }
+
+    /// One solo step at T = 0 with no antennas.
+    pub fn step(
+        stepper: &mut Stepper,
+        sys: &mut LlgSystem,
+        t: f64,
+        dt: f64,
+        m: &mut FieldBatch,
+    ) -> Result<f64, MagnumError> {
+        stepper.step(sys, &[], &FieldBatch::empty(1), t, dt, m)
     }
 
     /// Analytic macrospin solution starting from m = x̂ at t = 0:
@@ -351,26 +458,17 @@ pub(crate) mod test_support {
 mod tests {
     use super::test_support::*;
     use super::*;
-    use crate::math::Vec3;
 
-    fn run_integrator(
-        mut integrator: Box<dyn Integrator>,
-        alpha: f64,
-        h: f64,
-        t_end: f64,
-        dt: f64,
-    ) -> Vec3 {
+    fn run_integrator(kind: IntegratorKind, alpha: f64, h: f64, t_end: f64, dt: f64) -> Vec3 {
         let mut sys = macrospin(alpha, h);
-        let mut m = Field3::from_vec3s(&[Vec3::X]);
+        let (mut stepper, mut m) = macrospin_stepper(kind, &sys);
         let mut t = 0.0;
         while t < t_end - 1e-18 {
-            let step = dt.min(t_end - t);
-            let taken = integrator
-                .step(&mut sys, t, step, &mut m)
-                .expect("step failed");
+            let taken =
+                step(&mut stepper, &mut sys, t, dt.min(t_end - t), &mut m).expect("step failed");
             t += taken;
         }
-        m.get(0)
+        m.get(0, 0)
     }
 
     #[test]
@@ -384,7 +482,7 @@ mod tests {
             IntegratorKind::RungeKutta4,
             IntegratorKind::CashKarp45 { tolerance: 1e-8 },
         ] {
-            let m = run_integrator(kind.instantiate(1), alpha, h, t_end, 5e-15);
+            let m = run_integrator(kind, alpha, h, t_end, 5e-15);
             let err = (m - expected).norm();
             assert!(
                 err < 1e-4,
@@ -400,7 +498,7 @@ mod tests {
             IntegratorKind::RungeKutta4,
             IntegratorKind::CashKarp45 { tolerance: 1e-7 },
         ] {
-            let m = run_integrator(kind.instantiate(1), 0.02, 5e5, 100e-12, 1e-14);
+            let m = run_integrator(kind, 0.02, 5e5, 100e-12, 1e-14);
             assert!(
                 (m.norm() - 1.0).abs() < 1e-12,
                 "{kind:?} drifted off the unit sphere"
@@ -416,19 +514,25 @@ mod tests {
         let dt = 1e-13;
         let expected = macrospin_analytic(alpha, h, t_end);
         let err_heun =
-            (run_integrator(Box::new(Heun::new(1)), alpha, h, t_end, dt) - expected).norm();
+            (run_integrator(IntegratorKind::Heun, alpha, h, t_end, dt) - expected).norm();
         let err_rk4 =
-            (run_integrator(Box::new(RungeKutta4::new(1)), alpha, h, t_end, dt) - expected).norm();
+            (run_integrator(IntegratorKind::RungeKutta4, alpha, h, t_end, dt) - expected).norm();
         assert!(
             err_rk4 < err_heun,
             "RK4 ({err_rk4}) should beat Heun ({err_heun}) at dt = {dt}"
         );
     }
 
+    fn batch_of(v: &[Vec3]) -> FieldBatch {
+        let mut b = FieldBatch::zeros(v.len(), 1);
+        b.load_member(0, v);
+        b
+    }
+
     #[test]
     fn renormalize_rejects_nan() {
         let team = WorkerTeam::new(1);
-        let mut m = Field3::from_vec3s(&[Vec3::new(f64::NAN, 0.0, 0.0)]);
+        let mut m = batch_of(&[Vec3::new(f64::NAN, 0.0, 0.0)]);
         let err = renormalize_and_check(&mut m, &[true], true, 1e-9, &team);
         assert!(matches!(err, Err(MagnumError::Diverged { .. })));
     }
@@ -436,10 +540,10 @@ mod tests {
     #[test]
     fn renormalize_skips_vacuum() {
         let team = WorkerTeam::new(1);
-        let mut m = Field3::zeros(1);
+        let mut m = FieldBatch::zeros(1, 1);
         renormalize_and_check(&mut m, &[false], false, 0.0, &team)
             .expect("vacuum zero vector is fine");
-        assert_eq!(m.get(0), Vec3::ZERO);
+        assert_eq!(m.get(0, 0), Vec3::ZERO);
     }
 
     #[test]
@@ -455,11 +559,16 @@ mod tests {
                 }
             })
             .collect();
-        let mut serial = Field3::from_vec3s(&original);
+        let mut serial = batch_of(&original);
         renormalize_and_check(&mut serial, &mask, false, 0.0, &WorkerTeam::new(1)).unwrap();
-        let mut parallel = Field3::from_vec3s(&original);
+        let mut parallel = batch_of(&original);
         renormalize_and_check(&mut parallel, &mask, false, 0.0, &WorkerTeam::new(4)).unwrap();
         assert_eq!(serial, parallel);
+        // Per element the tiled body is the per-cell expression.
+        for (i, v) in original.iter().enumerate() {
+            let want = if mask[i] { *v / v.norm() } else { *v };
+            assert_eq!(serial.get(i, 0), want, "cell {i}");
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Classic fixed-step fourth-order Runge–Kutta integrator.
 
-use super::{axpy_range, renormalize_and_check, Integrator};
+use super::{axpy_range, Stages};
 use crate::error::MagnumError;
-use crate::field3::Field3;
-use crate::llg::LlgSystem;
+use crate::field3::FieldBatch;
 
 /// The classic RK4 scheme — the default workhorse for deterministic
 /// spin-wave runs (MuMax3's default family as well).
@@ -14,64 +13,52 @@ use crate::llg::LlgSystem;
 /// Two stage buffers ping-pong so a sweep never writes the buffer its
 /// field evaluation is reading; `k4` is consumed inside its own sweep, so
 /// only its scratch output reuses the idle ping-pong buffer.
-#[derive(Debug)]
-pub struct RungeKutta4 {
-    k1: Field3,
-    k2: Field3,
-    k3: Field3,
-    stage_a: Field3,
-    stage_b: Field3,
-    h_scratch: Field3,
+pub(crate) struct RungeKutta4 {
+    k1: FieldBatch,
+    k2: FieldBatch,
+    k3: FieldBatch,
+    stage_a: FieldBatch,
+    stage_b: FieldBatch,
 }
 
 impl RungeKutta4 {
-    /// Creates an RK4 integrator for `cells` cells.
-    pub fn new(cells: usize) -> Self {
+    /// Stage buffers for `k` members of `cells` cells.
+    pub(crate) fn new(cells: usize, k: usize) -> Self {
         RungeKutta4 {
-            k1: Field3::zeros(cells),
-            k2: Field3::zeros(cells),
-            k3: Field3::zeros(cells),
-            stage_a: Field3::zeros(cells),
-            stage_b: Field3::zeros(cells),
-            h_scratch: Field3::zeros(cells),
+            k1: FieldBatch::zeros(cells, k),
+            k2: FieldBatch::zeros(cells, k),
+            k3: FieldBatch::zeros(cells, k),
+            stage_a: FieldBatch::zeros(cells, k),
+            stage_b: FieldBatch::zeros(cells, k),
         }
     }
-}
 
-impl Integrator for RungeKutta4 {
-    fn step(
+    pub(super) fn step(
         &mut self,
-        system: &mut LlgSystem,
+        st: &mut Stages<'_>,
         t: f64,
         dt: f64,
-        m: &mut Field3,
+        m: &mut FieldBatch,
     ) -> Result<f64, MagnumError> {
-        // Safety for every fuse hook below: blocks fuse disjoint cell
-        // ranges, no sweep writes a buffer its field evaluation reads,
-        // and every read pointer's buffer outlives the sweep. Reads go
-        // through unchecked `Field3Read` so the axpy loops stay
-        // branch-free and vectorizable.
+        // Safety for every fuse hook below: blocks fuse disjoint ranges,
+        // no sweep writes a buffer its field evaluation reads, and every
+        // read pointer's buffer outlives the sweep. Reads go through
+        // unchecked `Field3Read` so the axpy loops stay branch-free and
+        // vectorizable.
         {
             let out = self.stage_a.ptrs();
             let m_in = m.read_ptr();
-            system.rhs_stage(
-                &*m,
-                t,
-                &mut self.k1,
-                &mut self.h_scratch,
-                |i0, i1, k| unsafe {
-                    axpy_range(i0, i1, out, m_in, k, dt / 2.0);
-                },
-            );
+            st.eval(&*m, t, &mut self.k1, |i0, i1, k| unsafe {
+                axpy_range(i0, i1, out, m_in, k, dt / 2.0);
+            });
         }
         {
             let out = self.stage_b.ptrs();
             let m_in = m.read_ptr();
-            system.rhs_stage(
+            st.eval(
                 &self.stage_a,
                 t + dt / 2.0,
                 &mut self.k2,
-                &mut self.h_scratch,
                 |i0, i1, k| unsafe {
                     axpy_range(i0, i1, out, m_in, k, dt / 2.0);
                 },
@@ -80,11 +67,10 @@ impl Integrator for RungeKutta4 {
         {
             let out = self.stage_a.ptrs();
             let m_in = m.read_ptr();
-            system.rhs_stage(
+            st.eval(
                 &self.stage_b,
                 t + dt / 2.0,
                 &mut self.k3,
-                &mut self.h_scratch,
                 |i0, i1, k| unsafe {
                     axpy_range(i0, i1, out, m_in, k, dt);
                 },
@@ -95,14 +81,13 @@ impl Integrator for RungeKutta4 {
             let k2 = self.k2.read_ptr();
             let k3 = self.k3.read_ptr();
             let m_out = m.ptrs();
-            system.rhs_stage(
+            st.eval(
                 &self.stage_a,
                 t + dt,
                 &mut self.stage_b,
-                &mut self.h_scratch,
                 |i0, i1, k| unsafe {
-                    // Per-plane loops, as in `axpy_range`: each loop
-                    // reads four k planes and updates one m plane.
+                    // Per-plane loops, as in `axpy_range`: each loop reads
+                    // four k planes and updates one m plane.
                     let (mx, my, mz) = m_out.planes();
                     let (k1x, k1y, k1z) = k1.planes();
                     let (k2x, k2y, k2z) = k2.planes();
@@ -126,20 +111,16 @@ impl Integrator for RungeKutta4 {
                 },
             );
         }
-        renormalize_and_check(m, &system.mask, system.full_film(), t + dt, system.par())?;
+        st.renormalize(m, t + dt)?;
         Ok(dt)
-    }
-
-    fn name(&self) -> &'static str {
-        "rk4"
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::math::Vec3;
-    use crate::solver::test_support::{macrospin, macrospin_analytic};
+    use crate::error::MagnumError;
+    use crate::solver::test_support::{macrospin, macrospin_analytic, macrospin_stepper, step};
+    use crate::solver::IntegratorKind;
 
     #[test]
     fn high_accuracy_on_macrospin() {
@@ -148,19 +129,18 @@ mod tests {
         let t_end: f64 = 100e-12;
         let dt = 2e-14;
         let mut sys = macrospin(alpha, h);
-        let mut integ = RungeKutta4::new(1);
-        let mut m = Field3::from_vec3s(&[Vec3::X]);
+        let (mut integ, mut m) = macrospin_stepper(IntegratorKind::RungeKutta4, &sys);
         let steps = (t_end / dt).round() as usize;
         let mut t = 0.0;
         for _ in 0..steps {
-            integ.step(&mut sys, t, dt, &mut m).unwrap();
+            step(&mut integ, &mut sys, t, dt, &mut m).unwrap();
             t += dt;
         }
         let expected = macrospin_analytic(alpha, h, t_end);
         assert!(
-            (m.get(0) - expected).norm() < 1e-8,
+            (m.get(0, 0) - expected).norm() < 1e-8,
             "RK4 error {} too large",
-            (m.get(0) - expected).norm()
+            (m.get(0, 0) - expected).norm()
         );
     }
 
@@ -169,12 +149,11 @@ mod tests {
         // A gigantic dt makes the update blow up; the integrator must
         // report divergence rather than silently continuing.
         let mut sys = macrospin(0.01, 1e7);
-        let mut integ = RungeKutta4::new(1);
-        let mut m = Field3::from_vec3s(&[Vec3::X]);
+        let (mut integ, mut m) = macrospin_stepper(IntegratorKind::RungeKutta4, &sys);
         let mut failed = false;
         for i in 0..100 {
             let t = i as f64;
-            match integ.step(&mut sys, t, 1.0, &mut m) {
+            match step(&mut integ, &mut sys, t, 1.0, &mut m) {
                 Err(MagnumError::Diverged { .. }) => {
                     failed = true;
                     break;
@@ -187,7 +166,7 @@ mod tests {
         }
         // Either it diverged and said so, or the projection kept |m| = 1.
         if !failed {
-            assert!((m.get(0).norm() - 1.0).abs() < 1e-9);
+            assert!((m.get(0, 0).norm() - 1.0).abs() < 1e-9);
         }
     }
 }

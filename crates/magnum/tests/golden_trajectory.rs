@@ -6,7 +6,9 @@
 //! thread count, with and without thermal noise, and under the
 //! FFT-accelerated demag. These tests drive the paper's triangle gate
 //! shape (and small synthetic films) through both paths and compare
-//! `f64` bit patterns.
+//! `f64` bit patterns. An adaptive Cash–Karp batch shares one step-size
+//! sequence, so it is pinned with identical members, and its controller
+//! state must survive a round trip through a batch.
 
 use magnum::field::demag::DemagMethod;
 use magnum::geometry::Polygon;
@@ -48,7 +50,8 @@ fn gate_sim(phase: f64, threads: usize, kind: IntegratorKind, demag: DemagMethod
 }
 
 /// Steps each sim independently, then the same K sims as one batch, and
-/// asserts every member's final magnetization matches bit for bit.
+/// asserts every member's final magnetization and clock match bit for
+/// bit.
 fn assert_batch_matches_independent(
     build: &dyn Fn(usize) -> Simulation,
     k: usize,
@@ -56,13 +59,13 @@ fn assert_batch_matches_independent(
     steps: usize,
     label: &str,
 ) {
-    let independent: Vec<Vec<Vec3>> = (0..k)
+    let independent: Vec<(f64, Vec<Vec3>)> = (0..k)
         .map(|s| {
             let mut sim = build(s);
             for _ in 0..steps {
                 sim.step().unwrap();
             }
-            sim.magnetization().to_vec()
+            (sim.time(), sim.magnetization().to_vec())
         })
         .collect();
     let sims: Vec<Simulation> = (0..k).map(build).collect();
@@ -70,7 +73,12 @@ fn assert_batch_matches_independent(
     for _ in 0..steps {
         batch.step().unwrap();
     }
-    for (s, serial) in independent.iter().enumerate() {
+    for (s, (time, serial)) in independent.iter().enumerate() {
+        assert_eq!(
+            batch.time().to_bits(),
+            time.to_bits(),
+            "{label}: member {s} clock diverged at {threads} threads"
+        );
         let view = batch.member(s);
         for (i, want) in serial.iter().enumerate() {
             let got = MagRead::at(&view, i);
@@ -111,6 +119,66 @@ fn heun_gate_batch_is_bitwise_identical_across_thread_counts() {
         };
         assert_batch_matches_independent(&build, 4, threads, 20, "heun gate");
     }
+}
+
+#[test]
+fn cash_karp_batch_of_identical_members_is_bitwise_identical() {
+    // The adaptive controller takes the max error over the whole batch,
+    // so K identical members must follow the solo step-size sequence —
+    // and the solo trajectory — exactly.
+    for threads in [1, 2] {
+        let build = move |_: usize| {
+            gate_sim(
+                0.37,
+                threads,
+                IntegratorKind::CashKarp45 { tolerance: 1e-7 },
+                DemagMethod::ThinFilmLocal,
+            )
+        };
+        assert_batch_matches_independent(&build, 4, threads, 20, "cash-karp gate");
+    }
+}
+
+#[test]
+fn cash_karp_controller_survives_a_batch_round_trip() {
+    // A simulation that spends steps 11..15 in a batch of one and then
+    // continues solo must land exactly where 20 solo steps land: the
+    // batch starts from the member's suggested step and hands its own
+    // suggestion back.
+    let build = || {
+        let mut sim = gate_sim(
+            0.0,
+            1,
+            IntegratorKind::CashKarp45 { tolerance: 1e-9 },
+            DemagMethod::ThinFilmLocal,
+        );
+        sim.set_time_step(2e-12).unwrap();
+        sim
+    };
+    let mut solo = build();
+    for _ in 0..20 {
+        solo.step().unwrap();
+    }
+    let mut resumed = build();
+    for _ in 0..10 {
+        resumed.step().unwrap();
+    }
+    let mut batch = BatchedSimulation::new(vec![resumed]).unwrap();
+    for _ in 0..5 {
+        batch.step().unwrap();
+    }
+    let mut resumed = batch.into_members().remove(0);
+    for _ in 0..5 {
+        resumed.step().unwrap();
+    }
+    assert_eq!(resumed.time().to_bits(), solo.time().to_bits());
+    let bits = |sim: &Simulation| -> Vec<[u64; 3]> {
+        sim.magnetization()
+            .iter()
+            .map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
+            .collect()
+    };
+    assert_eq!(bits(&resumed), bits(&solo));
 }
 
 #[test]
