@@ -14,8 +14,20 @@
 //! counts to agree bitwise among themselves. Together these pin the
 //! fused single-sweep SoA hot path to the trajectory of the original
 //! implementation.
+//!
+//! The two Newell traces (`golden_newell_rk4.txt`, the good-size padded
+//! grid, and `golden_newell_exact_rk4.txt`, Bluestein rows and columns)
+//! were recorded from the transpose-based spectral pipeline that
+//! preceded the strip-fused one, and are matched **bit for bit** at
+//! every thread count: the FFT rewrite promised identical arithmetic per
+//! element, so any drift at all is a regression. Re-record them (only
+//! after a deliberate arithmetic change) with
+//!
+//! ```text
+//! MAGNUM_GOLDEN_WRITE=1 cargo test -p magnum --test golden_trace newell
+//! ```
 
-use magnum::field::demag::DemagMethod;
+use magnum::field::demag::{DemagMethod, PadPolicy};
 use magnum::geometry::Polygon;
 use magnum::prelude::*;
 use magnum::solver::IntegratorKind;
@@ -54,6 +66,40 @@ fn triangle_sim(threads: usize, kind: IntegratorKind) -> Simulation {
         .threads(threads)
         // The grid is far below the small-grid serial clamp; disable it so
         // the parity runs genuinely exercise the parallel sweeps.
+        .min_cells_per_thread(0)
+        .build()
+        .unwrap()
+}
+
+/// The same masked triangle under the full Newell-FFT demag, RK4 with
+/// the antenna, padded by `policy`: [`PadPolicy::GoodSize`] pads 48×24
+/// to 96×48, [`PadPolicy::Exact`] to 95×47 (a 5·19 row axis and a prime
+/// column axis, so both passes take the Bluestein fallback).
+fn newell_triangle_sim(threads: usize, policy: PadPolicy) -> Simulation {
+    let mut mesh = Mesh::new(NX, NY, [CELL, CELL, 1e-9]).unwrap();
+    let w = NX as f64 * CELL;
+    let h = NY as f64 * CELL;
+    let triangle = Polygon::new(vec![(0.0, 0.0), (0.0, h), (w, h / 2.0)]);
+    magnum::geometry::rasterize(&mut mesh, &triangle);
+    let antenna = Antenna::over_rect(
+        &mesh,
+        0.0,
+        0.0,
+        2.0 * CELL,
+        h,
+        Vec3::X,
+        Drive::logic_cw(3e3, 9e9, 0.0),
+    );
+    Simulation::builder(mesh, Material::fecob())
+        .uniform_magnetization(Vec3::Z)
+        .demag(DemagMethod::NewellFft)
+        .demag_padding(policy)
+        .absorbing_frame(AbsorbingFrame::new(3, 0.5))
+        .antenna(antenna)
+        .integrator(IntegratorKind::RungeKutta4)
+        .threads(threads)
+        // Disables the FFT fan-out clamp too, so 2 and 4 threads really
+        // split the row groups and column strips.
         .min_cells_per_thread(0)
         .build()
         .unwrap()
@@ -150,6 +196,41 @@ fn check_against_reference(name: &str, trace: &str) {
     }
 }
 
+/// Bitwise variant of [`check_against_reference`]: the recorded trace
+/// must be reproduced character for character.
+fn check_exact(name: &str, trace: &str) {
+    let path = data_path(name);
+    if std::env::var("MAGNUM_GOLDEN_WRITE").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, trace).unwrap();
+        return;
+    }
+    let reference = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden trace {}: {e}", path.display()));
+    for (k, (got, want)) in trace.lines().zip(reference.lines()).enumerate() {
+        assert_eq!(got, want, "{name}: line {} differs bitwise", k + 1);
+    }
+    assert_eq!(
+        trace.lines().count(),
+        reference.lines().count(),
+        "{name}: trace length changed"
+    );
+}
+
+/// Bitwise golden: the serial trace equals the recorded one exactly,
+/// and 2 and 4 threads equal the serial trace.
+fn golden_exact(name: &str, run: impl Fn(usize) -> String) {
+    let serial = run(1);
+    check_exact(name, &serial);
+    for threads in [2, 4] {
+        assert_eq!(
+            serial,
+            run(threads),
+            "{name}: trace diverged at {threads} threads"
+        );
+    }
+}
+
 fn golden(name: &str, run: impl Fn(usize) -> String) {
     let serial = run(1);
     check_against_reference(name, &serial);
@@ -192,5 +273,19 @@ fn cash_karp_matches_golden_trace() {
 fn thermal_heun_matches_golden_trace() {
     golden("thermal_heun", |threads| {
         record_trace(thermal_sim(threads), 20, 5)
+    });
+}
+
+#[test]
+fn newell_rk4_matches_golden_trace_bitwise() {
+    golden_exact("newell_rk4", |threads| {
+        record_trace(newell_triangle_sim(threads, PadPolicy::GoodSize), 25, 5)
+    });
+}
+
+#[test]
+fn newell_exact_padding_rk4_matches_golden_trace_bitwise() {
+    golden_exact("newell_exact_rk4", |threads| {
+        record_trace(newell_triangle_sim(threads, PadPolicy::Exact), 25, 5)
     });
 }
