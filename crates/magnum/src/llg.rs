@@ -22,8 +22,8 @@
 //! partition and each block writes a disjoint output range, so results
 //! are bitwise identical for any thread count. Non-local terms (the FFT
 //! demag) run in a pre-pass through [`FieldTerm::accumulate_par`] on the
-//! same worker team — the whole spectral pipeline (row FFTs, tiled
-//! transposes, column FFTs, spectral multiply) decomposes into
+//! same worker team — the whole spectral pipeline (row-group FFTs and
+//! column strips with their spectral multiply) decomposes into
 //! block-ordered spans on that team — using per-term scratch owned by the
 //! system (no locks, no per-call allocation); the reference paths
 //! (`effective_field`, `max_torque`, energy accounting) use the terms'
@@ -968,7 +968,7 @@ impl LlgSystem {
     /// into `m_scratch`, accumulated into `h_scratch` and interleaved
     /// into `base`. Because the K members reuse one term instance and
     /// one scratch, the K Newell demag convolutions share a single FFT
-    /// plan — twiddle tables, transpose buffers and kernel spectra are
+    /// plan — twiddle tables, lane buffers and kernel spectra are
     /// loaded once per batch step instead of once per member. Per member
     /// the call sequence is the same (zero-fill, then each term in order
     /// on the same team), so the result does not depend on K.
