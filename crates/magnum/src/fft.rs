@@ -30,15 +30,19 @@
 //! 5-smooth length ≥ `n` under a per-stage cost model (DESIGN.md §4.4),
 //! instead of `next_power_of_two`. At the awkward sizes large demag
 //! grids produce (2n−1 for n = 320, 960, 1500, …) this cuts the padded
-//! area — and with it every transform, transpose and spectral multiply
-//! — by up to ~2.5× in 2-D.
+//! area — and with it every transform and spectral multiply — by up to
+//! ~2.5× in 2-D.
 //!
 //! ## Lanes and strips
 //!
 //! [`FftPlan::process_lanes`] runs [`LANES`] transforms at once on
 //! structure-of-arrays lanes, each lane bitwise equal to
 //! [`FftPlan::process`] on its line; the lane loops vectorize, with
-//! AVX-512 and AVX2 copies chosen at runtime. [`Fft2Plan`] transforms
+//! AVX-512 and AVX2 copies chosen at runtime. An inverse scales by 1/N
+//! in its last butterfly stage rather than in a pass of its own. A
+//! window prunes what the caller does not need: a forward skips the
+//! first-stage digits whose inputs are known zeros (zero padding), an
+//! inverse computes only the leading outputs it keeps. [`Fft2Plan`] transforms
 //! rows in groups of [`LANES`], then columns in strips of [`LANES`]
 //! gathered into a per-thread, cache-resident lane buffer — there is no
 //! grid-sized transpose. Every row group and strip is independent of the
@@ -527,8 +531,23 @@ impl FftPlan {
     /// Bluestein plans fall back lane by lane: each of lanes `0..live`
     /// is gathered into `fallback`'s line buffer and run through
     /// [`FftPlan::process_with`].
-    /// Lanes `live..` must hold zeros; native plans transform them to
-    /// zeros, the fallback leaves them alone.
+    /// Lanes `live..` must hold zeros in the elements that are read;
+    /// native plans transform them to zeros, the fallback leaves them
+    /// alone.
+    ///
+    /// `window` (clamped to `len()`) names the part of the line the
+    /// caller knows about:
+    ///
+    /// * **Forward:** elements `window..` of every lane are zero. Their
+    ///   values are never used, so they may hold anything; the first
+    ///   stage skips the digits whose inputs all lie there.
+    /// * **Inverse:** only outputs `0..window` are needed. The last stage
+    ///   computes and stores just those; elements `window..` are left
+    ///   unspecified.
+    ///
+    /// Kept inverse outputs are bitwise those of the full transform. A
+    /// forward window can only change the sign of a zero in the spectrum
+    /// (`x + 0.0` is skipped, which differs from `x` only at `x = −0.0`).
     ///
     /// # Panics
     ///
@@ -540,21 +559,32 @@ impl FftPlan {
         im: &mut [f64],
         live: usize,
         direction: Direction,
+        window: usize,
         fallback: &mut FallbackScratch,
     ) {
         let n = self.n;
         assert!(live <= LANES, "more live lanes than LANES");
         assert_eq!(re.len(), n * LANES, "lane buffer does not match FFT plan");
         assert_eq!(im.len(), n * LANES, "lane buffer does not match FFT plan");
+        let window = window.min(n);
         if self.bluestein.is_some() {
             if fallback.line.len() < n {
                 note_hot_alloc();
                 fallback.line.resize(n, Complex64::ZERO);
             }
             let line = &mut fallback.line[..n];
+            let known = if direction == Direction::Forward {
+                window
+            } else {
+                n
+            };
             for l in 0..live {
                 for (j, z) in line.iter_mut().enumerate() {
-                    *z = Complex64::new(re[j * LANES + l], im[j * LANES + l]);
+                    *z = if j < known {
+                        Complex64::new(re[j * LANES + l], im[j * LANES + l])
+                    } else {
+                        Complex64::ZERO
+                    };
                 }
                 self.process_with(line, direction, &mut fallback.conv);
                 for (j, z) in line.iter().enumerate() {
@@ -567,24 +597,24 @@ impl FftPlan {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx512f") {
             // Safety: AVX-512F support was just detected.
-            unsafe { self.lanes_avx512(re, im, direction) };
+            unsafe { self.lanes_avx512(re, im, direction, window) };
             return;
         }
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // Safety: AVX2 support was just detected.
-            unsafe { self.lanes_avx2(re, im, direction) };
+            unsafe { self.lanes_avx2(re, im, direction, window) };
             return;
         }
-        self.lanes_portable(re, im, direction);
+        self.lanes_portable(re, im, direction, window);
     }
 
     /// The portable instantiation of [`lanes_core`].
-    fn lanes_portable(&self, re: &mut [f64], im: &mut [f64], direction: Direction) {
+    fn lanes_portable(&self, re: &mut [f64], im: &mut [f64], direction: Direction, window: usize) {
         assert!(self.bluestein.is_none(), "lane kernel needs a native plan");
         assert!(re.len() == self.n * LANES && im.len() == self.n * LANES);
         // Safety: the plan is native and both planes hold n·LANES values.
-        unsafe { lanes_core(self, re.as_mut_ptr(), im.as_mut_ptr(), direction) }
+        unsafe { lanes_core(self, re.as_mut_ptr(), im.as_mut_ptr(), direction, window) }
     }
 
     /// The AVX-512 instantiation of [`lanes_core`]: one 512-bit register
@@ -592,22 +622,22 @@ impl FftPlan {
     /// butterflies run without spills.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    fn lanes_avx512(&self, re: &mut [f64], im: &mut [f64], direction: Direction) {
+    fn lanes_avx512(&self, re: &mut [f64], im: &mut [f64], direction: Direction, window: usize) {
         assert!(self.bluestein.is_none(), "lane kernel needs a native plan");
         assert!(re.len() == self.n * LANES && im.len() == self.n * LANES);
         // Safety: the plan is native and both planes hold n·LANES values.
-        unsafe { lanes_core(self, re.as_mut_ptr(), im.as_mut_ptr(), direction) }
+        unsafe { lanes_core(self, re.as_mut_ptr(), im.as_mut_ptr(), direction, window) }
     }
 
     /// The AVX2 instantiation of [`lanes_core`]: the same code compiled
     /// with 256-bit vectors.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn lanes_avx2(&self, re: &mut [f64], im: &mut [f64], direction: Direction) {
+    fn lanes_avx2(&self, re: &mut [f64], im: &mut [f64], direction: Direction, window: usize) {
         assert!(self.bluestein.is_none(), "lane kernel needs a native plan");
         assert!(re.len() == self.n * LANES && im.len() == self.n * LANES);
         // Safety: the plan is native and both planes hold n·LANES values.
-        unsafe { lanes_core(self, re.as_mut_ptr(), im.as_mut_ptr(), direction) }
+        unsafe { lanes_core(self, re.as_mut_ptr(), im.as_mut_ptr(), direction, window) }
     }
 }
 
@@ -714,6 +744,11 @@ struct CLane {
 }
 
 impl CLane {
+    const ZERO: CLane = CLane {
+        re: [0.0; LANES],
+        im: [0.0; LANES],
+    };
+
     /// Loads element `i` of every lane from structure-of-arrays planes.
     ///
     /// # Safety
@@ -751,6 +786,14 @@ impl CLane {
         CLane {
             re: std::array::from_fn(|l| self.re[l] - o.re[l]),
             im: std::array::from_fn(|l| self.im[l] - o.im[l]),
+        }
+    }
+
+    #[inline(always)]
+    fn neg(self) -> CLane {
+        CLane {
+            re: self.re.map(|x| -x),
+            im: self.im.map(|x| -x),
         }
     }
 
@@ -804,19 +847,63 @@ const LANE_BLOCK: usize = 256;
 /// only their own block, so the reordering changes no operation and no
 /// bit.
 ///
+/// An inverse multiplies each output of its last stage by `1/n` just
+/// before storing it — the same IEEE multiply of the same value as a
+/// separate scaling pass, so the same bits, without one more trip over
+/// the buffer. `window` prunes the first stage of a forward and the last
+/// stage of an inverse (see [`FftPlan::process_lanes`]).
+///
 /// # Safety
 ///
 /// `plan` must be native (no Bluestein fallback) and `re`/`im` valid
-/// for reads and writes of `plan.n·LANES` values.
+/// for reads and writes of `plan.n·LANES` values; `window ≤ plan.n`.
 #[inline(always)]
-unsafe fn lanes_core(plan: &FftPlan, re: *mut f64, im: *mut f64, direction: Direction) {
+unsafe fn lanes_core(
+    plan: &FftPlan,
+    re: *mut f64,
+    im: *mut f64,
+    direction: Direction,
+    window: usize,
+) {
     let n = plan.n;
+    let inverse = direction == Direction::Inverse;
+    // Digit `d` of a first-stage butterfly holds input `d·q + j` for
+    // some `j < q = n/radix`, so a forward reads only the first
+    // `⌈window/q⌉` digits; zero the inputs of theirs beyond the window.
+    // (No stages: `n = 1`, and the one input is passed through.)
+    let q = plan.stages.first().map_or(0, |st| n / st.radix as usize);
+    let read = if q == 0 { n } else { window.div_ceil(q) * q };
+    if !inverse {
+        for i in window..read {
+            CLane::ZERO.store(re, im, i);
+        }
+    }
     for &(i, j) in &plan.swaps {
         let (i, j) = (i as usize, j as usize);
         let a = CLane::load(re, im, i);
         CLane::load(re, im, j).store(re, im, i);
         a.store(re, im, j);
     }
+    let last = plan.stages.len().wrapping_sub(1);
+    let pass = |si: usize| {
+        let st = &plan.stages[si];
+        let (len, r) = (st.len as usize, st.radix as usize);
+        let t0 = st.toff as usize;
+        Pass {
+            re,
+            im,
+            tw: &plan.tw[t0..t0 + (r - 1) * len],
+            len,
+            radix: r,
+            conj: inverse,
+            live: if si == 0 && !inverse {
+                window.div_ceil(q)
+            } else {
+                r
+            },
+            tail: (si == last && inverse).then_some((window, 1.0 / n as f64)),
+        }
+    };
     let span = |st: &Stage| st.len as usize * st.radix as usize;
     let blocked = plan
         .stages
@@ -826,138 +913,282 @@ unsafe fn lanes_core(plan: &FftPlan, re: *mut f64, im: *mut f64, direction: Dire
     if blocked > 0 {
         let block = span(&plan.stages[blocked - 1]);
         for b0 in (0..n).step_by(block) {
-            for st in &plan.stages[..blocked] {
-                lanes_stage(plan, st, re, im, b0..b0 + block, direction);
+            for si in 0..blocked {
+                pass(si).run(b0..b0 + block);
             }
         }
     }
-    for st in &plan.stages[blocked..] {
-        lanes_stage(plan, st, re, im, 0..n, direction);
-    }
-    if direction == Direction::Inverse {
-        let inv = 1.0 / n as f64;
-        for i in 0..n {
-            CLane::load(re, im, i).scale(inv).store(re, im, i);
-        }
+    for si in blocked..plan.stages.len() {
+        pass(si).run(0..n);
     }
 }
 
-/// One butterfly stage of [`lanes_core`] over the elements `range`,
-/// whose bounds are multiples of the stage's span.
-///
-/// # Safety
-///
-/// As for [`lanes_core`], with `range` within `0..plan.n`.
-#[inline(always)]
-unsafe fn lanes_stage(
-    plan: &FftPlan,
-    st: &Stage,
+/// One butterfly stage of [`lanes_core`]: its twiddles, the lane planes
+/// it transforms, and what its windows prune.
+struct Pass<'a> {
     re: *mut f64,
     im: *mut f64,
-    range: std::ops::Range<usize>,
-    direction: Direction,
-) {
-    let conj = direction == Direction::Inverse;
-    let s = if conj { 1.0 } else { -1.0 };
-    // The scalar butterflies' `-s * c * t.im` evaluates as `(-s·c)·t.im`.
-    let (ns3, ps3) = (-s * SIN_3, s * SIN_3);
-    let tw_at = |w: Complex64| if conj { (w.re, -w.im) } else { (w.re, w.im) };
-    let len = st.len as usize;
-    let r = st.radix as usize;
-    let t0 = st.toff as usize;
-    let tw = &plan.tw[t0..t0 + (r - 1) * len];
-    let span = len * r;
-    match r {
-        2 => {
-            for start in range.step_by(span) {
-                for (k, &w0) in tw.iter().enumerate() {
-                    let (wr, wi) = tw_at(w0);
-                    let i0 = start + k;
-                    let i1 = i0 + len;
-                    let a = CLane::load(re, im, i0);
-                    let b = CLane::load(re, im, i1).mul(wr, wi);
-                    a.add(b).store(re, im, i0);
-                    a.sub(b).store(re, im, i1);
+    /// This stage's twiddles: `w^{d·k}` of digit `d ≥ 1` of butterfly
+    /// `k` at `(radix − 1)·k + d − 1`.
+    tw: &'a [Complex64],
+    /// Sub-transform length entering the stage.
+    len: usize,
+    radix: usize,
+    /// Inverse transform: conjugated twiddles, `+i` rotations.
+    conj: bool,
+    /// Digits `live..` of every butterfly read known zeros (the first
+    /// stage of a windowed forward; `radix` elsewhere).
+    live: usize,
+    /// The last stage of an inverse: `(keep, 1/n)` — only outputs
+    /// `0..keep` are computed and stored, each scaled by `1/n`.
+    tail: Option<(usize, f64)>,
+}
+
+/// A lane value of a [`Pass::head`] butterfly: `None` is a known zero.
+type Zl = Option<CLane>;
+
+#[inline(always)]
+fn zadd(a: Zl, b: Zl) -> Zl {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.add(b)),
+        (a, None) => a,
+        (None, b) => b,
+    }
+}
+
+#[inline(always)]
+fn zsub(a: Zl, b: Zl) -> Zl {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.sub(b)),
+        (a, None) => a,
+        (None, b) => b.map(CLane::neg),
+    }
+}
+
+#[inline(always)]
+fn zscale(a: Zl, s: f64) -> Zl {
+    a.map(|a| a.scale(s))
+}
+
+#[inline(always)]
+fn zrot(a: Zl, p: f64, q: f64) -> Zl {
+    a.map(|a| a.rot(p, q))
+}
+
+impl Pass<'_> {
+    /// Runs the stage over the elements `range`, whose bounds are
+    /// multiples of its span, picking the butterfly instantiation its
+    /// windows call for. Kept-digit counts without their own
+    /// instantiation round up to storing a digit more, whose elements
+    /// are unspecified anyway.
+    ///
+    /// # Safety
+    ///
+    /// As for [`lanes_core`], with `range` within `0..plan.n`.
+    #[inline(always)]
+    unsafe fn run(&self, range: std::ops::Range<usize>) {
+        match self.radix {
+            2 => self.run_radix::<2>(range),
+            3 => self.run_radix::<3>(range),
+            4 => self.run_radix::<4>(range),
+            5 => self.run_radix::<5>(range),
+            _ => unreachable!("factor_stages only emits radices 2–5"),
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn run_radix<const R: usize>(&self, range: std::ops::Range<usize>) {
+        let ks = 0..self.len;
+        let Some((keep, _)) = self.tail else {
+            match self.live {
+                0 => self.head::<R, 0>(range),
+                1 => self.head::<R, 1>(range),
+                2 if R > 2 => self.head::<R, 2>(range),
+                3 if R > 3 => self.head::<R, 3>(range),
+                4 if R > 4 => self.head::<R, 4>(range),
+                _ => self.butterflies::<R, R, false>(range, ks),
+            }
+            return;
+        };
+        // The last stage is one butterfly group (span n): output digit
+        // `d` of butterfly `k` is element `d·len + k`, kept iff it is
+        // below `keep`. Butterflies `k` in
+        // `[keep − c·len, keep − (c−1)·len)` keep exactly `c` digits.
+        for c in (1..=R).rev() {
+            let lo = keep.saturating_sub(c * self.len);
+            let hi = self.len.min(keep.saturating_sub((c - 1) * self.len));
+            if lo >= hi {
+                continue;
+            }
+            let (range, ks) = (range.clone(), lo..hi);
+            match c {
+                1 => self.butterflies::<R, 1, true>(range, ks),
+                2 if R > 2 => self.butterflies::<R, 2, true>(range, ks),
+                3 if R > 3 => self.butterflies::<R, 3, true>(range, ks),
+                _ => self.butterflies::<R, R, true>(range, ks),
+            }
+        }
+    }
+
+    /// Digit `d` of butterfly `k` of the group at `start`, after its
+    /// twiddle multiply.
+    #[inline(always)]
+    unsafe fn input<const R: usize>(&self, start: usize, k: usize, d: usize) -> CLane {
+        let x = CLane::load(self.re, self.im, start + k + d * self.len);
+        if d == 0 {
+            return x;
+        }
+        let w = self.tw[(R - 1) * k + d - 1];
+        let wi = if self.conj { -w.im } else { w.im };
+        x.mul(w.re, wi)
+    }
+
+    /// Butterflies `ks` of every group in `range` at radix `R`, storing
+    /// output digits `0..OUT`, scaled by `1/n` when `SCALE`. At
+    /// `OUT = R` without `SCALE` this is exactly [`FftPlan::process`]'s
+    /// stage; the outputs a variant does not store are dead code it never
+    /// computes.
+    #[inline(always)]
+    unsafe fn butterflies<const R: usize, const OUT: usize, const SCALE: bool>(
+        &self,
+        range: std::ops::Range<usize>,
+        ks: std::ops::Range<usize>,
+    ) {
+        let s = if self.conj { 1.0 } else { -1.0 };
+        // The scalar butterflies' `-s * c * t.im` evaluates as `(-s·c)·t.im`.
+        let (ns3, ps3) = (-s * SIN_3, s * SIN_3);
+        let inv = self.tail.map_or(1.0, |(_, inv)| inv);
+        let (re, im, len) = (self.re, self.im, self.len);
+        for start in range.step_by(R * len) {
+            for k in ks.clone() {
+                let i0 = start + k;
+                let a = |d: usize| self.input::<R>(start, k, d);
+                let out = |d: usize, v: CLane| {
+                    if d < OUT {
+                        let v = if SCALE { v.scale(inv) } else { v };
+                        v.store(re, im, i0 + d * len);
+                    }
+                };
+                match R {
+                    2 => {
+                        let (a0, a1) = (a(0), a(1));
+                        out(0, a0.add(a1));
+                        out(1, a0.sub(a1));
+                    }
+                    3 => {
+                        let (a0, a1, a2) = (a(0), a(1), a(2));
+                        let t1 = a1.add(a2);
+                        let t2 = a1.sub(a2);
+                        let m = a0.sub(t1.scale(0.5));
+                        let u = t2.rot(ns3, ps3);
+                        out(0, a0.add(t1));
+                        out(1, m.add(u));
+                        out(2, m.sub(u));
+                    }
+                    4 => {
+                        let (a0, a1, a2, a3) = (a(0), a(1), a(2), a(3));
+                        let t0 = a0.add(a2);
+                        let t1 = a0.sub(a2);
+                        let t2 = a1.add(a3);
+                        let t3 = a1.sub(a3);
+                        let jt = t3.rot(-s, s);
+                        out(0, t0.add(t2));
+                        out(1, t1.add(jt));
+                        out(2, t0.sub(t2));
+                        out(3, t1.sub(jt));
+                    }
+                    5 => {
+                        let (a0, a1, a2, a3, a4) = (a(0), a(1), a(2), a(3), a(4));
+                        let t1 = a1.add(a4);
+                        let t2 = a2.add(a3);
+                        let t3 = a1.sub(a4);
+                        let t4 = a2.sub(a3);
+                        let m1 = a0.add(t1.scale(COS_1_5)).add(t2.scale(COS_2_5));
+                        let m2 = a0.add(t1.scale(COS_2_5)).add(t2.scale(COS_1_5));
+                        let v1 = t3.scale(SIN_1_5).add(t4.scale(SIN_2_5));
+                        let v2 = t3.scale(SIN_2_5).sub(t4.scale(SIN_1_5));
+                        let u1 = v1.rot(-s, s);
+                        let u2 = v2.rot(-s, s);
+                        out(0, a0.add(t1).add(t2));
+                        out(1, m1.add(u1));
+                        out(4, m1.sub(u1));
+                        out(2, m2.add(u2));
+                        out(3, m2.sub(u2));
+                    }
+                    _ => unreachable!("factor_stages only emits radices 2–5"),
                 }
             }
         }
-        3 => {
-            for start in range.step_by(span) {
-                for k in 0..len {
-                    let (w1r, w1i) = tw_at(tw[2 * k]);
-                    let (w2r, w2i) = tw_at(tw[2 * k + 1]);
-                    let i0 = start + k;
-                    let (i1, i2) = (i0 + len, i0 + 2 * len);
-                    let a0 = CLane::load(re, im, i0);
-                    let a1 = CLane::load(re, im, i1).mul(w1r, w1i);
-                    let a2 = CLane::load(re, im, i2).mul(w2r, w2i);
-                    let t1 = a1.add(a2);
-                    let t2 = a1.sub(a2);
-                    let m = a0.sub(t1.scale(0.5));
-                    let u = t2.rot(ns3, ps3);
-                    a0.add(t1).store(re, im, i0);
-                    m.add(u).store(re, im, i1);
-                    m.sub(u).store(re, im, i2);
+    }
+
+    /// The first stage of a windowed forward: the butterflies of every
+    /// group in `range` read digits `0..LIVE` only, the rest being known
+    /// zeros. A known zero's additions and multiplications are skipped,
+    /// which changes only the sign of a zero result (`x + 0.0` differs
+    /// from `x` only at `x = −0.0`). The known zeros are tracked as
+    /// `Option`s in this stage only: the same form in every stage
+    /// measured ~30% slower than [`Pass::butterflies`]' plain values at
+    /// n = 640.
+    #[inline(always)]
+    unsafe fn head<const R: usize, const LIVE: usize>(&self, range: std::ops::Range<usize>) {
+        let s = if self.conj { 1.0 } else { -1.0 };
+        let (ns3, ps3) = (-s * SIN_3, s * SIN_3);
+        let (re, im, len) = (self.re, self.im, self.len);
+        for start in range.step_by(R * len) {
+            for k in 0..len {
+                let a = |d: usize| (d < LIVE).then(|| self.input::<R>(start, k, d));
+                let out =
+                    |d: usize, v: Zl| v.unwrap_or(CLane::ZERO).store(re, im, start + k + d * len);
+                match R {
+                    2 => {
+                        let (a0, a1) = (a(0), a(1));
+                        out(0, zadd(a0, a1));
+                        out(1, zsub(a0, a1));
+                    }
+                    3 => {
+                        let (a0, a1, a2) = (a(0), a(1), a(2));
+                        let t1 = zadd(a1, a2);
+                        let t2 = zsub(a1, a2);
+                        let m = zsub(a0, zscale(t1, 0.5));
+                        let u = zrot(t2, ns3, ps3);
+                        out(0, zadd(a0, t1));
+                        out(1, zadd(m, u));
+                        out(2, zsub(m, u));
+                    }
+                    4 => {
+                        let (a0, a1, a2, a3) = (a(0), a(1), a(2), a(3));
+                        let t0 = zadd(a0, a2);
+                        let t1 = zsub(a0, a2);
+                        let t2 = zadd(a1, a3);
+                        let t3 = zsub(a1, a3);
+                        let jt = zrot(t3, -s, s);
+                        out(0, zadd(t0, t2));
+                        out(1, zadd(t1, jt));
+                        out(2, zsub(t0, t2));
+                        out(3, zsub(t1, jt));
+                    }
+                    5 => {
+                        let (a0, a1, a2, a3, a4) = (a(0), a(1), a(2), a(3), a(4));
+                        let t1 = zadd(a1, a4);
+                        let t2 = zadd(a2, a3);
+                        let t3 = zsub(a1, a4);
+                        let t4 = zsub(a2, a3);
+                        let m1 = zadd(zadd(a0, zscale(t1, COS_1_5)), zscale(t2, COS_2_5));
+                        let m2 = zadd(zadd(a0, zscale(t1, COS_2_5)), zscale(t2, COS_1_5));
+                        let v1 = zadd(zscale(t3, SIN_1_5), zscale(t4, SIN_2_5));
+                        let v2 = zsub(zscale(t3, SIN_2_5), zscale(t4, SIN_1_5));
+                        let u1 = zrot(v1, -s, s);
+                        let u2 = zrot(v2, -s, s);
+                        out(0, zadd(zadd(a0, t1), t2));
+                        out(1, zadd(m1, u1));
+                        out(4, zsub(m1, u1));
+                        out(2, zadd(m2, u2));
+                        out(3, zsub(m2, u2));
+                    }
+                    _ => unreachable!("factor_stages only emits radices 2–5"),
                 }
             }
         }
-        4 => {
-            for start in range.step_by(span) {
-                for k in 0..len {
-                    let (w1r, w1i) = tw_at(tw[3 * k]);
-                    let (w2r, w2i) = tw_at(tw[3 * k + 1]);
-                    let (w3r, w3i) = tw_at(tw[3 * k + 2]);
-                    let i0 = start + k;
-                    let (i1, i2, i3) = (i0 + len, i0 + 2 * len, i0 + 3 * len);
-                    let a0 = CLane::load(re, im, i0);
-                    let a1 = CLane::load(re, im, i1).mul(w1r, w1i);
-                    let a2 = CLane::load(re, im, i2).mul(w2r, w2i);
-                    let a3 = CLane::load(re, im, i3).mul(w3r, w3i);
-                    let t0 = a0.add(a2);
-                    let t1 = a0.sub(a2);
-                    let t2 = a1.add(a3);
-                    let t3 = a1.sub(a3);
-                    let jt = t3.rot(-s, s);
-                    t0.add(t2).store(re, im, i0);
-                    t1.add(jt).store(re, im, i1);
-                    t0.sub(t2).store(re, im, i2);
-                    t1.sub(jt).store(re, im, i3);
-                }
-            }
-        }
-        5 => {
-            for start in range.step_by(span) {
-                for k in 0..len {
-                    let (w1r, w1i) = tw_at(tw[4 * k]);
-                    let (w2r, w2i) = tw_at(tw[4 * k + 1]);
-                    let (w3r, w3i) = tw_at(tw[4 * k + 2]);
-                    let (w4r, w4i) = tw_at(tw[4 * k + 3]);
-                    let i0 = start + k;
-                    let (i1, i2, i3, i4) = (i0 + len, i0 + 2 * len, i0 + 3 * len, i0 + 4 * len);
-                    let a0 = CLane::load(re, im, i0);
-                    let a1 = CLane::load(re, im, i1).mul(w1r, w1i);
-                    let a2 = CLane::load(re, im, i2).mul(w2r, w2i);
-                    let a3 = CLane::load(re, im, i3).mul(w3r, w3i);
-                    let a4 = CLane::load(re, im, i4).mul(w4r, w4i);
-                    let t1 = a1.add(a4);
-                    let t2 = a2.add(a3);
-                    let t3 = a1.sub(a4);
-                    let t4 = a2.sub(a3);
-                    let m1 = a0.add(t1.scale(COS_1_5)).add(t2.scale(COS_2_5));
-                    let m2 = a0.add(t1.scale(COS_2_5)).add(t2.scale(COS_1_5));
-                    let v1 = t3.scale(SIN_1_5).add(t4.scale(SIN_2_5));
-                    let v2 = t3.scale(SIN_2_5).sub(t4.scale(SIN_1_5));
-                    let u1 = v1.rot(-s, s);
-                    let u2 = v2.rot(-s, s);
-                    a0.add(t1).add(t2).store(re, im, i0);
-                    m1.add(u1).store(re, im, i1);
-                    m1.sub(u1).store(re, im, i4);
-                    m2.add(u2).store(re, im, i2);
-                    m2.sub(u2).store(re, im, i3);
-                }
-            }
-        }
-        _ => unreachable!("factor_stages only emits radices 2–5"),
     }
 }
 
@@ -1367,8 +1598,9 @@ fn prefetch(p: *const Complex64) {
 }
 
 /// Loads rows `0..rows` of strip `s` from the row-major `src` (row
-/// width `w`) into lanes and writes zeros for the rest of the lane
-/// length (rows `rows..` and dead lanes) without reading them.
+/// width `w`) into elements `0..rows` of the lanes, zeros in dead
+/// lanes. Elements `rows..` are left as they are: a forward lane
+/// transform with window `rows` never uses them.
 ///
 /// # Safety
 ///
@@ -1390,12 +1622,8 @@ pub(crate) unsafe fn gather_strip(
     } else {
         s.c0.wrapping_sub(LANES - 1)
     };
-    for (j, (r, i)) in lane_rows(re, im).enumerate() {
-        if j >= rows {
-            r.fill(0.0);
-            i.fill(0.0);
-            continue;
-        }
+    let n = rows * LANES;
+    for (j, (r, i)) in lane_rows(&mut re[..n], &mut im[..n]).enumerate() {
         if full && j + PREFETCH_ROWS < rows {
             let ahead = src.add((j + PREFETCH_ROWS) * w + lo);
             prefetch(ahead);
@@ -1533,7 +1761,7 @@ impl Fft2Plan {
         self.ny
     }
 
-    /// Number of elements `process` expects in `data` and `scratch`.
+    /// Number of elements `process` expects in `data`.
     pub fn grid_len(&self) -> usize {
         self.nx * self.ny
     }
@@ -1561,46 +1789,26 @@ impl Fft2Plan {
         effective_threads(team.threads(), cells, self.min_cells_per_thread)
     }
 
-    /// Executes the 2-D transform of `data` in place: rows, then columns.
-    ///
-    /// `scratch` must have the grid's length. The strip pipeline needs
-    /// no grid-sized intermediate, so it is left untouched; the argument
-    /// keeps the signature of the transposing implementation this plan
-    /// replaced.
+    /// Executes the 2-D transform of `data` in place: rows, then columns,
+    /// with throwaway lane scratch (hold an [`Fft2Scratch`] and use
+    /// [`Fft2Plan::forward_spectrum`] / [`Fft2Plan::inverse_spectrum`]
+    /// on hot paths).
     ///
     /// # Panics
     ///
-    /// Panics if `data` or `scratch` length differs from
-    /// [`Fft2Plan::grid_len`].
-    pub fn process(
-        &self,
-        data: &mut [Complex64],
-        scratch: &mut [Complex64],
-        team: &WorkerTeam,
-        direction: Direction,
-    ) {
-        assert_eq!(scratch.len(), self.grid_len(), "scratch size mismatch");
-        let mut rs = Fft2Scratch::new();
-        self.transform(data, team, direction, &mut rs);
-    }
-
-    /// [`Fft2Plan::process`] without the unused scratch plane.
-    fn transform(
-        &self,
-        data: &mut [Complex64],
-        team: &WorkerTeam,
-        direction: Direction,
-        rs: &mut Fft2Scratch,
-    ) {
+    /// Panics if `data`'s length differs from [`Fft2Plan::grid_len`].
+    pub fn process(&self, data: &mut [Complex64], team: &WorkerTeam, direction: Direction) {
         assert_eq!(data.len(), self.grid_len(), "buffer size mismatch");
         let (nx, ny) = (self.nx, self.ny);
+        let mut rs = Fft2Scratch::new();
         rs.ensure(self, team.threads());
-        self.row_pass(data, ny, direction, team, rs);
+        self.row_pass(data, ny, direction, team, &mut rs);
         let base = SendPtr::new(data.as_mut_ptr());
         self.column_pass(
             direction,
+            ny,
             team,
-            rs,
+            &mut rs,
             // Safety: strips own disjoint columns of `data`, which
             // outlives the pass.
             |s, re, im| unsafe { gather_strip(base.get(), nx, s, ny, re, im) },
@@ -1612,9 +1820,11 @@ impl Fft2Plan {
     /// `data_rows..ny` are identically zero, **stopping in the x-major
     /// ("spectrum") layout**: `spec` receives bin `(kx, ky)` at
     /// `kx·ny + ky`. The row pass covers only the populated rows (the
-    /// DFT of an all-zero row is zero), and the column strips read only
-    /// those rows, writing the zero rows into their lanes without
-    /// reading them — so rows `data_rows..ny` of `data` are never read.
+    /// DFT of an all-zero row is zero), and the column strips load only
+    /// those rows into their lanes, whose first stage skips the digits
+    /// that would read the zero rows — so rows `data_rows..ny` of `data`
+    /// are never read. Skipping a zero can only change the sign of a
+    /// zero bin.
     ///
     /// `data` is consumed as scratch for the row pass (its contents are
     /// unspecified afterwards).
@@ -1640,6 +1850,7 @@ impl Fft2Plan {
         let dst = SendPtr::new(spec.as_mut_ptr());
         self.column_pass(
             Direction::Forward,
+            data_rows,
             team,
             rs,
             // Safety: `data` is only read here, within its bounds.
@@ -1663,8 +1874,8 @@ impl Fft2Plan {
     /// Inverse of [`Fft2Plan::forward_spectrum`]: consumes an x-major
     /// spectrum (contents unchanged) and materializes only rows
     /// `0..out_rows` of the row-major result in `data`: the column
-    /// strips write back just those rows, and the row pass inverts just
-    /// those rows. Columns run before rows here (the reverse of
+    /// strips compute and write back just those rows, and the row pass
+    /// inverts just those rows. Columns run before rows here (the reverse of
     /// [`Fft2Plan::process`]), so the result agrees with a full inverse
     /// to rounding, not bitwise; it is bitwise identical across thread
     /// counts.
@@ -1689,6 +1900,7 @@ impl Fft2Plan {
         let dst = SendPtr::new(data.as_mut_ptr());
         self.column_pass(
             Direction::Inverse,
+            out_rows,
             team,
             rs,
             |s, re, im| {
@@ -1736,19 +1948,22 @@ impl Fft2Plan {
                 // within the first `rows` rows of `data`.
                 unsafe { gather_rows(base.get(), nx, r0, live, re, im) };
                 self.row
-                    .process_lanes(re, im, live, direction, &mut w.fallback);
+                    .process_lanes(re, im, live, direction, nx, &mut w.fallback);
                 unsafe { scatter_rows(re, im, base.get(), nx, r0, live) };
             }
         });
     }
 
     /// Runs the column transform over strips of [`LANES`] consecutive
-    /// columns, split across the team: `load` fills a strip's lanes
-    /// (all `ny` elements), the lane kernel transforms them and `store`
-    /// writes them out.
+    /// columns, split across the team: `load` fills a strip's lanes,
+    /// the lane kernel transforms them and `store` writes them out.
+    /// `window` is the lane kernel's: a forward's `load` fills elements
+    /// `0..window` (the rest are zero), an inverse's `store` reads
+    /// elements `0..window`.
     fn column_pass<L, S>(
         &self,
         direction: Direction,
+        window: usize,
         team: &WorkerTeam,
         rs: &mut Fft2Scratch,
         load: L,
@@ -1765,7 +1980,7 @@ impl Fft2Plan {
                 let s = Strip::run(t * LANES, LANES.min(nx - t * LANES));
                 load(s, re, im);
                 self.col
-                    .process_lanes(re, im, s.live, direction, &mut w.fallback);
+                    .process_lanes(re, im, s.live, direction, window, &mut w.fallback);
                 store(s, re, im);
             }
         });
@@ -1783,13 +1998,7 @@ impl Fft2Plan {
 /// Panics if `data.len() != nx * ny` or either dimension is zero.
 pub fn fft2_in_place(data: &mut [Complex64], nx: usize, ny: usize, direction: Direction) {
     assert_eq!(data.len(), nx * ny, "buffer size mismatch");
-    let plan = Fft2Plan::new(nx, ny);
-    plan.transform(
-        data,
-        &WorkerTeam::new(1),
-        direction,
-        &mut Fft2Scratch::new(),
-    );
+    Fft2Plan::new(nx, ny).process(data, &WorkerTeam::new(1), direction);
 }
 
 #[cfg(test)]
@@ -2265,18 +2474,12 @@ mod tests {
             // Clamp disabled: these grids are far below the production
             // threshold and the point is to exercise the parallel path.
             let plan = Fft2Plan::new(nx, ny).with_min_cells_per_thread(0);
-            let mut scratch = vec![Complex64::ZERO; nx * ny];
             let mut serial = original.clone();
-            plan.process(
-                &mut serial,
-                &mut scratch,
-                &WorkerTeam::new(1),
-                Direction::Forward,
-            );
+            plan.process(&mut serial, &WorkerTeam::new(1), Direction::Forward);
             for threads in [2, 3, 4, 7] {
                 let team = WorkerTeam::new(threads);
                 let mut parallel = original.clone();
-                plan.process(&mut parallel, &mut scratch, &team, Direction::Forward);
+                plan.process(&mut parallel, &team, Direction::Forward);
                 assert_eq!(
                     serial, parallel,
                     "2-D FFT diverged at {threads} threads ({nx}×{ny})"
@@ -2298,9 +2501,8 @@ mod tests {
             }
             let plan = Fft2Plan::new(nx, ny);
             let team = WorkerTeam::new(1);
-            let mut scratch = vec![Complex64::ZERO; nx * ny];
             let mut full = original.clone();
-            plan.process(&mut full, &mut scratch, &team, Direction::Forward);
+            plan.process(&mut full, &team, Direction::Forward);
             let mut data = original;
             let mut spec = vec![Complex64::ZERO; nx * ny];
             plan.forward_spectrum(
@@ -2333,9 +2535,8 @@ mod tests {
                 .collect();
             let plan = Fft2Plan::new(nx, ny);
             let team = WorkerTeam::new(1);
-            let mut scratch = vec![Complex64::ZERO; nx * ny];
             let mut full = spectrum.clone();
-            plan.process(&mut full, &mut scratch, &team, Direction::Inverse);
+            plan.process(&mut full, &team, Direction::Inverse);
             let mut spec: Vec<Complex64> = (0..nx * ny)
                 .map(|i| spectrum[(i % ny) * nx + i / ny])
                 .collect();
@@ -2396,13 +2597,12 @@ mod tests {
         let clamped = Fft2Plan::new(nx, ny);
         assert_eq!(clamped.min_cells_per_thread(), MIN_FFT_CELLS_PER_THREAD);
         let unclamped = Fft2Plan::new(nx, ny).with_min_cells_per_thread(0);
-        let mut scratch = vec![Complex64::ZERO; nx * ny];
         for threads in [1, 2, 4, 7] {
             let team = WorkerTeam::new(threads);
             let mut a = original.clone();
-            clamped.process(&mut a, &mut scratch, &team, Direction::Forward);
+            clamped.process(&mut a, &team, Direction::Forward);
             let mut b = original.clone();
-            unclamped.process(&mut b, &mut scratch, &team, Direction::Forward);
+            unclamped.process(&mut b, &team, Direction::Forward);
             assert_eq!(a, b, "clamp changed transform bits at {threads} threads");
         }
     }
@@ -2507,9 +2707,23 @@ mod tests {
     fn assert_lanes_match_scalar(
         plan: &FftPlan,
         direction: Direction,
+        inputs: (&[f64], &[f64]),
+        outputs: (&[f64], &[f64]),
+        live: usize,
+        what: &str,
+    ) {
+        let keep = plan.len();
+        assert_kept_lanes_match_scalar(plan, direction, inputs, outputs, live, keep, what);
+    }
+
+    /// [`assert_lanes_match_scalar`] on elements `0..keep` only.
+    fn assert_kept_lanes_match_scalar(
+        plan: &FftPlan,
+        direction: Direction,
         (re0, im0): (&[f64], &[f64]),
         (re, im): (&[f64], &[f64]),
         live: usize,
+        keep: usize,
         what: &str,
     ) {
         let n = plan.len();
@@ -2520,7 +2734,7 @@ mod tests {
             if l < live {
                 plan.process(&mut line, direction);
             }
-            for (j, z) in line.iter().enumerate() {
+            for (j, z) in line.iter().enumerate().take(keep) {
                 let got = (re[j * LANES + l].to_bits(), im[j * LANES + l].to_bits());
                 assert_eq!(
                     got,
@@ -2546,6 +2760,7 @@ mod tests {
                         &mut im,
                         live,
                         direction,
+                        n,
                         &mut FallbackScratch::default(),
                     );
                     let inputs = (&re0[..], &im0[..]);
@@ -2561,7 +2776,7 @@ mod tests {
                         continue;
                     }
                     let (mut re, mut im) = (re0.clone(), im0.clone());
-                    plan.lanes_portable(&mut re, &mut im, direction);
+                    plan.lanes_portable(&mut re, &mut im, direction, n);
                     assert_lanes_match_scalar(
                         &plan,
                         direction,
@@ -2574,7 +2789,7 @@ mod tests {
                     if std::arch::is_x86_feature_detected!("avx512f") {
                         let (mut re, mut im) = (re0.clone(), im0.clone());
                         // Safety: AVX-512F support was just detected.
-                        unsafe { plan.lanes_avx512(&mut re, &mut im, direction) };
+                        unsafe { plan.lanes_avx512(&mut re, &mut im, direction, n) };
                         assert_lanes_match_scalar(
                             &plan,
                             direction,
@@ -2588,7 +2803,7 @@ mod tests {
                     if std::arch::is_x86_feature_detected!("avx2") {
                         let (mut re, mut im) = (re0.clone(), im0.clone());
                         // Safety: AVX2 support was just detected.
-                        unsafe { plan.lanes_avx2(&mut re, &mut im, direction) };
+                        unsafe { plan.lanes_avx2(&mut re, &mut im, direction, n) };
                         assert_lanes_match_scalar(
                             &plan,
                             direction,
@@ -2596,6 +2811,133 @@ mod tests {
                             (&re, &im),
                             live,
                             "avx2",
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs the lane kernel on `(re, im)` through every instantiation
+    /// this host has, returning each result with its name: the
+    /// dispatcher, then the portable, AVX-512 and AVX2 copies.
+    fn each_lane_kernel(
+        plan: &FftPlan,
+        (re, im): (&[f64], &[f64]),
+        live: usize,
+        direction: Direction,
+        window: usize,
+    ) -> Vec<(&'static str, Vec<f64>, Vec<f64>)> {
+        let mut runs = Vec::new();
+        let (mut r, mut i) = (re.to_vec(), im.to_vec());
+        let mut fallback = FallbackScratch::default();
+        plan.process_lanes(&mut r, &mut i, live, direction, window, &mut fallback);
+        runs.push(("dispatch", r, i));
+        let (mut r, mut i) = (re.to_vec(), im.to_vec());
+        plan.lanes_portable(&mut r, &mut i, direction, window);
+        runs.push(("portable", r, i));
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            let (mut r, mut i) = (re.to_vec(), im.to_vec());
+            // Safety: AVX-512F support was just detected.
+            unsafe { plan.lanes_avx512(&mut r, &mut i, direction, window) };
+            runs.push(("avx512", r, i));
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let (mut r, mut i) = (re.to_vec(), im.to_vec());
+            // Safety: AVX2 support was just detected.
+            unsafe { plan.lanes_avx2(&mut r, &mut i, direction, window) };
+            runs.push(("avx2", r, i));
+        }
+        runs
+    }
+
+    /// Lengths with every radix as the first and as the last stage
+    /// (`factor_stages` order: 4s, a 2, 3s, 5s), odd and 3/5-leading
+    /// lengths among them, up to the demag paddings 640 and 1280.
+    const WINDOWED_LENGTHS: [usize; 19] = [
+        1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 25, 45, 64, 75, 96, 125, 640, 1280,
+    ];
+
+    /// The windows a test sweeps on a length-`n` line: every count up to
+    /// `limit` on short lines, the edges and a few interior counts on
+    /// long ones.
+    fn windows_upto(n: usize, limit: usize) -> Vec<usize> {
+        if n <= 25 {
+            return (0..=limit).collect();
+        }
+        let mut w = vec![0, 1, 2, n / 5, n / 4, n / 3, limit - 1, limit];
+        w.retain(|&m| m <= limit);
+        w.dedup();
+        w
+    }
+
+    #[test]
+    fn forward_input_window_keeps_the_full_transform_bits() {
+        // Inputs `m..` of every lane are zero (a zero-padded line). The
+        // windowed forward must not use them — they are poisoned with
+        // NaN — and must give the full transform's bits on every output,
+        // for every m ≤ ⌈n/2⌉ (the convolution paddings) and each
+        // kernel instantiation. The live inputs are nonzero, so no
+        // skipped `x + 0.0` meets a signed zero.
+        for n in WINDOWED_LENGTHS {
+            let plan = FftPlan::new(n);
+            for m in windows_upto(n, n.div_ceil(2)) {
+                for live in [LANES, 5] {
+                    let noise = test_noise((n * 1000 + m) as u64, 2 * n * LANES);
+                    let (mut re0, mut im0) = (vec![0.0; n * LANES], vec![0.0; n * LANES]);
+                    for j in 0..m {
+                        for l in 0..live {
+                            let i = j * LANES + l;
+                            (re0[i], im0[i]) = (noise[2 * i], noise[2 * i + 1]);
+                        }
+                    }
+                    let (mut re, mut im) = (re0.clone(), im0.clone());
+                    re[m * LANES..].fill(f64::NAN);
+                    im[m * LANES..].fill(f64::NAN);
+                    let inputs = (&re0[..], &im0[..]);
+                    for (what, r, i) in
+                        each_lane_kernel(&plan, (&re, &im), live, Direction::Forward, m)
+                    {
+                        let what = format!("{what}, window {m}");
+                        assert_lanes_match_scalar(
+                            &plan,
+                            Direction::Forward,
+                            inputs,
+                            (&r, &i),
+                            live,
+                            &what,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_output_window_keeps_the_full_transform_bits() {
+        // Only outputs `0..keep` are computed and stored (each scaled by
+        // 1/n in the last stage); they must be the full inverse's bits,
+        // signed zeros included, for every instantiation.
+        for n in WINDOWED_LENGTHS {
+            let plan = FftPlan::new(n);
+            for keep in windows_upto(n, n).into_iter().chain([n.div_ceil(2) + 1]) {
+                for live in [LANES, 3] {
+                    let (re0, im0) = lane_signals((n * 7 + keep) as u64, n, live);
+                    let inputs = (&re0[..], &im0[..]);
+                    for (what, r, i) in
+                        each_lane_kernel(&plan, inputs, live, Direction::Inverse, keep)
+                    {
+                        let what = format!("{what}, keep {keep}");
+                        assert_kept_lanes_match_scalar(
+                            &plan,
+                            Direction::Inverse,
+                            inputs,
+                            (&r, &i),
+                            live,
+                            keep.min(n),
+                            &what,
                         );
                     }
                 }

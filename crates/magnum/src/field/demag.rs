@@ -47,20 +47,24 @@
 //!
 //! 1. **Forward rows, fused with the load.** Each group of [`LANES`] mesh
 //!    rows is loaded as `Ms·m` straight into a worker's lane buffer
-//!    (zero beyond `nx` and in vacuum cells), row-transformed, and stored
-//!    in the `xy`/`z` planes. The planes hold only the `ny` populated
-//!    rows: the padded rows `ny..py` are never materialized.
+//!    (zero in vacuum cells), row-transformed with input window `nx` —
+//!    the padding columns `nx..px` are never written or read — and
+//!    stored in the `xy`/`z` planes. The planes hold only the `ny`
+//!    populated rows: the padded rows `ny..py` are never materialized.
 //! 2. **Column strips.** For each strip of [`LANES`] columns a worker
-//!    gathers rows `0..ny` into its lane buffer, writes rows `ny..py` as
-//!    zeros, runs the forward column FFT, multiplies by the kernel, runs
-//!    the inverse column FFT and scatters rows `0..ny` back. The `xy`
+//!    gathers rows `0..ny` into its lane buffer, runs the forward column
+//!    FFT with input window `ny` (its first stage skips the digits that
+//!    would read the padded rows), multiplies by the kernel, runs the
+//!    inverse column FFT with output window `ny` (its last stage computes
+//!    only rows `0..ny`) and scatters those rows back. The `xy`
 //!    channel pairs strip `A = [c, c + LANES)` with its mirror
 //!    `B = {px − c − l}` so every conjugate bin pair meets in one
 //!    worker; the self-paired columns `0` and `px/2` share strip 0. The
 //!    kernel spectra are stored in this strip order and built by the
 //!    same passes.
 //! 3. **Inverse rows, fused with the unload.** Each row group is inverted
-//!    in lanes and added into `h` at the magnetic cells.
+//!    in lanes with output window `nx` and added into `h` at the magnetic
+//!    cells.
 //!
 //! Each lane does exactly the scalar FFT's arithmetic, and work is split
 //! across the caller's [`WorkerTeam`] by row group and strip only, so
@@ -68,8 +72,12 @@
 //! size, and identical to the serial planar path that
 //! [`FieldTerm::accumulate`] runs. The multiply keeps the role rule of
 //! the row-major pipeline it replaced (`b_first = ky == 0 || 2·ky ≤ py`),
-//! so every spectral bin, signed zeros included, is bitwise what that
-//! pipeline computed.
+//! so every nonzero spectral bin is bitwise what that pipeline computed.
+//! The forward windows skip additions of known zeros, which can flip the
+//! sign of a zero bin but not the field: a zero's sign only survives the
+//! inverse as an exactly zero output, which adds into `h` as zero
+//! (`field_is_bitwise_the_row_major_reference` and the golden Newell
+//! traces pin the field).
 //!
 //! All passes sit behind the cells-per-thread clamp
 //! ([`crate::fft::MIN_FFT_CELLS_PER_THREAD`], overridable through
@@ -411,15 +419,16 @@ impl NewellDemag {
     /// Runs one convolution on the SoA planes and adds the field into
     /// `h`:
     ///
-    /// 1. Row pass, fused with the load: each row group's lanes are
-    ///    filled with `Ms·m` straight from the planes (zeros beyond `nx`
-    ///    and in vacuum cells), transformed, and stored as rows of the
-    ///    `xy`/`z` planes.
+    /// 1. Row pass, fused with the load: each row group's lanes
+    ///    `0..nx` are filled with `Ms·m` straight from the planes (zeros
+    ///    in vacuum cells), transformed with input window `nx`, and
+    ///    stored as rows of the `xy`/`z` planes.
     /// 2. Column strips ([`NewellDemag::strip_unit`]): forward column
-    ///    FFT, kernel multiply and inverse column FFT of each strip in a
-    ///    worker's lane buffers.
+    ///    FFT (input window `ny`), kernel multiply and inverse column FFT
+    ///    (output window `ny`) of each strip in a worker's lane buffers.
     /// 3. Inverse row pass, fused with the unload: each row group is
-    ///    inverted in lanes and added into `h` at the magnetic cells.
+    ///    inverted in lanes (output window `nx`) and added into `h` at the
+    ///    magnetic cells.
     ///
     /// Every lane runs the arithmetic of [`crate::fft::FftPlan::process`]
     /// on its line, and the passes are split by row group and strip
@@ -441,8 +450,10 @@ impl NewellDemag {
                 let r0 = g * LANES;
                 let live = LANES.min(ny - r0);
                 for (plane, a, b) in [(xy, mx, Some(my)), (z, mz, None)] {
-                    re.fill(0.0);
-                    im.fill(0.0);
+                    // Columns `nx..px` are zero padding, whose values
+                    // the windowed transform never uses.
+                    re[..nx * LANES].fill(0.0);
+                    im[..nx * LANES].fill(0.0);
                     for l in 0..live {
                         for ix in 0..nx {
                             let i = (r0 + l) * nx + ix;
@@ -454,7 +465,7 @@ impl NewellDemag {
                             }
                         }
                     }
-                    row.process_lanes(re, im, live, Direction::Forward, &mut w.fallback);
+                    row.process_lanes(re, im, live, Direction::Forward, nx, &mut w.fallback);
                     // Safety: row groups are disjoint across blocks and
                     // lie within the plane's `ny` rows.
                     unsafe { scatter_rows(re, im, plane.get(), px, r0, live) };
@@ -483,7 +494,7 @@ impl NewellDemag {
                 for (plane, a, b) in [(xy, hx, Some(hy)), (z, hz, None)] {
                     // Safety: row groups are disjoint across blocks.
                     unsafe { gather_rows(plane.get(), px, r0, live, re, im) };
-                    row.process_lanes(re, im, live, Direction::Inverse, &mut w.fallback);
+                    row.process_lanes(re, im, live, Direction::Inverse, nx, &mut w.fallback);
                     for l in 0..live {
                         for ix in 0..nx {
                             let i = (r0 + l) * nx + ix;
@@ -539,30 +550,30 @@ impl NewellDemag {
         for &t in strips {
             let s = paired_strip(px, t);
             gather_strip(z.get(), px, s, ny, re, im);
-            col.process_lanes(re, im, s.live, Direction::Forward, fallback);
+            col.process_lanes(re, im, s.live, Direction::Forward, ny, fallback);
             for ((r, i), &k) in re.iter_mut().zip(im.iter_mut()).zip(&kzz[t * n..][..n]) {
                 *r *= k;
                 *i *= k;
             }
-            col.process_lanes(re, im, s.live, Direction::Inverse, fallback);
+            col.process_lanes(re, im, s.live, Direction::Inverse, ny, fallback);
             scatter_strip(re, im, z.get(), px, s, ny);
         }
         if u == 0 {
             let s = paired_strip(px, 0);
             gather_strip(xy.get(), px, s, ny, re, im);
-            col.process_lanes(re, im, s.live, Direction::Forward, fallback);
+            col.process_lanes(re, im, s.live, Direction::Forward, ny, fallback);
             self.multiply_self_strip(re, im);
-            col.process_lanes(re, im, s.live, Direction::Inverse, fallback);
+            col.process_lanes(re, im, s.live, Direction::Inverse, ny, fallback);
             scatter_strip(re, im, xy.get(), px, s, ny);
         } else {
             let (sa, sb) = (paired_strip(px, 2 * u - 1), paired_strip(px, 2 * u));
             gather_strip(xy.get(), px, sa, ny, re, im);
             gather_strip(xy.get(), px, sb, ny, re2, im2);
-            col.process_lanes(re, im, sa.live, Direction::Forward, fallback);
-            col.process_lanes(re2, im2, sb.live, Direction::Forward, fallback);
+            col.process_lanes(re, im, sa.live, Direction::Forward, ny, fallback);
+            col.process_lanes(re2, im2, sb.live, Direction::Forward, ny, fallback);
             self.multiply_pair_strips(2 * u - 1, [re, im], [re2, im2]);
-            col.process_lanes(re, im, sa.live, Direction::Inverse, fallback);
-            col.process_lanes(re2, im2, sb.live, Direction::Inverse, fallback);
+            col.process_lanes(re, im, sa.live, Direction::Inverse, ny, fallback);
+            col.process_lanes(re2, im2, sb.live, Direction::Inverse, ny, fallback);
             scatter_strip(re, im, xy.get(), px, sa, ny);
             scatter_strip(re2, im2, xy.get(), px, sb, ny);
         }
@@ -838,7 +849,7 @@ fn kernel_spectra(
                 // its slice of the table and its peak slot.
                 unsafe {
                     gather_strip(base.get(), px, s, py, re, im);
-                    col.process_lanes(re, im, s.live, Direction::Forward, &mut w.fallback);
+                    col.process_lanes(re, im, s.live, Direction::Forward, py, &mut w.fallback);
                     std::slice::from_raw_parts_mut(out.add(t * n), n).copy_from_slice(re);
                     let max = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
                     *sp.add(t) = [max(re), max(im)];
@@ -1338,13 +1349,7 @@ mod tests {
                 let mut plane: Vec<Complex64> = (0..px * py)
                     .map(|i| Complex64::new(full_grid_kernel(k, i % px, i / px, px, py, cell), 0.0))
                     .collect();
-                let mut scratch = vec![Complex64::ZERO; px * py];
-                plan.process(
-                    &mut plane,
-                    &mut scratch,
-                    &WorkerTeam::new(1),
-                    Direction::Forward,
-                );
+                plan.process(&mut plane, &WorkerTeam::new(1), Direction::Forward);
                 let mut seen = vec![false; px];
                 for t in 0..paired_strip_count(px) {
                     let s = paired_strip(px, t);
