@@ -139,171 +139,221 @@ unsafe fn exchange4(
     )
 }
 
-/// The branch-free interior stretch, four members at a time with AVX2
-/// intrinsics — the auto-vectorizer leaves the equivalent scalar loop
-/// 1-wide, so the 4-wide form is written out explicitly. Every
-/// intrinsic is a lanewise correctly-rounded IEEE operation applied in
-/// the scalar arm's exact expression order (no FMA contraction), so
-/// each lane's result is bitwise identical to the scalar stretch; lanes
-/// beyond the last multiple of four run the scalar body itself.
-///
-/// # Safety
-///
-/// Cells `i_lo..i_hi` must be interior (stencil neighbours at `±1`,
-/// `±nx` all magnetic) with all interleaved lanes in bounds, `out` must
-/// be owned exclusively by the calling block, and the host must support
-/// AVX2 (checked at runtime by the dispatching caller).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn interior_stretch_avx2(
-    i_lo: usize,
-    i_hi: usize,
+/// The loop invariants of the branch-free interior body: the
+/// K-interleaved neighbour offsets, the stage-input, pre-pass and output
+/// planes, and the fast arm's term parameters (exchange required, the
+/// rest applied when present, in the generic ops loop's exact order).
+#[derive(Clone, Copy)]
+struct InteriorArm {
+    /// Interleaved lanes per cell (the batch width K).
     kk: usize,
+    /// Interleaved offset of the up/down neighbours: `nx·K`.
     nxk: usize,
-    mxp: *const f64,
-    myp: *const f64,
-    mzp: *const f64,
-    ap: *const f64,
-    pp: *const f64,
+    m: [*const f64; 3],
+    /// The pre-pass field planes, when a non-local term wrote one.
+    base: Option<[*const f64; 3]>,
     coeff_x: f64,
     coeff_y: f64,
     uni: Option<(f64, Vec3)>,
     film: Option<f64>,
     zee: Option<Vec3>,
     out: Field3Ptr,
-) {
-    use std::arch::x86_64::*;
-    let (outx, outy, outz) = out.planes();
-    let cx = _mm256_set1_pd(coeff_x);
-    let cy = _mm256_set1_pd(coeff_y);
-    // Absent terms are skipped, not added as zero: −0.0 + +0.0 = +0.0
-    // would silently flip signed zeros against the generic ops loop.
-    let uni_v = uni.map(|(ku, axis)| {
-        (
-            _mm256_set1_pd(ku),
-            _mm256_set1_pd(axis.x),
-            _mm256_set1_pd(axis.y),
-            _mm256_set1_pd(axis.z),
-        )
-    });
-    let film_v = film.map(|ms| _mm256_set1_pd(ms));
-    let zee_v = zee.map(|z| {
-        (
-            _mm256_set1_pd(z.x),
-            _mm256_set1_pd(z.y),
-            _mm256_set1_pd(z.z),
-        )
-    });
-    let zero = _mm256_setzero_pd();
-    for i in i_lo..i_hi {
-        let alpha = *ap.add(i);
-        let prefactor = *pp.add(i);
-        let av = _mm256_set1_pd(alpha);
-        let pv = _mm256_set1_pd(prefactor);
-        let f0 = i * kk;
-        let mut s = 0;
-        while s + 4 <= kk {
-            let fi = f0 + s;
-            let mix = _mm256_loadu_pd(mxp.add(fi));
-            let miy = _mm256_loadu_pd(myp.add(fi));
-            let miz = _mm256_loadu_pd(mzp.add(fi));
-            let accx = exchange4(mxp, fi, kk, nxk, mix, cx, cy, zero);
-            let accy = exchange4(myp, fi, kk, nxk, miy, cx, cy, zero);
-            let accz = exchange4(mzp, fi, kk, nxk, miz, cx, cy, zero);
-            // h = 0 + acc, as in the scalar arm's `h += acc` from zero.
-            let mut hx = _mm256_add_pd(zero, accx);
-            let mut hy = _mm256_add_pd(zero, accy);
-            let mut hz = _mm256_add_pd(zero, accz);
-            // ani = ku·((m·ax + m·ay) + m·az), the scalar dot's order.
-            if let Some((kuv, axx, axy, axz)) = uni_v {
-                let dot = _mm256_add_pd(
-                    _mm256_add_pd(_mm256_mul_pd(mix, axx), _mm256_mul_pd(miy, axy)),
-                    _mm256_mul_pd(miz, axz),
-                );
-                let ani = _mm256_mul_pd(kuv, dot);
-                hx = _mm256_add_pd(hx, _mm256_mul_pd(axx, ani));
-                hy = _mm256_add_pd(hy, _mm256_mul_pd(axy, ani));
-                hz = _mm256_add_pd(hz, _mm256_mul_pd(axz, ani));
-            }
-            if let Some(msv) = film_v {
-                hz = _mm256_sub_pd(hz, _mm256_mul_pd(msv, miz));
-            }
-            if let Some((zx, zy, zz)) = zee_v {
-                hx = _mm256_add_pd(hx, zx);
-                hy = _mm256_add_pd(hy, zy);
-                hz = _mm256_add_pd(hz, zz);
-            }
-            let mxhx = _mm256_sub_pd(_mm256_mul_pd(miy, hz), _mm256_mul_pd(miz, hy));
-            let mxhy = _mm256_sub_pd(_mm256_mul_pd(miz, hx), _mm256_mul_pd(mix, hz));
-            let mxhz = _mm256_sub_pd(_mm256_mul_pd(mix, hy), _mm256_mul_pd(miy, hx));
-            let mxmxhx = _mm256_sub_pd(_mm256_mul_pd(miy, mxhz), _mm256_mul_pd(miz, mxhy));
-            let mxmxhy = _mm256_sub_pd(_mm256_mul_pd(miz, mxhx), _mm256_mul_pd(mix, mxhz));
-            let mxmxhz = _mm256_sub_pd(_mm256_mul_pd(mix, mxhy), _mm256_mul_pd(miy, mxhx));
-            _mm256_storeu_pd(
-                outx.add(fi),
-                _mm256_mul_pd(_mm256_add_pd(mxhx, _mm256_mul_pd(mxmxhx, av)), pv),
-            );
-            _mm256_storeu_pd(
-                outy.add(fi),
-                _mm256_mul_pd(_mm256_add_pd(mxhy, _mm256_mul_pd(mxmxhy, av)), pv),
-            );
-            _mm256_storeu_pd(
-                outz.add(fi),
-                _mm256_mul_pd(_mm256_add_pd(mxhz, _mm256_mul_pd(mxmxhz, av)), pv),
-            );
-            s += 4;
+}
+
+impl InteriorArm {
+    /// The scalar body at interleaved lane `fi`: `h` starts from the
+    /// pre-pass field (or zero), then exchange, anisotropy, thin film and
+    /// Zeeman in the generic arm's order and its `Vec3` arithmetic
+    /// unfolded per component, then the torque.
+    ///
+    /// # Safety
+    ///
+    /// `fi` must be an interior lane (`fi ± K`, `fi ± nx·K` in bounds and
+    /// magnetic) owned by the calling block.
+    #[inline(always)]
+    unsafe fn lane(&self, fi: usize, alpha: f64, prefactor: f64) {
+        let (kk, nxk, cx, cy) = (self.kk, self.nxk, self.coeff_x, self.coeff_y);
+        let [mxp, myp, mzp] = self.m;
+        let (outx, outy, outz) = self.out.planes();
+        let mix = *mxp.add(fi);
+        let miy = *myp.add(fi);
+        let miz = *mzp.add(fi);
+        let mut accx = 0.0;
+        let mut accy = 0.0;
+        let mut accz = 0.0;
+        accx += (*mxp.add(fi - kk) - mix) * cx;
+        accy += (*myp.add(fi - kk) - miy) * cx;
+        accz += (*mzp.add(fi - kk) - miz) * cx;
+        accx += (*mxp.add(fi + kk) - mix) * cx;
+        accy += (*myp.add(fi + kk) - miy) * cx;
+        accz += (*mzp.add(fi + kk) - miz) * cx;
+        accx += (*mxp.add(fi - nxk) - mix) * cy;
+        accy += (*myp.add(fi - nxk) - miy) * cy;
+        accz += (*mzp.add(fi - nxk) - miz) * cy;
+        accx += (*mxp.add(fi + nxk) - mix) * cy;
+        accy += (*myp.add(fi + nxk) - miy) * cy;
+        accz += (*mzp.add(fi + nxk) - miz) * cy;
+        let (mut hx, mut hy, mut hz) = match self.base {
+            Some([bx, by, bz]) => (*bx.add(fi), *by.add(fi), *bz.add(fi)),
+            None => (0.0, 0.0, 0.0),
+        };
+        hx += accx;
+        hy += accy;
+        hz += accz;
+        if let Some((ku, axis)) = self.uni {
+            let ani = ku * (mix * axis.x + miy * axis.y + miz * axis.z);
+            hx += axis.x * ani;
+            hy += axis.y * ani;
+            hz += axis.z * ani;
         }
-        // Remainder lanes: the scalar stretch body verbatim.
-        for s in s..kk {
-            let fi = f0 + s;
-            let mix = *mxp.add(fi);
-            let miy = *myp.add(fi);
-            let miz = *mzp.add(fi);
-            let mut accx = 0.0;
-            let mut accy = 0.0;
-            let mut accz = 0.0;
-            accx += (*mxp.add(fi - kk) - mix) * coeff_x;
-            accy += (*myp.add(fi - kk) - miy) * coeff_x;
-            accz += (*mzp.add(fi - kk) - miz) * coeff_x;
-            accx += (*mxp.add(fi + kk) - mix) * coeff_x;
-            accy += (*myp.add(fi + kk) - miy) * coeff_x;
-            accz += (*mzp.add(fi + kk) - miz) * coeff_x;
-            accx += (*mxp.add(fi - nxk) - mix) * coeff_y;
-            accy += (*myp.add(fi - nxk) - miy) * coeff_y;
-            accz += (*mzp.add(fi - nxk) - miz) * coeff_y;
-            accx += (*mxp.add(fi + nxk) - mix) * coeff_y;
-            accy += (*myp.add(fi + nxk) - miy) * coeff_y;
-            accz += (*mzp.add(fi + nxk) - miz) * coeff_y;
-            let mut hx = 0.0;
-            let mut hy = 0.0;
-            let mut hz = 0.0;
-            hx += accx;
-            hy += accy;
-            hz += accz;
-            if let Some((ku, axis)) = uni {
-                let ani = ku * (mix * axis.x + miy * axis.y + miz * axis.z);
-                hx += axis.x * ani;
-                hy += axis.y * ani;
-                hz += axis.z * ani;
+        if let Some(ms) = self.film {
+            hz -= ms * miz;
+        }
+        if let Some(z) = self.zee {
+            hx += z.x;
+            hy += z.y;
+            hz += z.z;
+        }
+        let mxhx = miy * hz - miz * hy;
+        let mxhy = miz * hx - mix * hz;
+        let mxhz = mix * hy - miy * hx;
+        let mxmxhx = miy * mxhz - miz * mxhy;
+        let mxmxhy = miz * mxhx - mix * mxhz;
+        let mxmxhz = mix * mxhy - miy * mxhx;
+        *outx.add(fi) = (mxhx + mxmxhx * alpha) * prefactor;
+        *outy.add(fi) = (mxhy + mxmxhy * alpha) * prefactor;
+        *outz.add(fi) = (mxhz + mxmxhz * alpha) * prefactor;
+    }
+
+    /// [`InteriorArm::lane`] on the four consecutive lanes `fi..fi + 4`
+    /// with AVX2 intrinsics — the auto-vectorizer leaves the scalar body
+    /// 1-wide, so the 4-wide form is written out. Every intrinsic is a
+    /// lanewise correctly-rounded IEEE operation applied in the scalar
+    /// body's exact expression order (no FMA contraction), so each lane
+    /// is bitwise the scalar body's result.
+    ///
+    /// # Safety
+    ///
+    /// As for [`InteriorArm::lane`], for all four lanes; the host must
+    /// support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn lanes4(
+        &self,
+        fi: usize,
+        av: std::arch::x86_64::__m256d,
+        pv: std::arch::x86_64::__m256d,
+    ) {
+        use std::arch::x86_64::*;
+        let (kk, nxk) = (self.kk, self.nxk);
+        let [mxp, myp, mzp] = self.m;
+        let (outx, outy, outz) = self.out.planes();
+        let cx = _mm256_set1_pd(self.coeff_x);
+        let cy = _mm256_set1_pd(self.coeff_y);
+        let zero = _mm256_setzero_pd();
+        let mix = _mm256_loadu_pd(mxp.add(fi));
+        let miy = _mm256_loadu_pd(myp.add(fi));
+        let miz = _mm256_loadu_pd(mzp.add(fi));
+        let accx = exchange4(mxp, fi, kk, nxk, mix, cx, cy, zero);
+        let accy = exchange4(myp, fi, kk, nxk, miy, cx, cy, zero);
+        let accz = exchange4(mzp, fi, kk, nxk, miz, cx, cy, zero);
+        // h = base + acc (or 0 + acc), as the scalar body's `h += acc`.
+        let (bx, by, bz) = match self.base {
+            Some([bx, by, bz]) => (
+                _mm256_loadu_pd(bx.add(fi)),
+                _mm256_loadu_pd(by.add(fi)),
+                _mm256_loadu_pd(bz.add(fi)),
+            ),
+            None => (zero, zero, zero),
+        };
+        let mut hx = _mm256_add_pd(bx, accx);
+        let mut hy = _mm256_add_pd(by, accy);
+        let mut hz = _mm256_add_pd(bz, accz);
+        // Absent terms are skipped, not added as zero: −0.0 + +0.0 = +0.0
+        // would silently flip signed zeros against the generic ops loop.
+        // ani = ku·((m·ax + m·ay) + m·az), the scalar dot's order.
+        if let Some((ku, axis)) = self.uni {
+            let (axx, axy, axz) = (
+                _mm256_set1_pd(axis.x),
+                _mm256_set1_pd(axis.y),
+                _mm256_set1_pd(axis.z),
+            );
+            let dot = _mm256_add_pd(
+                _mm256_add_pd(_mm256_mul_pd(mix, axx), _mm256_mul_pd(miy, axy)),
+                _mm256_mul_pd(miz, axz),
+            );
+            let ani = _mm256_mul_pd(_mm256_set1_pd(ku), dot);
+            hx = _mm256_add_pd(hx, _mm256_mul_pd(axx, ani));
+            hy = _mm256_add_pd(hy, _mm256_mul_pd(axy, ani));
+            hz = _mm256_add_pd(hz, _mm256_mul_pd(axz, ani));
+        }
+        if let Some(ms) = self.film {
+            hz = _mm256_sub_pd(hz, _mm256_mul_pd(_mm256_set1_pd(ms), miz));
+        }
+        if let Some(z) = self.zee {
+            hx = _mm256_add_pd(hx, _mm256_set1_pd(z.x));
+            hy = _mm256_add_pd(hy, _mm256_set1_pd(z.y));
+            hz = _mm256_add_pd(hz, _mm256_set1_pd(z.z));
+        }
+        let mxhx = _mm256_sub_pd(_mm256_mul_pd(miy, hz), _mm256_mul_pd(miz, hy));
+        let mxhy = _mm256_sub_pd(_mm256_mul_pd(miz, hx), _mm256_mul_pd(mix, hz));
+        let mxhz = _mm256_sub_pd(_mm256_mul_pd(mix, hy), _mm256_mul_pd(miy, hx));
+        let mxmxhx = _mm256_sub_pd(_mm256_mul_pd(miy, mxhz), _mm256_mul_pd(miz, mxhy));
+        let mxmxhy = _mm256_sub_pd(_mm256_mul_pd(miz, mxhx), _mm256_mul_pd(mix, mxhz));
+        let mxmxhz = _mm256_sub_pd(_mm256_mul_pd(mix, mxhy), _mm256_mul_pd(miy, mxhx));
+        _mm256_storeu_pd(
+            outx.add(fi),
+            _mm256_mul_pd(_mm256_add_pd(mxhx, _mm256_mul_pd(mxmxhx, av)), pv),
+        );
+        _mm256_storeu_pd(
+            outy.add(fi),
+            _mm256_mul_pd(_mm256_add_pd(mxhy, _mm256_mul_pd(mxmxhy, av)), pv),
+        );
+        _mm256_storeu_pd(
+            outz.add(fi),
+            _mm256_mul_pd(_mm256_add_pd(mxhz, _mm256_mul_pd(mxmxhz, av)), pv),
+        );
+    }
+
+    /// The branch-free stretch of cells `i_lo..i_hi`, four lanes at a
+    /// time: at K = 1 four consecutive cells, each with its own damping;
+    /// at K ≥ 2 four members of one cell, lanes beyond the last multiple
+    /// of four running the scalar body.
+    ///
+    /// # Safety
+    ///
+    /// Every lane of the cells must be interior and owned by the calling
+    /// block; `ap`/`pp` hold one damping and prefactor per cell; the host
+    /// must support AVX2 (checked at runtime by the dispatching caller).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn stretch_avx2(&self, i_lo: usize, i_hi: usize, ap: *const f64, pp: *const f64) {
+        use std::arch::x86_64::*;
+        let kk = self.kk;
+        if kk == 1 {
+            let mut i = i_lo;
+            while i + 4 <= i_hi {
+                self.lanes4(i, _mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(pp.add(i)));
+                i += 4;
             }
-            if let Some(ms) = film {
-                hz -= ms * miz;
+            for i in i..i_hi {
+                self.lane(i, *ap.add(i), *pp.add(i));
             }
-            if let Some(z) = zee {
-                hx += z.x;
-                hy += z.y;
-                hz += z.z;
+            return;
+        }
+        for i in i_lo..i_hi {
+            let (alpha, prefactor) = (*ap.add(i), *pp.add(i));
+            let (av, pv) = (_mm256_set1_pd(alpha), _mm256_set1_pd(prefactor));
+            let f0 = i * kk;
+            let mut s = 0;
+            while s + 4 <= kk {
+                self.lanes4(f0 + s, av, pv);
+                s += 4;
             }
-            let mxhx = miy * hz - miz * hy;
-            let mxhy = miz * hx - mix * hz;
-            let mxhz = mix * hy - miy * hx;
-            let mxmxhx = miy * mxhz - miz * mxhy;
-            let mxmxhy = miz * mxhx - mix * mxhz;
-            let mxmxhz = mix * mxhy - miy * mxhx;
-            *outx.add(fi) = (mxhx + mxmxhx * alpha) * prefactor;
-            *outy.add(fi) = (mxhy + mxmxhy * alpha) * prefactor;
-            *outz.add(fi) = (mxhz + mxmxhz * alpha) * prefactor;
+            for s in s..kk {
+                self.lane(f0 + s, alpha, prefactor);
+            }
         }
     }
 }
@@ -783,7 +833,7 @@ impl LlgSystem {
     /// about 7% slower per RK4 step on a 256 × 128 film (2-CPU x86-64
     /// host).
     #[inline(never)]
-    fn sweep_block_one(&self, b: usize, sw: &Sweep) {
+    fn sweep_block_one(&self, b: usize, sw: &Sweep, avx2: bool) {
         let block = self.kernel.blocks[b];
         let Some(std) = self.kernel.std_ops else {
             self.sweep_scalar(block.list.0, block.list.1, sw);
@@ -791,7 +841,7 @@ impl LlgSystem {
         };
         for seg in &self.kernel.segs[block.segs.0..block.segs.1] {
             if seg.interior {
-                self.sweep_interior(*seg, std, sw);
+                self.sweep_interior(*seg, std, sw, avx2);
             } else {
                 self.sweep_scalar(seg.ci0 as usize, seg.ci1 as usize, sw);
             }
@@ -847,13 +897,25 @@ impl LlgSystem {
     /// The branchless K = 1 interior sweep: every cell of the run has all
     /// four neighbours at `i±1`/`i±nx` and consecutive flat indices, so
     /// the stencil needs no table, no presence checks and no bounds
-    /// checks — the loop body is straight-line code over the component
-    /// planes, which is what lets LLVM vectorize it. Each cell evaluates
-    /// the exact same expression tree as [`LlgSystem::fused_field`] +
-    /// [`LlgSystem::torque`] (same terms, same order), so the result is
-    /// bitwise identical to the scalar path.
+    /// checks. Each cell evaluates the exact same expression tree as
+    /// [`LlgSystem::fused_field`] + [`LlgSystem::torque`] (same terms,
+    /// same order), so the result is bitwise identical to the scalar
+    /// path.
+    ///
+    /// The fast arm needs only the exchange term and no thermal field:
+    /// anisotropy, thin film and Zeeman are applied when present, the
+    /// pre-pass field (the Newell demag) is read, and the run is split
+    /// at antenna coverage — covered cells take [`LlgSystem::fused_field`],
+    /// the rest run [`InteriorArm`], four cells per AVX2 vector when
+    /// `avx2` is set.
     #[inline(always)]
-    fn sweep_interior(&self, seg: Segment, std: StdOps, sw: &Sweep) {
+    fn sweep_interior(
+        &self,
+        seg: Segment,
+        std: StdOps,
+        sw: &Sweep,
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))] avx2: bool,
+    ) {
         let (mx, my, mz, out) = (sw.mx, sw.my, sw.mz, sw.out);
         let (base, ant_fields, thermal) = sw.member0();
         let i0 = self.kernel.cells[seg.ci0 as usize] as usize;
@@ -862,41 +924,53 @@ impl LlgSystem {
         let (mxp, myp, mzp) = (mx.as_ptr(), my.as_ptr(), mz.as_ptr());
         let ap = self.alpha.as_ptr();
         let pp = self.prefactor.as_ptr();
-        // The branch-free arm: every standard term present and no
-        // per-cell extras. Pulling the term parameters out of their
-        // `Option`s ahead of the loop leaves a straight-line body that
-        // LLVM can unswitch and vectorize; the generic arm below keeps
-        // loop-invariant conditionals per cell, which blocks that.
-        if ant_fields.is_empty() && thermal.is_empty() && base.is_none() {
-            if let (Some((coeff_x, coeff_y)), Some((ku, axis)), Some(ms), Some(zee)) =
-                (std.ex, std.uni, std.film, std.zee)
-            {
-                for off in 0..len {
-                    let i = i0 + off;
-                    // Safety: as below — interior-run indices are
-                    // validated at build time.
-                    let at = |j: usize| unsafe { Vec3::new(*mxp.add(j), *myp.add(j), *mzp.add(j)) };
-                    let mi = at(i);
-                    let mut h = Vec3::ZERO;
-                    let mut acc = Vec3::ZERO;
-                    acc += (at(i - 1) - mi) * coeff_x;
-                    acc += (at(i + 1) - mi) * coeff_x;
-                    acc += (at(i - nx) - mi) * coeff_y;
-                    acc += (at(i + nx) - mi) * coeff_y;
-                    h += acc;
-                    h += axis * (ku * mi.dot(axis));
-                    h.z -= ms * mi.z;
-                    h += zee;
-                    let (alpha, prefactor) = unsafe { (*ap.add(i), *pp.add(i)) };
-                    let mxh = mi.cross(h);
-                    let mxmxh = mi.cross(mxh);
-                    let k = (mxh + mxmxh * alpha) * prefactor;
+        if let (true, Some((coeff_x, coeff_y))) = (thermal.is_empty(), std.ex) {
+            let arm = InteriorArm {
+                kk: 1,
+                nxk: nx,
+                m: [mxp, myp, mzp],
+                base: base.map(|b| [b.xs().as_ptr(), b.ys().as_ptr(), b.zs().as_ptr()]),
+                coeff_x,
+                coeff_y,
+                uni: std.uni,
+                film: std.film,
+                zee: std.zee,
+                out,
+            };
+            let covered = |o: usize| {
+                let ci = seg.ci0 as usize + o;
+                !ant_fields.is_empty() && self.kernel.ant_off[ci + 1] > self.kernel.ant_off[ci]
+            };
+            let mut off = 0;
+            while off < len {
+                if covered(off) {
+                    let (ci, i) = (seg.ci0 as usize + off, i0 + off);
+                    let mi = Vec3::new(mx[i], my[i], mz[i]);
+                    let h = self.fused_field(ci, i, mi, mx, my, mz, base, ant_fields, thermal);
                     // Safety: disjoint index ownership as in the scalar
                     // sweep.
-                    unsafe { out.write(i, k) };
+                    unsafe { out.write(i, self.torque(i, mi, h)) };
+                    off += 1;
+                    continue;
                 }
-                return;
+                let start = off;
+                while off < len && !covered(off) {
+                    off += 1;
+                }
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    // Safety: AVX2 support was checked by the caller; the
+                    // stretch holds validated interior cells of this
+                    // block.
+                    unsafe { arm.stretch_avx2(i0 + start, i0 + off, ap, pp) };
+                    continue;
+                }
+                for i in i0 + start..i0 + off {
+                    // Safety: as above.
+                    unsafe { arm.lane(i, *ap.add(i), *pp.add(i)) };
+                }
             }
+            return;
         }
         for off in 0..len {
             let i = i0 + off;
@@ -1096,9 +1170,11 @@ impl LlgSystem {
         // wider lanes change throughput, never rounding.
         #[cfg(target_arch = "x86_64")]
         let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let use_avx2 = false;
         let sweep = |b: usize| {
             if kk == 1 {
-                this.sweep_block_one(b, &sw);
+                this.sweep_block_one(b, &sw, use_avx2);
                 return;
             }
             #[cfg(target_arch = "x86_64")]
@@ -1369,25 +1445,19 @@ impl LlgSystem {
                             // Safety: AVX2 support was checked by the
                             // caller; the stretch holds validated
                             // interior lanes.
-                            unsafe {
-                                interior_stretch_avx2(
-                                    i0 + start,
-                                    i0 + off,
-                                    kk,
-                                    nxk,
-                                    mxp,
-                                    myp,
-                                    mzp,
-                                    ap,
-                                    pp,
-                                    coeff_x,
-                                    coeff_y,
-                                    uni,
-                                    film,
-                                    zee,
-                                    out,
-                                )
+                            let arm = InteriorArm {
+                                kk,
+                                nxk,
+                                m: [mxp, myp, mzp],
+                                base: None,
+                                coeff_x,
+                                coeff_y,
+                                uni,
+                                film,
+                                zee,
+                                out,
                             };
+                            unsafe { arm.stretch_avx2(i0 + start, i0 + off, ap, pp) };
                             continue;
                         }
                         // The lane loop is split into a compute phase
@@ -1973,6 +2043,139 @@ mod tests {
                     "cell {i} diverges from reference at {threads} threads"
                 );
             }
+        }
+    }
+
+    /// The K = 1 stage torque of `sys` at `m` against the term-by-term
+    /// reference (`effective_field`, then the LLG formula), bit for bit.
+    fn assert_rhs_matches_reference(sys: &mut LlgSystem, m: &[Vec3], t: f64, what: &str) {
+        let n = m.len();
+        let mut h = vec![Vec3::ZERO; n];
+        sys.effective_field(m, t, &mut h);
+        let dmdt = rhs(sys, &Field3::from_vec3s(m), t, &no_thermal());
+        for i in 0..n {
+            if !sys.mask[i] {
+                assert_eq!(dmdt.get(i), Vec3::ZERO, "{what}: vacuum cell {i}");
+                continue;
+            }
+            let alpha = sys.alpha[i];
+            let prefactor = -sys.gamma * MU0 / (1.0 + alpha * alpha);
+            let mxh = m[i].cross(h[i]);
+            let expected = (mxh + m[i].cross(mxh) * alpha) * prefactor;
+            let got = dmdt.get(i);
+            assert_eq!(
+                [got.x, got.y, got.z].map(f64::to_bits),
+                [expected.x, expected.y, expected.z].map(f64::to_bits),
+                "{what}: cell {i} diverges from the reference"
+            );
+        }
+    }
+
+    #[test]
+    fn k1_interior_arm_matches_reference_without_the_full_term_set() {
+        // The K = 1 fast arm needs only exchange: each setup drops or
+        // adds what used to send every cell to the generic arm, and the
+        // torque must still be the term-by-term reference bit for bit,
+        // serial and threaded.
+        let material = Material::fecob();
+        let tilted = |mesh: &Mesh| -> Vec<Vec3> {
+            (0..mesh.cell_count())
+                .map(|i| {
+                    if !mesh.mask()[i] {
+                        return Vec3::ZERO;
+                    }
+                    let v = Vec3::new(
+                        0.3 * (0.7 * i as f64).sin(),
+                        0.2 * (0.4 * i as f64).cos(),
+                        1.0,
+                    );
+                    v.normalized()
+                })
+                .collect()
+        };
+        let build = |mesh: &Mesh,
+                     terms: Vec<Box<dyn FieldTerm>>,
+                     antennas: Vec<Antenna>,
+                     threads: usize| {
+            let n = mesh.cell_count();
+            SystemSpec {
+                terms,
+                antennas,
+                alpha: (0..n).map(|i| 0.004 + 1e-5 * i as f64).collect(),
+                gamma: material.gamma(),
+                mask: mesh.mask().to_vec(),
+                nx: mesh.nx(),
+                threads,
+            }
+            .build()
+        };
+        let film = Mesh::new(32, 16, [5e-9, 5e-9, 1e-9]).unwrap();
+        let mut holes = film.clone();
+        holes.set_magnetic(9, 5, false);
+        holes.set_magnetic(20, 11, false);
+        holes.set_magnetic(0, 8, false);
+        let antenna = |mesh: &Mesh| {
+            Antenna::over_rect(
+                mesh,
+                40e-9,
+                0.0,
+                55e-9,
+                80e-9,
+                Vec3::X,
+                Drive::logic_cw(3e3, 10e9, 0.1),
+            )
+        };
+        for threads in [1, 3] {
+            // No Zeeman term (the gates apply no static field).
+            let mut sys = build(
+                &film,
+                vec![
+                    Box::new(Exchange::new(&film, &material)),
+                    Box::new(UniaxialAnisotropy::new(&film, &material)),
+                    Box::new(ThinFilmDemag::new(&film, &material)),
+                ],
+                Vec::new(),
+                threads,
+            );
+            assert_rhs_matches_reference(&mut sys, &tilted(&film), 0.0, "no Zeeman");
+            // No thin film; a Newell pre-pass field instead (listed first,
+            // so the reference adds it first too).
+            let mut sys = build(
+                &film,
+                vec![
+                    Box::new(crate::field::demag::NewellDemag::new(&film, &material)),
+                    Box::new(Exchange::new(&film, &material)),
+                    Box::new(UniaxialAnisotropy::new(&film, &material)),
+                    Box::new(Zeeman::uniform(Vec3::new(0.0, 1e3, 5e4))),
+                ],
+                Vec::new(),
+                threads,
+            );
+            assert_rhs_matches_reference(&mut sys, &tilted(&film), 0.0, "base field");
+            // Antenna-covered cells inside interior runs.
+            let mut sys = build(
+                &film,
+                vec![
+                    Box::new(Exchange::new(&film, &material)),
+                    Box::new(ThinFilmDemag::new(&film, &material)),
+                ],
+                vec![antenna(&film)],
+                threads,
+            );
+            assert!(sys.antennas[0].cells().len() >= 3 * 16);
+            assert_rhs_matches_reference(&mut sys, &tilted(&film), 13e-12, "antenna");
+            // A masked mesh: vacuum holes split the interior runs.
+            let mut sys = build(
+                &holes,
+                vec![
+                    Box::new(Exchange::new(&holes, &material)),
+                    Box::new(UniaxialAnisotropy::new(&holes, &material)),
+                    Box::new(ThinFilmDemag::new(&holes, &material)),
+                ],
+                vec![antenna(&holes)],
+                threads,
+            );
+            assert_rhs_matches_reference(&mut sys, &tilted(&holes), 7e-12, "masked mesh");
         }
     }
 
