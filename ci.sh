@@ -54,6 +54,7 @@ echo "==> rhs bench smoke (asserts bitwise identity across threads and rel err <
 ./target/release/parbench --rhs --grids 32 --steps 10 --threads 1,2,4 \
     --out target/BENCH_rhs_smoke.json
 test -s target/BENCH_rhs_smoke.json
+grep -q '"cpus"' target/BENCH_rhs_smoke.json
 
 echo "==> batch bench smoke (asserts batch/independent bitwise parity and >=1.5x at K=8)"
 ./target/release/parbench --batch --ks 1,4,8 --steps 100 \

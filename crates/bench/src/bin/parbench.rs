@@ -6,8 +6,9 @@
 //! * Default: `parbench [--size N] [--steps N] [--threads LIST]` runs the
 //!   same deterministic LLG workload (an N×N film with exchange,
 //!   anisotropy, local demag and an antenna) at each thread count and
-//!   reports wall time, speedup over the serial run, and whether the
-//!   final magnetization is bitwise identical to the serial trajectory.
+//!   reports wall time, speedup over the serial run (omitted for thread
+//!   counts above the machine's CPUs), and whether the final
+//!   magnetization is bitwise identical to the serial trajectory.
 //!   Defaults: a 256×256 mesh, 50 steps, thread counts `1,2,4`.
 //!
 //! * `parbench --demag [--grids LIST] [--threads LIST] [--evals N]
@@ -50,7 +51,9 @@
 //!   (full film, exchange + anisotropy + thin-film demag + Zeeman bias,
 //!   no antenna) and the report records ns/cell per RHS evaluation, the
 //!   error of the new path's final state against the legacy trajectory,
-//!   and bitwise identity across thread counts. Defaults: grids
+//!   and bitwise identity across thread counts; it records the machine's
+//!   hardware thread count (`cpus`), and rows with more threads than that
+//!   carry no `speedup_vs_legacy`. Defaults: grids
 //!   `64,128,256`, threads `1,2,4`, auto step count, output
 //!   `BENCH_rhs.json`. The scaling runs disable the small-grid serial
 //!   clamp so they measure the genuine parallel sweeps; a separate guard
@@ -837,7 +840,7 @@ fn build_rhs_sim(size: usize, threads: usize) -> Simulation {
 }
 
 /// Benchmarks the RHS at one grid size; returns its JSON report fragment.
-fn rhs_grid_report(size: usize, threads: &[usize], steps: usize) -> Json {
+fn rhs_grid_report(size: usize, threads: &[usize], steps: usize, cpus: usize) -> Json {
     let cell = 5e-9;
     let mesh = Mesh::new(size, size, [cell, cell, 1e-9]).unwrap();
     let material = Material::fecob();
@@ -899,16 +902,21 @@ fn rhs_grid_report(size: usize, threads: &[usize], steps: usize) -> Json {
             bitwise,
             "{size}x{size} RHS diverged from the serial trajectory at {t} threads"
         );
+        // No speedup is reported for more threads than the machine has.
+        let speedup = (t <= cpus).then(|| legacy_ns / ns);
         println!(
-            "  {size:3}x{size:<3} threads {t:2}: {ns:8.2} ns/cell/eval  speedup vs legacy {:5.2}x",
-            legacy_ns / ns
+            "  {size:3}x{size:<3} threads {t:2}: {ns:8.2} ns/cell/eval  speedup vs legacy {}",
+            speedup.map_or("n/a (threads > cpus)".into(), |s| format!("{s:5.2}x"))
         );
-        rows.push(Json::obj([
-            ("threads", Json::Num(t as f64)),
-            ("ns_per_cell_eval", Json::Num(ns)),
-            ("speedup_vs_legacy", Json::Num(legacy_ns / ns)),
-            ("bitwise_identical_to_serial", Json::Bool(bitwise)),
-        ]));
+        rows.push(Json::obj(
+            [
+                ("threads", Json::Num(t as f64)),
+                ("ns_per_cell_eval", Json::Num(ns)),
+                ("bitwise_identical_to_serial", Json::Bool(bitwise)),
+            ]
+            .into_iter()
+            .chain(speedup.map(|s| ("speedup_vs_legacy", Json::Num(s)))),
+        ));
     }
     println!(
         "  {size:3}x{size:<3} legacy    : {legacy_ns:8.2} ns/cell/eval  max rel err {max_rel_err:.3e}"
@@ -981,7 +989,11 @@ fn rhs_grid_report(size: usize, threads: &[usize], steps: usize) -> Json {
 }
 
 fn rhs_main(grids: Vec<usize>, threads: Vec<usize>, steps: usize, out: String) {
-    println!("RHS benchmark: fused single-sweep SoA path vs pre-refactor shape");
+    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
+    println!(
+        "RHS benchmark: fused single-sweep SoA path vs pre-refactor shape \
+         ({cpus} hardware thread(s))"
+    );
     let mut reports = Vec::new();
     for &size in &grids {
         // Fewer steps on big grids keep the wall time bounded while the
@@ -991,15 +1003,19 @@ fn rhs_main(grids: Vec<usize>, threads: Vec<usize>, steps: usize, out: String) {
         } else {
             ((1 << 21) / (size * size)).clamp(10, 200)
         };
-        reports.push(rhs_grid_report(size, &threads, steps));
+        reports.push(rhs_grid_report(size, &threads, steps, cpus));
     }
-    write_bench_json(
-        &out,
-        "llg_rhs_eval",
-        "ns_per_cell_eval",
-        "pre-refactor serial AoS RHS with separate stage passes",
-        reports,
-    );
+    let report = Json::obj([
+        ("benchmark", Json::str("llg_rhs_eval")),
+        ("unit", Json::str("ns_per_cell_eval")),
+        (
+            "reference",
+            Json::str("pre-refactor serial AoS RHS with separate stage passes"),
+        ),
+        ("cpus", Json::Num(cpus as f64)),
+        ("grids", Json::Arr(reports)),
+    ]);
+    write_report(&out, &report);
 }
 
 /// The batched-advance workload: the paper's triangle gate shape (apex
@@ -2095,8 +2111,10 @@ fn main() {
         .map(|v| v.parse().expect("--steps needs an integer"))
         .unwrap_or(50);
 
+    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
     println!(
-        "mesh {size}x{size}, {steps} RK4 steps (exchange + anisotropy + local demag + antenna)"
+        "mesh {size}x{size}, {steps} RK4 steps (exchange + anisotropy + local demag + antenna), \
+         {cpus} hardware thread(s)"
     );
     // Warm-up run so page faults and lazy allocation don't skew t(1).
     run(size, steps.min(5), 1);
@@ -2105,9 +2123,14 @@ fn main() {
     for &n in threads.iter().filter(|&&n| n != 1) {
         let (t, m) = run(size, steps, n);
         let identical = m == m_serial;
+        // No speedup is reported for more threads than the machine has.
+        let speedup = if n <= cpus {
+            format!("{:.2}x", t_serial / t)
+        } else {
+            "n/a (threads > cpus)".into()
+        };
         println!(
-            "threads {n:2}: {t:8.3} s  speedup {:.2}x  bitwise-identical: {}",
-            t_serial / t,
+            "threads {n:2}: {t:8.3} s  speedup {speedup}  bitwise-identical: {}",
             if identical { "yes" } else { "NO" },
         );
         assert!(
