@@ -15,6 +15,9 @@ cargo fmt --check
 echo "==> cargo clippy --workspace (warnings are errors)"
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
+echo "==> criterion benches compile (opt-in feature, warnings are errors)"
+cargo clippy --offline -p bench --benches --features criterion -- -D warnings
+
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline
 
@@ -38,19 +41,14 @@ cargo test --offline -q -p swphys --features proptest
 echo "==> perfbench tests (its own workspace; a magnum API break fails here)"
 cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
 
-echo "==> demag bench smoke (one small grid, JSON emitter)"
-./target/release/parbench --demag --grids 32 --evals 2 --threads 1,2 \
-    --out target/BENCH_demag_smoke.json
-test -s target/BENCH_demag_smoke.json
-
 echo "==> bigfft bench smoke (composite-padded grid, bitwise identity asserted in JSON)"
-./target/release/parbench --bigfft --grids 24x20 --evals 2 --threads 1,2 \
+./target/release/parbench --bigfft --grids 24x20,32x32 --evals 2 --threads 1,2 \
     --out target/BENCH_fft_smoke.json
 grep -q '"bitwise_identical_to_serial":true' target/BENCH_fft_smoke.json
 grep -q '"thread_scaling"' target/BENCH_fft_smoke.json
 grep -q '"cpus"' target/BENCH_fft_smoke.json
 
-echo "==> rhs bench smoke (asserts bitwise identity across threads and rel err <= 1e-12)"
+echo "==> rhs bench smoke (asserts bitwise identity across threads and the clamp guard)"
 ./target/release/parbench --rhs --grids 32 --steps 10 --threads 1,2,4 \
     --out target/BENCH_rhs_smoke.json
 test -s target/BENCH_rhs_smoke.json

@@ -10,9 +10,11 @@ use magnum::field::demag::{DemagMethod, NewellDemag, ThinFilmDemag};
 use magnum::field::exchange::Exchange;
 use magnum::field::thermal::ThermalField;
 use magnum::field::FieldTerm;
+use magnum::field3::Field3;
 use magnum::material::Material;
 use magnum::math::{Complex64, Vec3};
 use magnum::mesh::Mesh;
+use magnum::par::WorkerTeam;
 use magnum::sim::Simulation;
 use magnum::solver::IntegratorKind;
 
@@ -36,14 +38,15 @@ fn tilted_state(n: usize) -> Vec<Vec3> {
 fn bench_field_terms(c: &mut Criterion) {
     let mesh = mesh(128, 32);
     let mat = Material::fecob();
-    let m = tilted_state(mesh.cell_count());
-    let mut h = vec![Vec3::ZERO; mesh.cell_count()];
+    let m = Field3::from_vec3s(&tilted_state(mesh.cell_count()));
+    let mut h = Field3::zeros(mesh.cell_count());
+    let team = WorkerTeam::new(1);
 
     let exchange = Exchange::new(&mesh, &mat);
     c.bench_function("field/exchange 128x32", |b| {
         b.iter(|| {
             h.fill(Vec3::ZERO);
-            exchange.accumulate(black_box(&m), 0.0, &mut h);
+            exchange.accumulate_par(black_box(&m), 0.0, &mut h, &team, None);
         })
     });
 
@@ -51,7 +54,7 @@ fn bench_field_terms(c: &mut Criterion) {
     c.bench_function("field/anisotropy 128x32", |b| {
         b.iter(|| {
             h.fill(Vec3::ZERO);
-            anis.accumulate(black_box(&m), 0.0, &mut h);
+            anis.accumulate_par(black_box(&m), 0.0, &mut h, &team, None);
         })
     });
 
@@ -59,18 +62,25 @@ fn bench_field_terms(c: &mut Criterion) {
     c.bench_function("field/demag_local 128x32", |b| {
         b.iter(|| {
             h.fill(Vec3::ZERO);
-            local.accumulate(black_box(&m), 0.0, &mut h);
+            local.accumulate_par(black_box(&m), 0.0, &mut h, &team, None);
         })
     });
 
     let small = Mesh::new(32, 32, [5e-9, 5e-9, 1e-9]).expect("valid mesh");
-    let m_small = tilted_state(small.cell_count());
-    let mut h_small = vec![Vec3::ZERO; small.cell_count()];
+    let m_small = Field3::from_vec3s(&tilted_state(small.cell_count()));
+    let mut h_small = Field3::zeros(small.cell_count());
     let newell = NewellDemag::new(&small, &mat);
+    let mut scratch = newell.make_scratch();
     c.bench_function("field/demag_newell_fft 32x32", |b| {
         b.iter(|| {
             h_small.fill(Vec3::ZERO);
-            newell.accumulate(black_box(&m_small), 0.0, &mut h_small);
+            newell.accumulate_par(
+                black_box(&m_small),
+                0.0,
+                &mut h_small,
+                &team,
+                scratch.as_deref_mut(),
+            );
         })
     });
 }

@@ -7,6 +7,7 @@
 //! driving with phase 0 (logic 0) or π (logic 1), exactly as in the
 //! paper's §III-A step (i).
 
+use crate::field3::Field3;
 use crate::math::Vec3;
 use crate::mesh::Mesh;
 
@@ -182,15 +183,15 @@ impl Antenna {
         &self.drive
     }
 
-    /// Adds the antenna field at time `t` into the field buffer.
-    pub fn accumulate(&self, t: f64, h: &mut [Vec3]) {
+    /// Adds the antenna field at time `t` into the field planes.
+    pub fn accumulate(&self, t: f64, h: &mut Field3) {
         let v = self.drive.value(t);
         if v == 0.0 {
             return;
         }
         let field = self.direction * v;
         for &c in &self.cells {
-            h[c] += field;
+            h.add(c, field);
         }
     }
 }
@@ -284,12 +285,12 @@ mod tests {
                 ramp: 0.0,
             },
         );
-        let mut h = vec![Vec3::ZERO; 8];
+        let mut h = Field3::zeros(8);
         ant.accumulate(0.0, &mut h); // sin(φ=π/2) = 1 at t=0
-        assert!((h[2].x - 1.0).abs() < 1e-12);
-        assert!((h[3].x - 1.0).abs() < 1e-12);
-        assert_eq!(h[0], Vec3::ZERO);
-        assert_eq!(h[4], Vec3::ZERO);
+        assert!((h.get(2).x - 1.0).abs() < 1e-12);
+        assert!((h.get(3).x - 1.0).abs() < 1e-12);
+        assert_eq!(h.get(0), Vec3::ZERO);
+        assert_eq!(h.get(4), Vec3::ZERO);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!
 //! [`good_size`] picks the padded length for convolutions: the cheapest
 //! 5-smooth length ≥ `n` under a per-stage cost model (DESIGN.md §4.4),
-//! instead of `next_power_of_two`. At the awkward sizes large demag
+//! instead of the next power of two. At the awkward sizes large demag
 //! grids produce (2n−1 for n = 320, 960, 1500, …) this cuts the padded
 //! area — and with it every transform and spectral multiply — by up to
 //! ~2.5× in 2-D.
@@ -1214,10 +1214,10 @@ fn plan_cost(m: usize) -> f64 {
 }
 
 /// Cheapest 5-smooth transform length ≥ `n` (and ≥ 1) under the stage
-/// cost model — the mixed-radix replacement for [`next_power_of_two`]
-/// when padding convolutions.
+/// cost model — the mixed-radix replacement for power-of-two padding of
+/// convolutions.
 ///
-/// Candidates are every `2^a·3^b·5^c` in `[n, 2·next_power_of_two(n)]`;
+/// Candidates are every `2^a·3^b·5^c` in `[n, 2·n.next_power_of_two()]`;
 /// ties go to the smaller length (less memory, cheaper spectral
 /// multiplies). The result can be odd (e.g. 75 = 3·5²) — the demag
 /// pipeline and [`fft_real_pair`] handle odd lengths; [`fft_real`]
@@ -1362,13 +1362,6 @@ pub fn fft_real_pair(a: &[f64], b: &[f64]) -> (Vec<Complex64>, Vec<Complex64>) {
         fb[k] = Complex64::new(0.5 * (z1.im + z2.im), 0.5 * (z2.re - z1.re));
     }
     (fa, fb)
-}
-
-/// Smallest power of two ≥ `n` (and ≥ 1). The radix-2-only padding rule;
-/// kept for baselines and callers that genuinely need a power of two —
-/// convolution padding should prefer [`good_size`].
-pub fn next_power_of_two(n: usize) -> usize {
-    n.max(1).next_power_of_two()
 }
 
 /// Bluestein scratch of one lane worker: the lane being transformed,
@@ -2393,15 +2386,6 @@ mod tests {
     fn rejects_zero_length() {
         let mut data: Vec<Complex64> = Vec::new();
         fft_in_place(&mut data, Direction::Forward);
-    }
-
-    #[test]
-    fn next_power_of_two_values() {
-        assert_eq!(next_power_of_two(0), 1);
-        assert_eq!(next_power_of_two(1), 1);
-        assert_eq!(next_power_of_two(5), 8);
-        assert_eq!(next_power_of_two(64), 64);
-        assert_eq!(next_power_of_two(65), 128);
     }
 
     #[test]

@@ -5,10 +5,14 @@
 //! thin-film demag) holds the magnetization out-of-plane, enabling
 //! forward-volume spin waves.
 
+use std::any::Any;
+
 use super::{FieldTerm, FusedTerm};
+use crate::field3::Field3;
 use crate::material::Material;
 use crate::math::Vec3;
 use crate::mesh::Mesh;
+use crate::par::WorkerTeam;
 use crate::MU0;
 
 /// Uniaxial anisotropy field term.
@@ -47,13 +51,20 @@ impl FieldTerm for UniaxialAnisotropy {
         "uniaxial_anisotropy"
     }
 
-    fn accumulate(&self, m: &[Vec3], _t: f64, h: &mut [Vec3]) {
+    fn accumulate_par(
+        &self,
+        m: &Field3,
+        _t: f64,
+        h: &mut Field3,
+        _team: &WorkerTeam,
+        _scratch: Option<&mut (dyn Any + Send + Sync)>,
+    ) {
         if self.coeff == 0.0 {
             return;
         }
-        for (i, (mi, hi)) in m.iter().zip(h.iter_mut()).enumerate() {
-            if self.mask[i] {
-                *hi += self.axis * (self.coeff * mi.dot(self.axis));
+        for (i, &magnetic) in self.mask.iter().enumerate() {
+            if magnetic {
+                h.add(i, self.axis * (self.coeff * m.get(i).dot(self.axis)));
             }
         }
     }
@@ -69,6 +80,7 @@ impl FieldTerm for UniaxialAnisotropy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::{accumulate_aos, energy_aos};
 
     fn term() -> (UniaxialAnisotropy, Material, Mesh) {
         let mesh = Mesh::new(4, 2, [5e-9, 5e-9, 1e-9]).unwrap();
@@ -81,7 +93,7 @@ mod tests {
         let (a, _, mesh) = term();
         let m = vec![Vec3::new(0.6, 0.0, 0.8); mesh.cell_count()];
         let mut h = vec![Vec3::ZERO; mesh.cell_count()];
-        a.accumulate(&m, 0.0, &mut h);
+        accumulate_aos(&a, &m, 0.0, &mut h);
         for hi in &h {
             assert!(hi.x.abs() < 1e-12 && hi.y.abs() < 1e-12);
             assert!((hi.z - a.coefficient() * 0.8).abs() < 1e-3);
@@ -93,7 +105,7 @@ mod tests {
         let (a, _, mesh) = term();
         let m = vec![Vec3::X; mesh.cell_count()];
         let mut h = vec![Vec3::ZERO; mesh.cell_count()];
-        a.accumulate(&m, 0.0, &mut h);
+        accumulate_aos(&a, &m, 0.0, &mut h);
         for hi in &h {
             assert!(hi.norm() < 1e-12);
         }
@@ -115,8 +127,8 @@ mod tests {
         let v = mesh.cell_volume();
         let along = vec![Vec3::Z; mesh.cell_count()];
         let hard = vec![Vec3::X; mesh.cell_count()];
-        let e_along = a.energy(&along, 0.0, ms, v);
-        let e_hard = a.energy(&hard, 0.0, ms, v);
+        let e_along = energy_aos(&a, &along, 0.0, ms, v);
+        let e_hard = energy_aos(&a, &hard, 0.0, ms, v);
         assert!(e_along < e_hard, "easy axis must be the energy minimum");
         assert!(
             e_hard.abs() < 1e-30,
@@ -131,8 +143,8 @@ mod tests {
         let v = mesh.cell_volume();
         let up = vec![Vec3::Z; mesh.cell_count()];
         let down = vec![-Vec3::Z; mesh.cell_count()];
-        let e_up = a.energy(&up, 0.0, ms, v);
-        let e_down = a.energy(&down, 0.0, ms, v);
+        let e_up = energy_aos(&a, &up, 0.0, ms, v);
+        let e_down = energy_aos(&a, &down, 0.0, ms, v);
         assert!((e_up - e_down).abs() < 1e-30);
     }
 
@@ -143,7 +155,7 @@ mod tests {
         let a = UniaxialAnisotropy::new(&mesh, &Material::fecob());
         let m = vec![Vec3::Z; 2];
         let mut h = vec![Vec3::ZERO; 2];
-        a.accumulate(&m, 0.0, &mut h);
+        accumulate_aos(&a, &m, 0.0, &mut h);
         assert!(h[0].norm() > 0.0);
         assert_eq!(h[1], Vec3::ZERO);
     }

@@ -5,10 +5,14 @@
 //! conditions: a missing neighbour simply contributes nothing, which is
 //! equivalent to reflecting `m` across the boundary.
 
+use std::any::Any;
+
 use super::{FieldTerm, FusedTerm};
+use crate::field3::Field3;
 use crate::material::Material;
 use crate::math::Vec3;
 use crate::mesh::Mesh;
+use crate::par::WorkerTeam;
 use crate::MU0;
 
 /// Exchange field term (see module docs).
@@ -61,7 +65,14 @@ impl FieldTerm for Exchange {
         "exchange"
     }
 
-    fn accumulate(&self, m: &[Vec3], _t: f64, h: &mut [Vec3]) {
+    fn accumulate_par(
+        &self,
+        m: &Field3,
+        _t: f64,
+        h: &mut Field3,
+        _team: &WorkerTeam,
+        _scratch: Option<&mut (dyn Any + Send + Sync)>,
+    ) {
         debug_assert_eq!(m.len(), self.nx * self.ny);
         let nx = self.nx;
         let ny = self.ny;
@@ -71,23 +82,23 @@ impl FieldTerm for Exchange {
                 if !self.mask[i] {
                     continue;
                 }
-                let mi = m[i];
+                let mi = m.get(i);
                 let mut acc = Vec3::ZERO;
                 // Left / right neighbours.
                 if ix > 0 && self.mask[i - 1] {
-                    acc += (m[i - 1] - mi) * self.coeff_x;
+                    acc += (m.get(i - 1) - mi) * self.coeff_x;
                 }
                 if ix + 1 < nx && self.mask[i + 1] {
-                    acc += (m[i + 1] - mi) * self.coeff_x;
+                    acc += (m.get(i + 1) - mi) * self.coeff_x;
                 }
                 // Down / up neighbours.
                 if iy > 0 && self.mask[i - nx] {
-                    acc += (m[i - nx] - mi) * self.coeff_y;
+                    acc += (m.get(i - nx) - mi) * self.coeff_y;
                 }
                 if iy + 1 < ny && self.mask[i + nx] {
-                    acc += (m[i + nx] - mi) * self.coeff_y;
+                    acc += (m.get(i + nx) - mi) * self.coeff_y;
                 }
-                h[i] += acc;
+                h.add(i, acc);
             }
         }
     }
@@ -103,6 +114,7 @@ impl FieldTerm for Exchange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::{accumulate_aos, energy_aos};
 
     fn setup(nx: usize, ny: usize) -> (Mesh, Material) {
         let mesh = Mesh::new(nx, ny, [5e-9, 5e-9, 1e-9]).unwrap();
@@ -116,7 +128,7 @@ mod tests {
         let ex = Exchange::new(&mesh, &mat);
         let m = vec![Vec3::Z; mesh.cell_count()];
         let mut h = vec![Vec3::ZERO; mesh.cell_count()];
-        ex.accumulate(&m, 0.0, &mut h);
+        accumulate_aos(&ex, &m, 0.0, &mut h);
         for hi in &h {
             assert!(hi.norm() < 1e-12);
         }
@@ -130,7 +142,7 @@ mod tests {
         // Tilt one interior cell towards +x.
         m[4] = Vec3::new(0.5f64.sqrt(), 0.0, 0.5f64.sqrt());
         let mut h = vec![Vec3::ZERO; mesh.cell_count()];
-        ex.accumulate(&m, 0.0, &mut h);
+        accumulate_aos(&ex, &m, 0.0, &mut h);
         // The tilted cell's neighbours pull it back to +z: field on cell 4
         // has negative x-component... actually neighbours are +z, so
         // (m_j - m_i) points from the tilted direction towards +z.
@@ -151,7 +163,7 @@ mod tests {
         let mut m = vec![Vec3::Z; 3];
         m[0] = Vec3::X; // would normally torque cell 2 through cell 1
         let mut h = vec![Vec3::ZERO; 3];
-        ex.accumulate(&m, 0.0, &mut h);
+        accumulate_aos(&ex, &m, 0.0, &mut h);
         assert_eq!(h[1], Vec3::ZERO, "vacuum cell gets no field");
         assert_eq!(h[2], Vec3::ZERO, "coupling must not jump the gap");
     }
@@ -179,7 +191,7 @@ mod tests {
             })
             .collect();
         let mut h = vec![Vec3::ZERO; 16];
-        ex.accumulate(&m, 0.0, &mut h);
+        accumulate_aos(&ex, &m, 0.0, &mut h);
         // Interior cells: x-component nearly zero relative to coefficient.
         let scale = ex.coefficient_x() * 1e-4;
         for (i, hi) in h.iter().enumerate().take(14).skip(2) {
@@ -198,7 +210,8 @@ mod tests {
         let (mesh, mat) = setup(8, 8);
         let ex = Exchange::new(&mesh, &mat);
         let uniform = vec![Vec3::Z; mesh.cell_count()];
-        let e_uniform = ex.energy(
+        let e_uniform = energy_aos(
+            &ex,
             &uniform,
             0.0,
             mat.saturation_magnetization(),
@@ -209,7 +222,8 @@ mod tests {
         let checker: Vec<Vec3> = (0..mesh.cell_count())
             .map(|i| if i % 2 == 0 { Vec3::Z } else { -Vec3::Z })
             .collect();
-        let e_checker = ex.energy(
+        let e_checker = energy_aos(
+            &ex,
             &checker,
             0.0,
             mat.saturation_magnetization(),

@@ -18,14 +18,15 @@ use std::any::Any;
 use crate::field3::Field3;
 use crate::math::Vec3;
 use crate::par::WorkerTeam;
+#[cfg(test)]
 use crate::MU0;
 
 /// A field term compiled down to a branch-light per-cell operation, so the
 /// parallel engine can evaluate the whole effective field in one fused
 /// pass over the magnetic cells instead of one full-mesh traversal per
-/// term. The per-cell arithmetic mirrors the term's `accumulate` exactly
-/// (same operations in the same order), keeping fused results bitwise
-/// identical to the term-by-term path.
+/// term. The per-cell arithmetic mirrors the term's `accumulate_par`
+/// exactly (same operations in the same order), keeping fused results
+/// bitwise identical to the term-by-term path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FusedTerm {
     /// Uniform field added to every cell (Zeeman).
@@ -53,19 +54,12 @@ pub enum FusedTerm {
 
 /// One contribution to the effective field.
 ///
-/// Implementations add their field (in A/m) into `h`, indexed identically
-/// to the magnetization buffer `m` (unit vectors, row-major mesh order).
+/// Implementations add their field (in A/m) into the planes of `h`,
+/// indexed identically to the magnetization planes `m` (unit vectors,
+/// row-major mesh order).
 pub trait FieldTerm: Send + Sync {
     /// Short name for diagnostics (e.g. `"exchange"`).
     fn name(&self) -> &'static str;
-
-    /// Adds this term's field at simulation time `t` (seconds) into `h`.
-    ///
-    /// This is the thread-safe reference path: it must work from any
-    /// thread without external state (terms with internal scratch guard
-    /// it themselves). Energy accounting, probes and `effective_field`
-    /// all go through here.
-    fn accumulate(&self, m: &[Vec3], t: f64, h: &mut [Vec3]);
 
     /// Allocates this term's per-system scratch state, if it needs any.
     ///
@@ -78,17 +72,14 @@ pub trait FieldTerm: Send + Sync {
         None
     }
 
-    /// Hot-path variant of [`FieldTerm::accumulate`]: reads the SoA
-    /// magnetization planes and adds into SoA field planes, and may use
-    /// the system's worker `team` and the term's own `scratch` (as
-    /// created by [`FieldTerm::make_scratch`]).
+    /// Adds this term's field at simulation time `t` (seconds) into `h`,
+    /// reading the magnetization planes `m`. May use the system's worker
+    /// `team` and the term's own `scratch` (as created by
+    /// [`FieldTerm::make_scratch`]); a term that needs scratch allocates
+    /// its own when `scratch` is `None`.
     ///
-    /// Must produce bitwise-identical fields to `accumulate` for any
-    /// team size — the per-cell arithmetic may not depend on the thread
-    /// partition, and the SoA↔AoS layout change is a pure permutation of
-    /// `f64` values. The default round-trips through `accumulate`; terms
-    /// on the hot path (the FFT demag) override it to stream the planes
-    /// directly.
+    /// The field must be bitwise identical for any team size: the
+    /// per-cell arithmetic may not depend on the thread partition.
     fn accumulate_par(
         &self,
         m: &Field3,
@@ -96,17 +87,11 @@ pub trait FieldTerm: Send + Sync {
         h: &mut Field3,
         team: &WorkerTeam,
         scratch: Option<&mut (dyn Any + Send + Sync)>,
-    ) {
-        let _ = (team, scratch);
-        let mv = m.to_vec();
-        let mut hv = h.to_vec();
-        self.accumulate(&mv, t, &mut hv);
-        h.copy_from_vec3s(&hv);
-    }
+    );
 
     /// The fused per-cell form of this term, if it has one. Terms that
     /// return `None` (non-local fields such as the FFT demag) are
-    /// evaluated by `accumulate` in a serial pre-pass; everything else is
+    /// evaluated by `accumulate_par` in a pre-pass; everything else is
     /// executed inside the fused parallel kernel.
     fn fused(&self) -> Option<FusedTerm> {
         None
@@ -114,24 +99,51 @@ pub trait FieldTerm: Send + Sync {
 
     /// Energy prefactor: 0.5 for self-consistent (quadratic-in-m) terms
     /// such as exchange, anisotropy and demag; 1.0 for external fields.
+    /// The energy is `E = -p·μ₀·Ms·V_cell·Σ m_i·H_i` (see
+    /// [`crate::llg::LlgSystem::energy`]).
     fn energy_prefactor(&self) -> f64 {
         0.5
     }
+}
 
-    /// Total energy of this term in joules:
-    /// `E = -p·μ₀·Ms·V_cell·Σ m_i·H_i` with `p` the prefactor.
-    fn energy(&self, m: &[Vec3], t: f64, ms: f64, cell_volume: f64) -> f64 {
-        let mut h = vec![Vec3::ZERO; m.len()];
-        self.accumulate(m, t, &mut h);
-        let dot: f64 = m.iter().zip(h.iter()).map(|(mi, hi)| mi.dot(*hi)).sum();
-        -self.energy_prefactor() * MU0 * ms * cell_volume * dot
-    }
+/// Test-only array-of-structs form of [`FieldTerm::accumulate_par`]: a
+/// serial evaluation with fresh scratch. The layout change is a pure
+/// permutation of `f64` values, so the field is bitwise the planar one.
+#[cfg(test)]
+pub(crate) fn accumulate_aos(term: &dyn FieldTerm, m: &[Vec3], t: f64, h: &mut [Vec3]) {
+    let mut hf = Field3::from_vec3s(h);
+    term.accumulate_par(
+        &Field3::from_vec3s(m),
+        t,
+        &mut hf,
+        &WorkerTeam::new(1),
+        None,
+    );
+    h.copy_from_slice(&hf.to_vec());
+}
+
+/// Test-only energy of one term in joules,
+/// `E = -p·μ₀·Ms·V_cell·Σ m_i·H_i` with `p` the term's prefactor, summed
+/// in cell order as [`crate::llg::LlgSystem::energy`] does.
+#[cfg(test)]
+pub(crate) fn energy_aos(
+    term: &dyn FieldTerm,
+    m: &[Vec3],
+    t: f64,
+    ms: f64,
+    cell_volume: f64,
+) -> f64 {
+    let mut h = vec![Vec3::ZERO; m.len()];
+    accumulate_aos(term, m, t, &mut h);
+    let dot: f64 = m.iter().zip(h.iter()).map(|(mi, hi)| mi.dot(*hi)).sum();
+    -term.energy_prefactor() * MU0 * ms * cell_volume * dot
 }
 
 #[cfg(test)]
 mod tests {
     use super::zeeman::Zeeman;
     use super::*;
+    use crate::MU0;
 
     #[test]
     fn energy_uses_prefactor_and_volume() {
@@ -139,7 +151,7 @@ mod tests {
         // along z: E = -μ₀·Ms·V·1.
         let z = Zeeman::uniform(Vec3::Z);
         let m = vec![Vec3::Z];
-        let e = z.energy(&m, 0.0, 1.0, 2.0);
+        let e = energy_aos(&z, &m, 0.0, 1.0, 2.0);
         assert!((e + MU0 * 2.0).abs() < 1e-20);
     }
 }

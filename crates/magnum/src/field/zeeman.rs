@@ -5,8 +5,12 @@
 //! separate lets the energy bookkeeping use the correct prefactor (1
 //! instead of ½).
 
+use std::any::Any;
+
 use super::{FieldTerm, FusedTerm};
+use crate::field3::Field3;
 use crate::math::Vec3;
+use crate::par::WorkerTeam;
 
 /// Uniform static external field (A/m).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,12 +35,19 @@ impl FieldTerm for Zeeman {
         "zeeman"
     }
 
-    fn accumulate(&self, _m: &[Vec3], _t: f64, h: &mut [Vec3]) {
+    fn accumulate_par(
+        &self,
+        _m: &Field3,
+        _t: f64,
+        h: &mut Field3,
+        _team: &WorkerTeam,
+        _scratch: Option<&mut (dyn Any + Send + Sync)>,
+    ) {
         if self.field == Vec3::ZERO {
             return;
         }
-        for hi in h.iter_mut() {
-            *hi += self.field;
+        for i in 0..h.len() {
+            h.add(i, self.field);
         }
     }
 
@@ -52,6 +63,7 @@ impl FieldTerm for Zeeman {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::{accumulate_aos, energy_aos};
     use crate::MU0;
 
     #[test]
@@ -59,7 +71,7 @@ mod tests {
         let z = Zeeman::uniform(Vec3::new(0.0, 0.0, 1e5));
         let m = vec![Vec3::Z; 5];
         let mut h = vec![Vec3::new(1.0, 0.0, 0.0); 5];
-        z.accumulate(&m, 0.0, &mut h);
+        accumulate_aos(&z, &m, 0.0, &mut h);
         for hi in &h {
             assert_eq!(*hi, Vec3::new(1.0, 0.0, 1e5));
         }
@@ -70,8 +82,8 @@ mod tests {
         let z1 = Zeeman::uniform(Vec3::Z * 1e5);
         let z2 = Zeeman::uniform(Vec3::Z * 2e5);
         let m = vec![Vec3::Z; 3];
-        let e1 = z1.energy(&m, 0.0, 1e6, 1e-27);
-        let e2 = z2.energy(&m, 0.0, 1e6, 1e-27);
+        let e1 = energy_aos(&z1, &m, 0.0, 1e6, 1e-27);
+        let e2 = energy_aos(&z2, &m, 0.0, 1e6, 1e-27);
         assert!((e2 - 2.0 * e1).abs() < 1e-30);
         // Aligned magnetization has negative Zeeman energy.
         assert!(e1 < 0.0);
@@ -83,6 +95,6 @@ mod tests {
     fn antiparallel_magnetization_has_positive_energy() {
         let z = Zeeman::uniform(Vec3::Z * 1e5);
         let m = vec![-Vec3::Z; 2];
-        assert!(z.energy(&m, 0.0, 1e6, 1e-27) > 0.0);
+        assert!(energy_aos(&z, &m, 0.0, 1e6, 1e-27) > 0.0);
     }
 }

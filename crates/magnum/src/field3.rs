@@ -147,16 +147,6 @@ impl Field3 {
         self.z.copy_from_slice(&other.z);
     }
 
-    /// Overwrites the planes from array-of-structs storage.
-    pub fn copy_from_vec3s(&mut self, v: &[Vec3]) {
-        assert_eq!(v.len(), self.len());
-        for (i, p) in v.iter().enumerate() {
-            self.x[i] = p.x;
-            self.y[i] = p.y;
-            self.z[i] = p.z;
-        }
-    }
-
     /// Converts to array-of-structs storage (bitwise lossless).
     pub fn to_vec(&self) -> Vec<Vec3> {
         (0..self.len()).map(|i| self.get(i)).collect()

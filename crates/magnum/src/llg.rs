@@ -25,10 +25,10 @@
 //! same worker team — the whole spectral pipeline (row-group FFTs and
 //! column strips with their spectral multiply) decomposes into
 //! block-ordered spans on that team — using per-term scratch owned by the
-//! system (no locks, no per-call allocation); the reference paths
-//! (`effective_field`, `max_torque`, energy accounting) use the terms'
-//! thread-safe `accumulate` fallback, which is bitwise identical by
-//! contract.
+//! system (no locks, no per-call allocation). The reference paths
+//! (`effective_field`, `max_torque`, energy accounting) call the same
+//! `accumulate_par`; where they hold no scratch the term allocates its
+//! own, and the field is bitwise the same by contract.
 //!
 //! ## Single-sweep stage fusion
 //!
@@ -44,13 +44,14 @@
 //!
 //! ## Kernel selection by K
 //!
-//! The stage function picks its per-block kernels from the batch width
-//! alone. At K = 1 it runs the single-system kernels
-//! (`sweep_interior` / `sweep_scalar`) on the
-//! plain planes; at K ≥ 2 it runs the lane kernels, whose member loop is
-//! innermost over consecutive interleaved lanes. Both evaluate the same
-//! expression sequence per (cell, member), so a member of a batch is
-//! bitwise identical to the same simulation stepped alone.
+//! Interior runs take one branch-free sweep at every batch width
+//! (`sweep_interior`, built on `InteriorArm` with K interleaved lanes
+//! per cell). The remaining cells take a scalar kernel picked from K
+//! alone: `sweep_scalar` on the plain planes at K = 1, the lane kernel
+//! `sweep_scalar_batch`, whose member loop is innermost over consecutive
+//! interleaved lanes, at K ≥ 2. All of them evaluate the same expression
+//! sequence per (cell, member), so a member of a batch is bitwise
+//! identical to the same simulation stepped alone.
 
 use crate::excitation::Antenna;
 use crate::field::{FieldTerm, FusedTerm};
@@ -101,11 +102,6 @@ struct Segment {
 /// branchless loop only pays off once it amortizes its setup.
 const MIN_RUN: usize = 8;
 
-/// Lane-chunk width for the batched interior sweep's split
-/// compute/store phases: big enough to cover every realistic batch in
-/// one chunk, small enough for comfortable stack buffers.
-const INTERIOR_LANES: usize = 16;
-
 /// One plane's exchange accumulation for four consecutive lanes:
 /// `(((0 + (m[fi-K]-m)·cx) + (m[fi+K]-m)·cx) + (m[fi-nxK]-m)·cy) +
 /// (m[fi+nxK]-m)·cy`, the exact summation order of the scalar arm.
@@ -140,9 +136,10 @@ unsafe fn exchange4(
 }
 
 /// The loop invariants of the branch-free interior body: the
-/// K-interleaved neighbour offsets, the stage-input, pre-pass and output
-/// planes, and the fast arm's term parameters (exchange required, the
-/// rest applied when present, in the generic ops loop's exact order).
+/// K-interleaved neighbour offsets, the stage-input, pre-pass, thermal
+/// and output planes, and the fast arm's term parameters (exchange
+/// required, the rest applied when present, in the generic ops loop's
+/// exact order).
 #[derive(Clone, Copy)]
 struct InteriorArm {
     /// Interleaved lanes per cell (the batch width K).
@@ -152,6 +149,8 @@ struct InteriorArm {
     m: [*const f64; 3],
     /// The pre-pass field planes, when a non-local term wrote one.
     base: Option<[*const f64; 3]>,
+    /// The thermal realization planes, when the stage has one.
+    thermal: Option<[*const f64; 3]>,
     coeff_x: f64,
     coeff_y: f64,
     uni: Option<(f64, Vec3)>,
@@ -162,9 +161,9 @@ struct InteriorArm {
 
 impl InteriorArm {
     /// The scalar body at interleaved lane `fi`: `h` starts from the
-    /// pre-pass field (or zero), then exchange, anisotropy, thin film and
-    /// Zeeman in the generic arm's order and its `Vec3` arithmetic
-    /// unfolded per component, then the torque.
+    /// pre-pass field (or zero), then exchange, anisotropy, thin film,
+    /// Zeeman and the thermal field in [`LlgSystem::fused_field`]'s order
+    /// and its `Vec3` arithmetic unfolded per component, then the torque.
     ///
     /// # Safety
     ///
@@ -213,6 +212,11 @@ impl InteriorArm {
             hx += z.x;
             hy += z.y;
             hz += z.z;
+        }
+        if let Some([tx, ty, tz]) = self.thermal {
+            hx += *tx.add(fi);
+            hy += *ty.add(fi);
+            hz += *tz.add(fi);
         }
         let mxhx = miy * hz - miz * hy;
         let mxhy = miz * hx - mix * hz;
@@ -296,6 +300,11 @@ impl InteriorArm {
             hy = _mm256_add_pd(hy, _mm256_set1_pd(z.y));
             hz = _mm256_add_pd(hz, _mm256_set1_pd(z.z));
         }
+        if let Some([tx, ty, tz]) = self.thermal {
+            hx = _mm256_add_pd(hx, _mm256_loadu_pd(tx.add(fi)));
+            hy = _mm256_add_pd(hy, _mm256_loadu_pd(ty.add(fi)));
+            hz = _mm256_add_pd(hz, _mm256_loadu_pd(tz.add(fi)));
+        }
         let mxhx = _mm256_sub_pd(_mm256_mul_pd(miy, hz), _mm256_mul_pd(miz, hy));
         let mxhy = _mm256_sub_pd(_mm256_mul_pd(miz, hx), _mm256_mul_pd(mix, hz));
         let mxhz = _mm256_sub_pd(_mm256_mul_pd(mix, hy), _mm256_mul_pd(miy, hx));
@@ -314,6 +323,23 @@ impl InteriorArm {
             outz.add(fi),
             _mm256_mul_pd(_mm256_add_pd(mxhz, _mm256_mul_pd(mxmxhz, av)), pv),
         );
+    }
+
+    /// The branch-free stretch of cells `i_lo..i_hi`, one lane at a time
+    /// — the portable form of [`InteriorArm::stretch_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// Every lane of the cells must be interior and owned by the calling
+    /// block; `ap`/`pp` hold one damping and prefactor per cell.
+    #[inline(always)]
+    unsafe fn stretch(&self, i_lo: usize, i_hi: usize, ap: *const f64, pp: *const f64) {
+        for i in i_lo..i_hi {
+            let (alpha, prefactor) = (*ap.add(i), *pp.add(i));
+            for fi in i * self.kk..(i + 1) * self.kk {
+                self.lane(fi, alpha, prefactor);
+            }
+        }
     }
 
     /// The branch-free stretch of cells `i_lo..i_hi`, four lanes at a
@@ -516,7 +542,7 @@ impl SystemSpec {
             .collect();
 
         // Fused ops in term order, dropping ops the term-by-term path
-        // would also skip (`accumulate` early returns).
+        // would also skip (`accumulate_par` early returns).
         let ops: Vec<FusedTerm> = terms
             .iter()
             .filter_map(|t| t.fused())
@@ -815,53 +841,57 @@ impl LlgSystem {
     /// This is the term-by-term reference path (used by probes and
     /// tests); the integrator hot loop uses the fused stage kernel
     /// instead.
-    pub fn effective_field(&self, m: &[Vec3], t: f64, h: &mut [Vec3]) {
+    pub fn effective_field(&self, m: &Field3, t: f64, h: &mut Field3) {
         h.fill(Vec3::ZERO);
         for term in &self.terms {
-            term.accumulate(m, t, h);
+            term.accumulate_par(m, t, h, &self.team, None);
         }
         for antenna in &self.antennas {
             antenna.accumulate(t, h);
         }
     }
 
-    /// One block's share of a K = 1 sweep: the segment walk dispatching
-    /// interior runs and scalar stretches to the single-system kernels.
+    /// One block's share of a stage sweep: the kernels picked on K and on
+    /// AVX2 support (see the module docs).
+    fn sweep_dispatch(&self, b: usize, sw: &Sweep, avx2: bool) {
+        if sw.kk == 1 {
+            self.sweep_block_one(b, sw, avx2);
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // Safety: AVX2 support was checked by the caller.
+            unsafe { self.sweep_block_avx2(b, sw) };
+            return;
+        }
+        self.sweep_block(b, sw, false);
+    }
+
+    /// [`LlgSystem::sweep_block`] at K = 1.
     ///
-    /// Kept out of line: inlined next to the lane kernels of
-    /// [`LlgSystem::sweep_block`], the single-system kernels measured
-    /// about 7% slower per RK4 step on a 256 × 128 film (2-CPU x86-64
-    /// host).
+    /// Kept out of line: inlined next to the lane kernels, the
+    /// single-system kernels measured about 7% slower per RK4 step on a
+    /// 256 × 128 film (2-CPU x86-64 host).
     #[inline(never)]
     fn sweep_block_one(&self, b: usize, sw: &Sweep, avx2: bool) {
+        self.sweep_block(b, sw, avx2);
+    }
+
+    /// One block's share of a sweep: the segment walk dispatching
+    /// interior runs to [`LlgSystem::sweep_interior`] and the rest to the
+    /// scalar kernels.
+    #[inline(always)]
+    fn sweep_block(&self, b: usize, sw: &Sweep, avx2: bool) {
         let block = self.kernel.blocks[b];
         let Some(std) = self.kernel.std_ops else {
-            self.sweep_scalar(block.list.0, block.list.1, sw);
+            self.sweep_range(block.list.0, block.list.1, sw);
             return;
         };
         for seg in &self.kernel.segs[block.segs.0..block.segs.1] {
             if seg.interior {
                 self.sweep_interior(*seg, std, sw, avx2);
             } else {
-                self.sweep_scalar(seg.ci0 as usize, seg.ci1 as usize, sw);
-            }
-        }
-    }
-
-    /// One block's share of a K ≥ 2 sweep: the segment walk dispatching
-    /// interior runs and scalar stretches to the lane kernels.
-    #[inline(always)]
-    fn sweep_block(&self, b: usize, sw: &Sweep, avx2: bool) {
-        let block = self.kernel.blocks[b];
-        let Some(std) = self.kernel.std_ops else {
-            self.sweep_scalar_batch(block.list.0, block.list.1, sw);
-            return;
-        };
-        for seg in &self.kernel.segs[block.segs.0..block.segs.1] {
-            if seg.interior {
-                self.sweep_interior_batch(*seg, std, sw, avx2);
-            } else {
-                self.sweep_scalar_batch(seg.ci0 as usize, seg.ci1 as usize, sw);
+                self.sweep_range(seg.ci0 as usize, seg.ci1 as usize, sw);
             }
         }
     }
@@ -875,6 +905,16 @@ impl LlgSystem {
     #[target_feature(enable = "avx2")]
     fn sweep_block_avx2(&self, b: usize, sw: &Sweep) {
         self.sweep_block(b, sw, true);
+    }
+
+    /// The scalar kernel for the stage's K over list range `ci0..ci1`.
+    #[inline(always)]
+    fn sweep_range(&self, ci0: usize, ci1: usize, sw: &Sweep) {
+        if sw.kk == 1 {
+            self.sweep_scalar(ci0, ci1, sw);
+        } else {
+            self.sweep_scalar_batch(ci0, ci1, sw);
+        }
     }
 
     /// The general K = 1 sweep body: handles boundary and vacuum-adjacent
@@ -894,20 +934,23 @@ impl LlgSystem {
         }
     }
 
-    /// The branchless K = 1 interior sweep: every cell of the run has all
-    /// four neighbours at `i±1`/`i±nx` and consecutive flat indices, so
-    /// the stencil needs no table, no presence checks and no bounds
-    /// checks. Each cell evaluates the exact same expression tree as
-    /// [`LlgSystem::fused_field`] + [`LlgSystem::torque`] (same terms,
-    /// same order), so the result is bitwise identical to the scalar
-    /// path.
+    /// The branch-free interior sweep, at every batch width K: every
+    /// cell of the run has all four neighbours and consecutive flat
+    /// indices, so the K-interleaved neighbour offsets are the constants
+    /// `±K` and `±nx·K` and the stencil needs no table, no presence
+    /// checks and no bounds checks. Each lane evaluates the exact
+    /// expression sequence of [`LlgSystem::fused_field`] +
+    /// [`LlgSystem::torque`] (same terms, same order), so the result is
+    /// bitwise that of the scalar kernels.
     ///
-    /// The fast arm needs only the exchange term and no thermal field:
-    /// anisotropy, thin film and Zeeman are applied when present, the
-    /// pre-pass field (the Newell demag) is read, and the run is split
-    /// at antenna coverage — covered cells take [`LlgSystem::fused_field`],
-    /// the rest run [`InteriorArm`], four cells per AVX2 vector when
-    /// `avx2` is set.
+    /// The fast arm, [`InteriorArm`], needs only the exchange term:
+    /// anisotropy, thin film and Zeeman are applied when present, and the
+    /// pre-pass field (the Newell demag) and the thermal realization are
+    /// read when the stage has them. The run is split at antenna coverage
+    /// (a CSR range check once per cell, not once per member): covered
+    /// cells — antennas touch a few columns — take the scalar kernel, as
+    /// does the whole run when the system has no exchange term. The rest
+    /// runs the arm, four lanes per AVX2 vector when `avx2` is set.
     #[inline(always)]
     fn sweep_interior(
         &self,
@@ -916,110 +959,54 @@ impl LlgSystem {
         sw: &Sweep,
         #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))] avx2: bool,
     ) {
-        let (mx, my, mz, out) = (sw.mx, sw.my, sw.mz, sw.out);
-        let (base, ant_fields, thermal) = sw.member0();
-        let i0 = self.kernel.cells[seg.ci0 as usize] as usize;
-        let len = (seg.ci1 - seg.ci0) as usize;
-        let nx = self.kernel.nx;
-        let (mxp, myp, mzp) = (mx.as_ptr(), my.as_ptr(), mz.as_ptr());
-        let ap = self.alpha.as_ptr();
-        let pp = self.prefactor.as_ptr();
-        if let (true, Some((coeff_x, coeff_y))) = (thermal.is_empty(), std.ex) {
-            let arm = InteriorArm {
-                kk: 1,
-                nxk: nx,
-                m: [mxp, myp, mzp],
-                base: base.map(|b| [b.xs().as_ptr(), b.ys().as_ptr(), b.zs().as_ptr()]),
-                coeff_x,
-                coeff_y,
-                uni: std.uni,
-                film: std.film,
-                zee: std.zee,
-                out,
-            };
-            let covered = |o: usize| {
-                let ci = seg.ci0 as usize + o;
-                !ant_fields.is_empty() && self.kernel.ant_off[ci + 1] > self.kernel.ant_off[ci]
-            };
-            let mut off = 0;
-            while off < len {
-                if covered(off) {
-                    let (ci, i) = (seg.ci0 as usize + off, i0 + off);
-                    let mi = Vec3::new(mx[i], my[i], mz[i]);
-                    let h = self.fused_field(ci, i, mi, mx, my, mz, base, ant_fields, thermal);
-                    // Safety: disjoint index ownership as in the scalar
-                    // sweep.
-                    unsafe { out.write(i, self.torque(i, mi, h)) };
-                    off += 1;
-                    continue;
-                }
-                let start = off;
-                while off < len && !covered(off) {
-                    off += 1;
-                }
-                #[cfg(target_arch = "x86_64")]
-                if avx2 {
-                    // Safety: AVX2 support was checked by the caller; the
-                    // stretch holds validated interior cells of this
-                    // block.
-                    unsafe { arm.stretch_avx2(i0 + start, i0 + off, ap, pp) };
-                    continue;
-                }
-                for i in i0 + start..i0 + off {
-                    // Safety: as above.
-                    unsafe { arm.lane(i, *ap.add(i), *pp.add(i)) };
-                }
-            }
+        let (ci0, ci1) = (seg.ci0 as usize, seg.ci1 as usize);
+        let Some((coeff_x, coeff_y)) = std.ex else {
+            self.sweep_range(ci0, ci1, sw);
             return;
-        }
-        for off in 0..len {
-            let i = i0 + off;
-            // Safety: interior runs are validated at build time — `i` and
-            // all four neighbour indices are in bounds for every plane,
-            // and `alpha`/`prefactor` have one entry per cell.
-            let at = |j: usize| unsafe { Vec3::new(*mxp.add(j), *myp.add(j), *mzp.add(j)) };
-            let mi = at(i);
-            let mut h = match base {
-                Some(b) => b.get(i),
-                None => Vec3::ZERO,
-            };
-            if let Some((coeff_x, coeff_y)) = std.ex {
-                let mut acc = Vec3::ZERO;
-                acc += (at(i - 1) - mi) * coeff_x;
-                acc += (at(i + 1) - mi) * coeff_x;
-                acc += (at(i - nx) - mi) * coeff_y;
-                acc += (at(i + nx) - mi) * coeff_y;
-                h += acc;
+        };
+        let planes = |f: &Field3| [f.xs().as_ptr(), f.ys().as_ptr(), f.zs().as_ptr()];
+        let arm = InteriorArm {
+            kk: sw.kk,
+            nxk: self.kernel.nx * sw.kk,
+            m: [sw.mx.as_ptr(), sw.my.as_ptr(), sw.mz.as_ptr()],
+            base: sw.base.map(|b| planes(b.data())),
+            thermal: (!sw.thermal.is_empty()).then(|| planes(sw.thermal.data())),
+            coeff_x,
+            coeff_y,
+            uni: std.uni,
+            film: std.film,
+            zee: std.zee,
+            out: sw.out,
+        };
+        // The run's cells are consecutive: list index `ci` is flat cell
+        // `ci + shift`.
+        let shift = self.kernel.cells[ci0] as usize - ci0;
+        let (ap, pp) = (self.alpha.as_ptr(), self.prefactor.as_ptr());
+        let has_ant = sw.ant_fields.iter().any(|f| !f.is_empty());
+        let covered = |ci: usize| has_ant && self.kernel.ant_off[ci + 1] > self.kernel.ant_off[ci];
+        let mut ci = ci0;
+        while ci < ci1 {
+            if covered(ci) {
+                self.sweep_range(ci, ci + 1, sw);
+                ci += 1;
+                continue;
             }
-            if let Some((coeff, axis)) = std.uni {
-                h += axis * (coeff * mi.dot(axis));
+            let start = ci;
+            while ci < ci1 && !covered(ci) {
+                ci += 1;
             }
-            if let Some(ms) = std.film {
-                h.z -= ms * mi.z;
+            let (i_lo, i_hi) = (start + shift, ci + shift);
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                // Safety: AVX2 support was checked by the caller; interior
+                // runs are validated at build time (every lane and its
+                // four neighbours in bounds and magnetic) and the list
+                // range belongs to this block.
+                unsafe { arm.stretch_avx2(i_lo, i_hi, ap, pp) };
+                continue;
             }
-            if let Some(f) = std.zee {
-                h += f;
-            }
-            if !ant_fields.is_empty() {
-                let ci = seg.ci0 as usize + off;
-                let a0 = self.kernel.ant_off[ci] as usize;
-                let a1 = self.kernel.ant_off[ci + 1] as usize;
-                for &ai in &self.kernel.ant_ids[a0..a1] {
-                    let f = ant_fields[ai as usize];
-                    if f != Vec3::ZERO {
-                        h += f;
-                    }
-                }
-            }
-            if !thermal.is_empty() {
-                h += thermal.get(i);
-            }
-            let (alpha, prefactor) = unsafe { (*ap.add(i), *pp.add(i)) };
-            let mxh = mi.cross(h);
-            let mxmxh = mi.cross(mxh);
-            let k = (mxh + mxmxh * alpha) * prefactor;
-            // Safety: disjoint index ownership as in the scalar sweep.
-            unsafe { out.write(i, k) };
+            // Safety: as above, without the AVX2 requirement.
+            unsafe { arm.stretch(i_lo, i_hi, ap, pp) };
         }
     }
 
@@ -1032,8 +1019,8 @@ impl LlgSystem {
     /// The unfused pre-pass: runs every non-fusable term of each member
     /// of `y` through `accumulate_par` with the *shared* worker team and
     /// per-term scratch, writing the K-interleaved result into `base` —
-    /// lock-free and allocation-free, bitwise identical to the reference
-    /// `accumulate` path for any team size. Returns whether anything was
+    /// lock-free and allocation-free, bitwise identical to a serial call
+    /// with fresh scratch for any team size. Returns whether anything was
     /// written.
     ///
     /// At K = 1 the batch planes *are* a plain [`Field3`], so `y` and
@@ -1172,21 +1159,8 @@ impl LlgSystem {
         let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
         let use_avx2 = false;
-        let sweep = |b: usize| {
-            if kk == 1 {
-                this.sweep_block_one(b, &sw, use_avx2);
-                return;
-            }
-            #[cfg(target_arch = "x86_64")]
-            if use_avx2 {
-                // Safety: AVX2 support was checked at runtime above.
-                unsafe { this.sweep_block_avx2(b, &sw) };
-                return;
-            }
-            this.sweep_block(b, &sw, false);
-        };
         this.team.run(&|b| {
-            sweep(b);
+            this.sweep_dispatch(b, &sw, use_avx2);
             // On a full film every block's list range is its flat range,
             // so the block fuses exactly the cells it just wrote — no
             // cross-block ordering is needed and the data is still
@@ -1377,326 +1351,23 @@ impl LlgSystem {
         }
     }
 
-    /// Batched interior sweep (see [`LlgSystem::sweep_interior`]): on an
-    /// interior run the K-interleaved neighbour offsets are the
-    /// constants `±K` and `±nx·K`, so the branch-free arm is a
-    /// straight-line body whose inner member loop runs over consecutive
-    /// lanes.
-    ///
-    /// Unlike the single-system sweep, antennas do not force the whole
-    /// mesh onto the generic arm: the run is split at antenna-coverage
-    /// boundaries (a per-cell CSR check, done once per cell rather than
-    /// once per cell per member), so the uncovered stretches — nearly
-    /// everything, since antennas touch a few columns — still take the
-    /// branch-free arm. Covered cells evaluate the identical expression
-    /// sequence plus their antenna drives, so parity with independent
-    /// runs is preserved cell for cell.
-    #[inline(always)]
-    fn sweep_interior_batch(
-        &self,
-        seg: Segment,
-        std: StdOps,
-        sw: &Sweep,
-        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))] avx2: bool,
-    ) {
-        let Sweep {
-            mx,
-            my,
-            mz,
-            base,
-            ant_fields,
-            thermal,
-            kk,
-            out,
-        } = *sw;
-        let i0 = self.kernel.cells[seg.ci0 as usize] as usize;
-        let len = (seg.ci1 - seg.ci0) as usize;
-        let nxk = self.kernel.nx * kk;
-        let (mxp, myp, mzp) = (mx.as_ptr(), my.as_ptr(), mz.as_ptr());
-        let ap = self.alpha.as_ptr();
-        let pp = self.prefactor.as_ptr();
-        let has_ant = ant_fields.iter().any(|f| !f.is_empty());
-        if thermal.is_empty() && base.is_none() {
-            // Only the exchange term is required for the fast arm: the
-            // remaining canonical terms are applied conditionally, in
-            // the generic ops loop's exact order, so systems without a
-            // uniform Zeeman field (the common case — the triangle
-            // gates apply no static field) still take this arm.
-            if let Some((coeff_x, coeff_y)) = std.ex {
-                let (uni, film, zee) = (std.uni, std.film, std.zee);
-                // True when the cell at run offset `o` lies under an
-                // antenna (a CSR range check, independent of the member).
-                let covered = |o: usize| {
-                    let ci = seg.ci0 as usize + o;
-                    has_ant && self.kernel.ant_off[ci + 1] > self.kernel.ant_off[ci]
-                };
-                let mut off = 0;
-                while off < len {
-                    if !covered(off) {
-                        // Branch-free stretch: every member of every cell
-                        // runs the straight-line body over consecutive
-                        // interleaved lanes.
-                        let start = off;
-                        while off < len && !covered(off) {
-                            off += 1;
-                        }
-                        #[cfg(target_arch = "x86_64")]
-                        if avx2 {
-                            // Safety: AVX2 support was checked by the
-                            // caller; the stretch holds validated
-                            // interior lanes.
-                            let arm = InteriorArm {
-                                kk,
-                                nxk,
-                                m: [mxp, myp, mzp],
-                                base: None,
-                                coeff_x,
-                                coeff_y,
-                                uni,
-                                film,
-                                zee,
-                                out,
-                            };
-                            unsafe { arm.stretch_avx2(i0 + start, i0 + off, ap, pp) };
-                            continue;
-                        }
-                        // The lane loop is split into a compute phase
-                        // writing stack buffers and a store phase
-                        // writing the output planes: with no output
-                        // stores inside it, the compute loop's memory
-                        // accesses are all stride-1 loads plus local
-                        // buffers, which the loop vectorizer can prove
-                        // independent. The arithmetic is the `Vec3` arm
-                        // unfolded component by component in the same
-                        // expression order, so each lane's value is
-                        // unchanged bit for bit.
-                        let (outx, outy, outz) = out.planes();
-                        // Zero-initialized once and reused: only lanes
-                        // `0..sl` are ever written then read, so the
-                        // stale tail is never observed.
-                        let mut ox = [0.0f64; INTERIOR_LANES];
-                        let mut oy = [0.0f64; INTERIOR_LANES];
-                        let mut oz = [0.0f64; INTERIOR_LANES];
-                        for i in i0 + start..i0 + off {
-                            // Safety: interior-run indices are validated
-                            // at build time; interleaved indices scale by
-                            // K everywhere.
-                            let (alpha, prefactor) = unsafe { (*ap.add(i), *pp.add(i)) };
-                            let f0 = i * kk;
-                            let mut s0 = 0;
-                            while s0 < kk {
-                                let sl = (kk - s0).min(INTERIOR_LANES);
-                                let c0 = f0 + s0;
-                                for t in 0..sl {
-                                    let fi = c0 + t;
-                                    // Safety: in-bounds interior lanes,
-                                    // loads only.
-                                    unsafe {
-                                        let mix = *mxp.add(fi);
-                                        let miy = *myp.add(fi);
-                                        let miz = *mzp.add(fi);
-                                        let mut accx = 0.0;
-                                        let mut accy = 0.0;
-                                        let mut accz = 0.0;
-                                        accx += (*mxp.add(fi - kk) - mix) * coeff_x;
-                                        accy += (*myp.add(fi - kk) - miy) * coeff_x;
-                                        accz += (*mzp.add(fi - kk) - miz) * coeff_x;
-                                        accx += (*mxp.add(fi + kk) - mix) * coeff_x;
-                                        accy += (*myp.add(fi + kk) - miy) * coeff_x;
-                                        accz += (*mzp.add(fi + kk) - miz) * coeff_x;
-                                        accx += (*mxp.add(fi - nxk) - mix) * coeff_y;
-                                        accy += (*myp.add(fi - nxk) - miy) * coeff_y;
-                                        accz += (*mzp.add(fi - nxk) - miz) * coeff_y;
-                                        accx += (*mxp.add(fi + nxk) - mix) * coeff_y;
-                                        accy += (*myp.add(fi + nxk) - miy) * coeff_y;
-                                        accz += (*mzp.add(fi + nxk) - miz) * coeff_y;
-                                        let mut hx = 0.0;
-                                        let mut hy = 0.0;
-                                        let mut hz = 0.0;
-                                        hx += accx;
-                                        hy += accy;
-                                        hz += accz;
-                                        if let Some((ku, axis)) = uni {
-                                            let ani =
-                                                ku * (mix * axis.x + miy * axis.y + miz * axis.z);
-                                            hx += axis.x * ani;
-                                            hy += axis.y * ani;
-                                            hz += axis.z * ani;
-                                        }
-                                        if let Some(ms) = film {
-                                            hz -= ms * miz;
-                                        }
-                                        if let Some(z) = zee {
-                                            hx += z.x;
-                                            hy += z.y;
-                                            hz += z.z;
-                                        }
-                                        let mxhx = miy * hz - miz * hy;
-                                        let mxhy = miz * hx - mix * hz;
-                                        let mxhz = mix * hy - miy * hx;
-                                        let mxmxhx = miy * mxhz - miz * mxhy;
-                                        let mxmxhy = miz * mxhx - mix * mxhz;
-                                        let mxmxhz = mix * mxhy - miy * mxhx;
-                                        ox[t] = (mxhx + mxmxhx * alpha) * prefactor;
-                                        oy[t] = (mxhy + mxmxhy * alpha) * prefactor;
-                                        oz[t] = (mxhz + mxmxhz * alpha) * prefactor;
-                                    }
-                                }
-                                // Safety: disjoint index ownership as in
-                                // the scalar sweep.
-                                for (t, &v) in ox.iter().enumerate().take(sl) {
-                                    unsafe { *outx.add(c0 + t) = v };
-                                }
-                                for (t, &v) in oy.iter().enumerate().take(sl) {
-                                    unsafe { *outy.add(c0 + t) = v };
-                                }
-                                for (t, &v) in oz.iter().enumerate().take(sl) {
-                                    unsafe { *outz.add(c0 + t) = v };
-                                }
-                                s0 += sl;
-                            }
-                        }
-                    } else {
-                        // An antenna-covered cell: the same expressions,
-                        // then each member's drives for this cell's CSR
-                        // ids — the exact sequence the generic arm (and
-                        // the single-system sweep) evaluates.
-                        let i = i0 + off;
-                        let ci = seg.ci0 as usize + off;
-                        let a0 = self.kernel.ant_off[ci] as usize;
-                        let a1 = self.kernel.ant_off[ci + 1] as usize;
-                        let ids = &self.kernel.ant_ids[a0..a1];
-                        // Safety: as above.
-                        let (alpha, prefactor) = unsafe { (*ap.add(i), *pp.add(i)) };
-                        let f0 = i * kk;
-                        // `ant_fields` may be empty (no member drives
-                        // antennas this step) while all kk members still
-                        // sweep, so indexing — not zipping — is correct.
-                        #[allow(clippy::needless_range_loop)]
-                        for s in 0..kk {
-                            let fi = f0 + s;
-                            let at = |j: usize| unsafe {
-                                Vec3::new(*mxp.add(j), *myp.add(j), *mzp.add(j))
-                            };
-                            let mi = at(fi);
-                            let mut h = Vec3::ZERO;
-                            let mut acc = Vec3::ZERO;
-                            acc += (at(fi - kk) - mi) * coeff_x;
-                            acc += (at(fi + kk) - mi) * coeff_x;
-                            acc += (at(fi - nxk) - mi) * coeff_y;
-                            acc += (at(fi + nxk) - mi) * coeff_y;
-                            h += acc;
-                            if let Some((ku, axis)) = uni {
-                                h += axis * (ku * mi.dot(axis));
-                            }
-                            if let Some(ms) = film {
-                                h.z -= ms * mi.z;
-                            }
-                            if let Some(z) = zee {
-                                h += z;
-                            }
-                            for &ai in ids {
-                                let f = ant_fields[s][ai as usize];
-                                if f != Vec3::ZERO {
-                                    h += f;
-                                }
-                            }
-                            let mxh = mi.cross(h);
-                            let mxmxh = mi.cross(mxh);
-                            // Safety: disjoint index ownership as in the
-                            // scalar sweep.
-                            unsafe { out.write(fi, (mxh + mxmxh * alpha) * prefactor) };
-                        }
-                        off += 1;
-                    }
-                }
-                return;
-            }
-        }
-        for off in 0..len {
-            let i = i0 + off;
-            let ci = seg.ci0 as usize + off;
-            // Safety: as in the single-system interior sweep.
-            let (alpha, prefactor) = unsafe { (*ap.add(i), *pp.add(i)) };
-            let (a0, a1) = if has_ant {
-                (
-                    self.kernel.ant_off[ci] as usize,
-                    self.kernel.ant_off[ci + 1] as usize,
-                )
-            } else {
-                (0, 0)
-            };
-            let f0 = i * kk;
-            // `ant_fields` may be empty (no antennas) while all kk
-            // members still sweep, so indexing — not zipping — is
-            // correct.
-            #[allow(clippy::needless_range_loop)]
-            for s in 0..kk {
-                let fi = f0 + s;
-                let at = |j: usize| unsafe { Vec3::new(*mxp.add(j), *myp.add(j), *mzp.add(j)) };
-                let mi = at(fi);
-                let mut h = match base {
-                    Some(b) => b.data().get(fi),
-                    None => Vec3::ZERO,
-                };
-                if let Some((coeff_x, coeff_y)) = std.ex {
-                    let mut acc = Vec3::ZERO;
-                    acc += (at(fi - kk) - mi) * coeff_x;
-                    acc += (at(fi + kk) - mi) * coeff_x;
-                    acc += (at(fi - nxk) - mi) * coeff_y;
-                    acc += (at(fi + nxk) - mi) * coeff_y;
-                    h += acc;
-                }
-                if let Some((coeff, axis)) = std.uni {
-                    h += axis * (coeff * mi.dot(axis));
-                }
-                if let Some(ms) = std.film {
-                    h.z -= ms * mi.z;
-                }
-                if let Some(f) = std.zee {
-                    h += f;
-                }
-                if has_ant {
-                    for &ai in &self.kernel.ant_ids[a0..a1] {
-                        let f = ant_fields[s][ai as usize];
-                        if f != Vec3::ZERO {
-                            h += f;
-                        }
-                    }
-                }
-                if !thermal.is_empty() {
-                    h += thermal.data().get(fi);
-                }
-                let mxh = mi.cross(h);
-                let mxmxh = mi.cross(mxh);
-                // Safety: disjoint index ownership as in the scalar sweep.
-                unsafe { out.write(fi, (mxh + mxmxh * alpha) * prefactor) };
-            }
-        }
-    }
-
     /// Maximum deterministic torque |dm/dt| over all cells, in 1/s (the
     /// field of [`LlgSystem::effective_field`], no thermal realization)
     /// — used as a convergence criterion by
     /// [`crate::sim::Simulation::relax`].
     ///
     /// Evaluated block-parallel with a per-block running maximum, so no
-    /// full-mesh buffers are allocated; only a non-fusable term forces
-    /// field buffers (it runs through the AoS reference path).
+    /// full-mesh buffers are allocated; only a non-fusable term forces a
+    /// field buffer (and, holding no system scratch here, its own
+    /// scratch).
     pub fn max_torque(&self, m: &Field3, t: f64) -> f64 {
-        let pre: Option<Field3> = if self.kernel.unfused.is_empty() {
-            None
-        } else {
-            // Non-fusable terms use the thread-safe AoS reference path;
-            // the layout round-trip is a pure permutation (bitwise
-            // lossless).
-            let mv = m.to_vec();
-            let mut hv = vec![Vec3::ZERO; self.len()];
+        let pre = (!self.kernel.unfused.is_empty()).then(|| {
+            let mut h = Field3::zeros(self.len());
             for &ti in &self.kernel.unfused {
-                self.terms[ti].accumulate(&mv, t, &mut hv);
+                self.terms[ti].accumulate_par(m, t, &mut h, &self.team, None);
             }
-            Some(Field3::from_vec3s(&hv))
-        };
+            h
+        });
         let base = pre.as_ref();
         let mut ant_fields = Vec::new();
         drive_fields(&self.antennas, t, &mut ant_fields);
@@ -1721,9 +1392,10 @@ impl LlgSystem {
     /// Each term's field is evaluated through `accumulate_par` with the
     /// worker team and the system-owned per-term scratch — the same
     /// lock-free path the integrator uses, so the demag term needs no
-    /// shared fallback buffer. The per-cell arithmetic (and the serial
-    /// dot-product reduction) matches the reference
-    /// [`FieldTerm::energy`] exactly, so the value is bitwise unchanged.
+    /// shared fallback buffer. Each term contributes
+    /// `E = -p·μ₀·Ms·V_cell·Σ m_i·H_i` with `p` its
+    /// [`FieldTerm::energy_prefactor`], the dot products summed serially
+    /// in cell order.
     pub fn energy(&mut self, m: &Field3, t: f64, ms: f64, cell_volume: f64) -> f64 {
         let n = m.len();
         let mut h = Field3::zeros(n);
@@ -1947,7 +1619,8 @@ mod tests {
                 Box::new(Exchange::new(&mesh, &material)),
                 Box::new(UniaxialAnisotropy::new(&mesh, &material)),
                 Box::new(ThinFilmDemag::new(&mesh, &material)),
-                Box::new(Zeeman::uniform(Vec3::new(1e3, 0.0, 2e3))),
+                // Non-dyadic, so a reordered addition shows in the low bits.
+                Box::new(Zeeman::uniform(Vec3::new(1e3 / 3.0, 0.0, 2e3 / 7.0))),
             ],
             antennas: vec![antenna],
             alpha: (0..n).map(|i| 0.004 + 1e-5 * i as f64).collect(),
@@ -1963,24 +1636,7 @@ mod tests {
     #[test]
     fn fused_rhs_matches_reference_effective_field() {
         let (mut sys, m) = masked_multiterm_system(1);
-        let t = 13e-12;
-        let n = m.len();
-        let ms = Field3::from_vec3s(&m);
-        let dmdt = rhs(&mut sys, &ms, t, &no_thermal());
-        // Reference: term-by-term field, then the LLG formula.
-        let mut h = vec![Vec3::ZERO; n];
-        sys.effective_field(&m, t, &mut h);
-        for i in 0..n {
-            if !sys.mask[i] {
-                assert_eq!(dmdt.get(i), Vec3::ZERO);
-                continue;
-            }
-            let alpha = sys.alpha[i];
-            let prefactor = -sys.gamma * MU0 / (1.0 + alpha * alpha);
-            let mxh = m[i].cross(h[i]);
-            let expected = (mxh + m[i].cross(mxh) * alpha) * prefactor;
-            assert_eq!(dmdt.get(i), expected, "cell {i} diverges from reference");
-        }
+        assert_rhs_matches_reference(&mut sys, &m, 13e-12, "masked multi-term system");
     }
 
     /// A full film with exactly the canonical term set and no antennas —
@@ -2022,27 +1678,9 @@ mod tests {
         // The full-film std-term fast arm must agree bitwise with the
         // term-by-term reference (which exercises none of the interior
         // specializations), for serial and threaded partitions alike.
-        let t = 0.0;
-        let (reference_sys, m) = full_film_std_system(1);
-        let n = m.len();
-        let mut h = vec![Vec3::ZERO; n];
-        reference_sys.effective_field(&m, t, &mut h);
         for threads in [1, 3, 4] {
-            let (mut sys, m2) = full_film_std_system(threads);
-            assert_eq!(m, m2);
-            let ms = Field3::from_vec3s(&m2);
-            let dmdt = rhs(&mut sys, &ms, t, &no_thermal());
-            for i in 0..n {
-                let alpha = sys.alpha[i];
-                let prefactor = -sys.gamma * MU0 / (1.0 + alpha * alpha);
-                let mxh = m[i].cross(h[i]);
-                let expected = (mxh + m[i].cross(mxh) * alpha) * prefactor;
-                assert_eq!(
-                    dmdt.get(i),
-                    expected,
-                    "cell {i} diverges from reference at {threads} threads"
-                );
-            }
+            let (mut sys, m) = full_film_std_system(threads);
+            assert_rhs_matches_reference(&mut sys, &m, 0.0, &format!("{threads} threads"));
         }
     }
 
@@ -2050,18 +1688,19 @@ mod tests {
     /// reference (`effective_field`, then the LLG formula), bit for bit.
     fn assert_rhs_matches_reference(sys: &mut LlgSystem, m: &[Vec3], t: f64, what: &str) {
         let n = m.len();
-        let mut h = vec![Vec3::ZERO; n];
-        sys.effective_field(m, t, &mut h);
-        let dmdt = rhs(sys, &Field3::from_vec3s(m), t, &no_thermal());
-        for i in 0..n {
+        let mf = Field3::from_vec3s(m);
+        let mut h = Field3::zeros(n);
+        sys.effective_field(&mf, t, &mut h);
+        let dmdt = rhs(sys, &mf, t, &no_thermal());
+        for (i, &mi) in m.iter().enumerate() {
             if !sys.mask[i] {
                 assert_eq!(dmdt.get(i), Vec3::ZERO, "{what}: vacuum cell {i}");
                 continue;
             }
             let alpha = sys.alpha[i];
             let prefactor = -sys.gamma * MU0 / (1.0 + alpha * alpha);
-            let mxh = m[i].cross(h[i]);
-            let expected = (mxh + m[i].cross(mxh) * alpha) * prefactor;
+            let mxh = mi.cross(h.get(i));
+            let expected = (mxh + mi.cross(mxh) * alpha) * prefactor;
             let got = dmdt.get(i);
             assert_eq!(
                 [got.x, got.y, got.z].map(f64::to_bits),
@@ -2261,6 +1900,123 @@ mod tests {
                 let mut got = Field3::zeros(n);
                 k_out.store_member(s, &mut got);
                 assert_eq!(&got, want, "member {s} diverged at {threads} threads");
+            }
+        }
+    }
+
+    /// The stage sweep alone (no fuse) through `sweep_dispatch`, with the
+    /// AVX2 kernels allowed or not.
+    fn sweep_stage(
+        sys: &LlgSystem,
+        y: &FieldBatch,
+        base: &FieldBatch,
+        ant_fields: &[Vec<Vec3>],
+        thermal: &FieldBatch,
+        avx2: bool,
+    ) -> FieldBatch {
+        let mut k = FieldBatch::zeros(y.cells(), y.k());
+        let sw = Sweep {
+            mx: y.data().xs(),
+            my: y.data().ys(),
+            mz: y.data().zs(),
+            base: Some(base),
+            ant_fields,
+            thermal,
+            kk: y.k(),
+            out: k.ptrs(),
+        };
+        sys.team.run(&|b| sys.sweep_dispatch(b, &sw, avx2));
+        k
+    }
+
+    #[test]
+    fn portable_interior_arm_matches_the_avx2_sweep() {
+        // On AVX2 hosts the stage takes the AVX2 kernels and the portable
+        // arm runs only remainder lanes. Here the same stage — a pre-pass
+        // base field, a thermal plane and an antenna over part of the
+        // interior runs — goes through both, and every output bit must
+        // agree; each member must also be its own K = 1 stage.
+        let (sys, m) = masked_multiterm_system(3);
+        let n = m.len();
+        let covers_interior = sys.kernel.segs.iter().any(|seg| {
+            seg.interior
+                && (seg.ci0 as usize..seg.ci1 as usize)
+                    .any(|ci| sys.kernel.ant_off[ci + 1] > sys.kernel.ant_off[ci])
+        });
+        assert!(covers_interior, "the antenna must cover interior-run cells");
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        let member = |s: usize| -> (Vec<Vec3>, Vec<Vec3>, Vec<Vec3>, Vec<Vec3>) {
+            let state = m
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    if v == Vec3::ZERO {
+                        v
+                    } else {
+                        Vec3::new(v.x - 0.03 * s as f64, v.y + 0.01 * (i % 7) as f64, v.z)
+                            .normalized()
+                    }
+                })
+                .collect();
+            // Irrational-looking values, so reordering any addition
+            // would show in the low bits.
+            let wave = |i: usize, f: f64| (f * (i + 7 * s) as f64).sin();
+            let base = (0..n)
+                .map(|i| Vec3::new(wave(i, 0.3), wave(i, 0.7), wave(i, 1.1)) * 3.1e4)
+                .collect();
+            let thermal = (0..n)
+                .map(|i| Vec3::new(wave(i, 1.3), wave(i, 0.2), wave(i, 0.9)) * 713.7)
+                .collect();
+            let mut drives = Vec::new();
+            drive_fields(&sys.antennas, 2e-12 + 1.5e-12 * s as f64, &mut drives);
+            (state, base, thermal, drives)
+        };
+        let bits = |f: &Field3| -> Vec<u64> {
+            f.xs()
+                .iter()
+                .chain(f.ys())
+                .chain(f.zs())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let stage = |members: &[usize], avx2: bool| -> FieldBatch {
+            let kk = members.len();
+            let (mut y, mut base, mut thermal) = (
+                FieldBatch::zeros(n, kk),
+                FieldBatch::zeros(n, kk),
+                FieldBatch::zeros(n, kk),
+            );
+            let mut ant_fields = Vec::new();
+            for (s, &id) in members.iter().enumerate() {
+                let (state, b, th, drives) = member(id);
+                y.load_member(s, state.as_slice());
+                base.load_member(s, b.as_slice());
+                thermal.load_member(s, th.as_slice());
+                ant_fields.push(drives);
+            }
+            sweep_stage(&sys, &y, &base, &ant_fields, &thermal, avx2)
+        };
+        let solo: Vec<Vec<u64>> = (0..8).map(|s| bits(stage(&[s], false).data())).collect();
+        for kk in [1, 3, 4, 8] {
+            let members: Vec<usize> = (0..kk).collect();
+            let portable = stage(&members, false);
+            if avx2 {
+                let fast = stage(&members, true);
+                assert!(
+                    bits(portable.data()) == bits(fast.data()),
+                    "K = {kk}: the portable sweep diverged from the AVX2 sweep"
+                );
+            }
+            for (s, want) in solo.iter().enumerate().take(kk) {
+                let mut got = Field3::zeros(n);
+                portable.store_member(s, &mut got);
+                assert!(
+                    bits(&got) == *want,
+                    "K = {kk}: member {s} diverged from K = 1"
+                );
             }
         }
     }

@@ -856,8 +856,9 @@ mod tests {
     fn scratch_based_energy_matches_per_term_reference() {
         // `total_energy` runs each term through `accumulate_par` with the
         // system-owned scratch; the value must be bitwise identical to
-        // the reference per-term `FieldTerm::energy` sum — including the
-        // FFT demag, which used to go through a locked fallback buffer.
+        // the per-term AoS reference sum with fresh scratch — including
+        // the FFT demag, which used to go through a locked fallback
+        // buffer.
         let mut sim = fecob_strip(9, 5)
             .demag(DemagMethod::NewellFft)
             .uniform_magnetization(Vec3::new(0.4, 0.2, 1.0))
@@ -871,7 +872,7 @@ mod tests {
             .system
             .terms
             .iter()
-            .map(|term| term.energy(&m, t, ms, v))
+            .map(|term| crate::field::energy_aos(term.as_ref(), &m, t, ms, v))
             .sum();
         assert_eq!(sim.total_energy(), reference);
     }
