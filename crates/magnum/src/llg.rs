@@ -44,14 +44,26 @@
 //!
 //! ## Kernel selection by K
 //!
-//! Interior runs take one branch-free sweep at every batch width
-//! (`sweep_interior`, built on `InteriorArm` with K interleaved lanes
-//! per cell). The remaining cells take a scalar kernel picked from K
-//! alone: `sweep_scalar` on the plain planes at K = 1, the lane kernel
-//! `sweep_scalar_batch`, whose member loop is innermost over consecutive
-//! interleaved lanes, at K ≥ 2. All of them evaluate the same expression
-//! sequence per (cell, member), so a member of a batch is bitwise
-//! identical to the same simulation stepped alone.
+//! The stencil table stores the cell itself where a neighbour is missing
+//! (mesh edge or vacuum), so every cell gathers four neighbours without
+//! a presence test. That changes no bit: for finite m a self-neighbour
+//! contributes `(m − m)·c = ±0`, the exchange accumulator starts at +0
+//! and is never −0 (under round-to-nearest a sum is −0 only when both
+//! operands are), and adding ±0 to it is the identity.
+//!
+//! Cells that no antenna covers take one branch-free body, `InteriorArm`,
+//! with K interleaved lanes per cell, whenever the op sequence is
+//! canonical and includes exchange (`sweep_arm`). Interior runs feed it
+//! the constant offsets `±1` and `±nx`; at K ≥ 2 every other cell feeds
+//! it its row of the stencil table, so at K ≥ 4 every such cell runs
+//! four members per AVX2 vector. The remaining cells take a scalar
+//! kernel picked from K alone: `sweep_scalar` on the plain planes at
+//! K = 1 (boundary cells included), the lane kernel
+//! `sweep_scalar_batch`, whose member loop is innermost over
+//! consecutive interleaved lanes, at K ≥ 2 — there only for
+//! antenna-covered cells and non-canonical op sets. All of them evaluate
+//! the same expression sequence per (cell, member), so a member of a
+//! batch is bitwise identical to the same simulation stepped alone.
 
 use crate::excitation::Antenna;
 use crate::field::{FieldTerm, FusedTerm};
@@ -59,9 +71,6 @@ use crate::field3::{Field3, Field3Ptr, FieldBatch};
 use crate::math::Vec3;
 use crate::par::{chunk_bounds, WorkerTeam};
 use crate::MU0;
-
-/// Sentinel for "no neighbour" (mesh edge or vacuum) in the stencil.
-const NO_NEIGHBOUR: u32 = u32::MAX;
 
 /// Refills `out` with each antenna's drive field at time `t` (empty when
 /// there are no antennas). `out` keeps its capacity, so refilling it
@@ -71,23 +80,77 @@ pub(crate) fn drive_fields(antennas: &[Antenna], t: f64, out: &mut Vec<Vec3>) {
     out.extend(antennas.iter().map(|a| a.direction() * a.drive().value(t)));
 }
 
-/// One contiguous slice of the mesh assigned to a worker block.
+/// One contiguous slice of the magnetic-cell list assigned to a worker
+/// block.
 #[derive(Debug, Clone, Copy)]
 struct Block {
-    /// Flat cell-index range `[start, end)` — used to zero vacuum cells.
-    flat: (usize, usize),
     /// Range into the magnetic-cell list — the actual compute work.
     list: (usize, usize),
     /// Range into [`FusedKernel::segs`] covering `list`.
     segs: (usize, usize),
 }
 
+/// The magnetic cells of each worker block as runs of consecutive flat
+/// indices, derived once at build: the stage fuse and the
+/// renormalization walk these instead of re-deriving them from the cell
+/// list or the mask every time. Block `b` owns list range
+/// `chunk_bounds(cells, blocks, b)` — the stage sweep's partition — and
+/// a run's K lanes form one contiguous interleaved range.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MagneticRuns {
+    /// Flat cell ranges `[start, end)` of every block, in block order.
+    runs: Vec<(usize, usize)>,
+    /// Per block, its range into `runs`.
+    blocks: Vec<(usize, usize)>,
+}
+
+impl MagneticRuns {
+    /// Splits the ascending magnetic-cell list `cells` into `blocks`
+    /// list chunks and each chunk into its runs.
+    pub(crate) fn new(cells: &[u32], blocks: usize) -> Self {
+        let mut out = MagneticRuns::default();
+        for b in 0..blocks {
+            let (c0, c1) = chunk_bounds(cells.len(), blocks, b);
+            let first = out.runs.len();
+            let mut p = c0;
+            while p < c1 {
+                let start = cells[p] as usize;
+                let mut q = p + 1;
+                while q < c1 && cells[q] as usize == start + (q - p) {
+                    q += 1;
+                }
+                out.runs.push((start, start + (q - p)));
+                p = q;
+            }
+            out.blocks.push((first, out.runs.len()));
+        }
+        out
+    }
+
+    /// Block `b`'s runs, ascending.
+    pub(crate) fn block(&self, b: usize) -> &[(usize, usize)] {
+        let (r0, r1) = self.blocks[b];
+        &self.runs[r0..r1]
+    }
+
+    /// The number of blocks.
+    pub(crate) fn blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// One past the last magnetic cell (0 without any).
+    pub(crate) fn end(&self) -> usize {
+        self.runs.last().map_or(0, |r| r.1)
+    }
+}
+
 /// A contiguous piece of a block's magnetic-cell list: either an interior
 /// run — consecutive flat indices whose four neighbours all exist, so the
-/// branchless unchecked sweep applies — or a scalar stretch handled by
-/// the general (boundary/vacuum-adjacent) path. Splitting the list this
-/// way changes nothing about per-cell arithmetic, only which loop body
-/// executes it.
+/// arm takes the constant offsets `±1`, `±nx` — or a stencil stretch,
+/// whose cells take their neighbours from the stencil table. Splitting
+/// the list this way changes nothing about per-cell arithmetic, only
+/// where the neighbour indices come from and which loop body executes
+/// it.
 #[derive(Debug, Clone, Copy)]
 struct Segment {
     /// Start index into the magnetic-cell list.
@@ -98,54 +161,50 @@ struct Segment {
     interior: bool,
 }
 
-/// Interior runs shorter than this stay in the scalar stretch — the
-/// branchless loop only pays off once it amortizes its setup.
+/// Interior runs shorter than this stay in the stencil stretch — the
+/// constant-offset loop only pays off once it amortizes its setup.
 const MIN_RUN: usize = 8;
 
-/// One plane's exchange accumulation for four consecutive lanes:
-/// `(((0 + (m[fi-K]-m)·cx) + (m[fi+K]-m)·cx) + (m[fi-nxK]-m)·cy) +
-/// (m[fi+nxK]-m)·cy`, the exact summation order of the scalar arm.
+/// One plane's exchange accumulation for four consecutive lanes whose
+/// `[left, right, down, up]` neighbours start at lanes `nb`:
+/// `(((0 + (m[nb0]-m)·cx) + (m[nb1]-m)·cx) + (m[nb2]-m)·cy) +
+/// (m[nb3]-m)·cy`, the exact summation order of the scalar arm.
 ///
 /// # Safety
 ///
-/// `fi±kk` and `fi±nxk` plus three lanes must be in bounds for `mp`,
-/// and the host must support AVX2.
+/// Each `nb[d]` plus three lanes must be in bounds for `mp`, and the
+/// host must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-#[allow(clippy::too_many_arguments)]
 unsafe fn exchange4(
     mp: *const f64,
-    fi: usize,
-    kk: usize,
-    nxk: usize,
+    nb: [usize; 4],
     mi: std::arch::x86_64::__m256d,
     cx: std::arch::x86_64::__m256d,
     cy: std::arch::x86_64::__m256d,
     zero: std::arch::x86_64::__m256d,
 ) -> std::arch::x86_64::__m256d {
     use std::arch::x86_64::*;
-    let t0 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(fi - kk)), mi), cx);
-    let t1 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(fi + kk)), mi), cx);
-    let t2 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(fi - nxk)), mi), cy);
-    let t3 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(fi + nxk)), mi), cy);
+    let t0 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(nb[0])), mi), cx);
+    let t1 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(nb[1])), mi), cx);
+    let t2 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(nb[2])), mi), cy);
+    let t3 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(nb[3])), mi), cy);
     _mm256_add_pd(
         _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(zero, t0), t1), t2),
         t3,
     )
 }
 
-/// The loop invariants of the branch-free interior body: the
-/// K-interleaved neighbour offsets, the stage-input, pre-pass, thermal
-/// and output planes, and the fast arm's term parameters (exchange
-/// required, the rest applied when present, in the generic ops loop's
-/// exact order).
+/// The loop invariants of the branch-free body: the batch width, the
+/// stage-input, pre-pass, thermal and output planes, and the fast arm's
+/// term parameters (exchange required, the rest applied when present,
+/// in the generic ops loop's exact order). The neighbour lanes come with
+/// each call, from the interior offsets or the stencil table.
 #[derive(Clone, Copy)]
 struct InteriorArm {
     /// Interleaved lanes per cell (the batch width K).
     kk: usize,
-    /// Interleaved offset of the up/down neighbours: `nx·K`.
-    nxk: usize,
     m: [*const f64; 3],
     /// The pre-pass field planes, when a non-local term wrote one.
     base: Option<[*const f64; 3]>,
@@ -167,11 +226,12 @@ impl InteriorArm {
     ///
     /// # Safety
     ///
-    /// `fi` must be an interior lane (`fi ± K`, `fi ± nx·K` in bounds and
-    /// magnetic) owned by the calling block.
+    /// `fi` must be a magnetic lane owned by the calling block, and `nb`
+    /// its `[left, right, down, up]` neighbour lanes — each in bounds and
+    /// magnetic, or `fi` itself where the neighbour is missing.
     #[inline(always)]
-    unsafe fn lane(&self, fi: usize, alpha: f64, prefactor: f64) {
-        let (kk, nxk, cx, cy) = (self.kk, self.nxk, self.coeff_x, self.coeff_y);
+    unsafe fn lane(&self, fi: usize, nb: [usize; 4], alpha: f64, prefactor: f64) {
+        let (cx, cy) = (self.coeff_x, self.coeff_y);
         let [mxp, myp, mzp] = self.m;
         let (outx, outy, outz) = self.out.planes();
         let mix = *mxp.add(fi);
@@ -180,18 +240,18 @@ impl InteriorArm {
         let mut accx = 0.0;
         let mut accy = 0.0;
         let mut accz = 0.0;
-        accx += (*mxp.add(fi - kk) - mix) * cx;
-        accy += (*myp.add(fi - kk) - miy) * cx;
-        accz += (*mzp.add(fi - kk) - miz) * cx;
-        accx += (*mxp.add(fi + kk) - mix) * cx;
-        accy += (*myp.add(fi + kk) - miy) * cx;
-        accz += (*mzp.add(fi + kk) - miz) * cx;
-        accx += (*mxp.add(fi - nxk) - mix) * cy;
-        accy += (*myp.add(fi - nxk) - miy) * cy;
-        accz += (*mzp.add(fi - nxk) - miz) * cy;
-        accx += (*mxp.add(fi + nxk) - mix) * cy;
-        accy += (*myp.add(fi + nxk) - miy) * cy;
-        accz += (*mzp.add(fi + nxk) - miz) * cy;
+        accx += (*mxp.add(nb[0]) - mix) * cx;
+        accy += (*myp.add(nb[0]) - miy) * cx;
+        accz += (*mzp.add(nb[0]) - miz) * cx;
+        accx += (*mxp.add(nb[1]) - mix) * cx;
+        accy += (*myp.add(nb[1]) - miy) * cx;
+        accz += (*mzp.add(nb[1]) - miz) * cx;
+        accx += (*mxp.add(nb[2]) - mix) * cy;
+        accy += (*myp.add(nb[2]) - miy) * cy;
+        accz += (*mzp.add(nb[2]) - miz) * cy;
+        accx += (*mxp.add(nb[3]) - mix) * cy;
+        accy += (*myp.add(nb[3]) - miy) * cy;
+        accz += (*mzp.add(nb[3]) - miz) * cy;
         let (mut hx, mut hy, mut hz) = match self.base {
             Some([bx, by, bz]) => (*bx.add(fi), *by.add(fi), *bz.add(fi)),
             None => (0.0, 0.0, 0.0),
@@ -238,19 +298,19 @@ impl InteriorArm {
     ///
     /// # Safety
     ///
-    /// As for [`InteriorArm::lane`], for all four lanes; the host must
-    /// support AVX2.
+    /// As for [`InteriorArm::lane`], for all four lanes `fi + t` with
+    /// neighbour lanes `nb[d] + t`; the host must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn lanes4(
         &self,
         fi: usize,
+        nb: [usize; 4],
         av: std::arch::x86_64::__m256d,
         pv: std::arch::x86_64::__m256d,
     ) {
         use std::arch::x86_64::*;
-        let (kk, nxk) = (self.kk, self.nxk);
         let [mxp, myp, mzp] = self.m;
         let (outx, outy, outz) = self.out.planes();
         let cx = _mm256_set1_pd(self.coeff_x);
@@ -259,9 +319,9 @@ impl InteriorArm {
         let mix = _mm256_loadu_pd(mxp.add(fi));
         let miy = _mm256_loadu_pd(myp.add(fi));
         let miz = _mm256_loadu_pd(mzp.add(fi));
-        let accx = exchange4(mxp, fi, kk, nxk, mix, cx, cy, zero);
-        let accy = exchange4(myp, fi, kk, nxk, miy, cx, cy, zero);
-        let accz = exchange4(mzp, fi, kk, nxk, miz, cx, cy, zero);
+        let accx = exchange4(mxp, nb, mix, cx, cy, zero);
+        let accy = exchange4(myp, nb, miy, cx, cy, zero);
+        let accz = exchange4(mzp, nb, miz, cx, cy, zero);
         // h = base + acc (or 0 + acc), as the scalar body's `h += acc`.
         let (bx, by, bz) = match self.base {
             Some([bx, by, bz]) => (
@@ -325,61 +385,160 @@ impl InteriorArm {
         );
     }
 
-    /// The branch-free stretch of cells `i_lo..i_hi`, one lane at a time
-    /// — the portable form of [`InteriorArm::stretch_avx2`].
+    /// The walk for this host: the AVX2 forms when `avx2` is set —
+    /// [`InteriorArm::interior1_avx2`] for a K = 1 interior run,
+    /// [`InteriorArm::walk_avx2`] otherwise — else [`InteriorArm::walk`].
     ///
     /// # Safety
     ///
-    /// Every lane of the cells must be interior and owned by the calling
-    /// block; `ap`/`pp` hold one damping and prefactor per cell.
+    /// As for [`InteriorArm::walk`]; with `avx2` set the host must support
+    /// AVX2.
     #[inline(always)]
-    unsafe fn stretch(&self, i_lo: usize, i_hi: usize, ap: *const f64, pp: *const f64) {
-        for i in i_lo..i_hi {
+    unsafe fn run(
+        &self,
+        ci_lo: usize,
+        ci_hi: usize,
+        st: Stencil,
+        ap: *const f64,
+        pp: *const f64,
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))] avx2: bool,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            return match st {
+                Stencil::Interior { shift, nx } if self.kk == 1 => {
+                    self.interior1_avx2(ci_lo + shift, ci_hi + shift, nx, ap, pp)
+                }
+                _ => self.walk_avx2(ci_lo, ci_hi, st, ap, pp),
+            };
+        }
+        self.walk(ci_lo, ci_hi, st, ap, pp)
+    }
+
+    /// The branch-free walk over list cells `ci_lo..ci_hi`, one lane at
+    /// a time — the portable form of [`InteriorArm::walk_avx2`]. `st`
+    /// gives each flat cell and its `[left, right, down, up]` neighbour
+    /// cells; member `s` of neighbour `j` is lane `j·K + s`.
+    ///
+    /// # Safety
+    ///
+    /// Every cell must be magnetic, owned by the calling block and not
+    /// covered by an antenna, with `st` giving neighbours as
+    /// [`InteriorArm::lane`] requires; `ap`/`pp` hold one damping and
+    /// prefactor per cell.
+    #[inline(always)]
+    unsafe fn walk(&self, ci_lo: usize, ci_hi: usize, st: Stencil, ap: *const f64, pp: *const f64) {
+        let kk = self.kk;
+        for ci in ci_lo..ci_hi {
+            let (i, nb) = st.cell(ci);
             let (alpha, prefactor) = (*ap.add(i), *pp.add(i));
-            for fi in i * self.kk..(i + 1) * self.kk {
-                self.lane(fi, alpha, prefactor);
+            for s in 0..kk {
+                self.lane(i * kk + s, nb.map(|j| j * kk + s), alpha, prefactor);
             }
         }
     }
 
-    /// The branch-free stretch of cells `i_lo..i_hi`, four lanes at a
-    /// time: at K = 1 four consecutive cells, each with its own damping;
-    /// at K ≥ 2 four members of one cell, lanes beyond the last multiple
-    /// of four running the scalar body.
+    /// [`InteriorArm::walk`] four lanes at a time: four members of one
+    /// cell per vector, the members beyond the last multiple of four on
+    /// the scalar body (at K = 1 that is every cell).
     ///
     /// # Safety
     ///
-    /// Every lane of the cells must be interior and owned by the calling
-    /// block; `ap`/`pp` hold one damping and prefactor per cell; the host
-    /// must support AVX2 (checked at runtime by the dispatching caller).
+    /// As for [`InteriorArm::walk`]; the host must support AVX2 (checked
+    /// at runtime by the dispatching caller).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn stretch_avx2(&self, i_lo: usize, i_hi: usize, ap: *const f64, pp: *const f64) {
+    unsafe fn walk_avx2(
+        &self,
+        ci_lo: usize,
+        ci_hi: usize,
+        st: Stencil,
+        ap: *const f64,
+        pp: *const f64,
+    ) {
         use std::arch::x86_64::*;
         let kk = self.kk;
-        if kk == 1 {
-            let mut i = i_lo;
-            while i + 4 <= i_hi {
-                self.lanes4(i, _mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(pp.add(i)));
-                i += 4;
-            }
-            for i in i..i_hi {
-                self.lane(i, *ap.add(i), *pp.add(i));
-            }
-            return;
-        }
-        for i in i_lo..i_hi {
+        for ci in ci_lo..ci_hi {
+            let (i, nb) = st.cell(ci);
             let (alpha, prefactor) = (*ap.add(i), *pp.add(i));
             let (av, pv) = (_mm256_set1_pd(alpha), _mm256_set1_pd(prefactor));
-            let f0 = i * kk;
+            let (f0, n0) = (i * kk, nb.map(|j| j * kk));
             let mut s = 0;
             while s + 4 <= kk {
-                self.lanes4(f0 + s, av, pv);
+                self.lanes4(f0 + s, n0.map(|j| j + s), av, pv);
                 s += 4;
             }
             for s in s..kk {
-                self.lane(f0 + s, alpha, prefactor);
+                self.lane(f0 + s, n0.map(|j| j + s), alpha, prefactor);
             }
+        }
+    }
+
+    /// A K = 1 interior run of flat cells `i_lo..i_hi`, four consecutive
+    /// cells per AVX2 vector, each with its own damping; their
+    /// neighbours sit at the offsets `±1`, `±nx`. Kept apart from
+    /// [`InteriorArm::walk_avx2`] so that each calls `lanes4` from one
+    /// site: with both call sites in one walk LLVM stopped inlining it,
+    /// and a K = 1 film RHS evaluation ran ~10% slower.
+    ///
+    /// # Safety
+    ///
+    /// K must be 1 and `i_lo..i_hi` an interior run owned by the calling
+    /// block with no antenna-covered cell; `ap`/`pp` hold one damping and
+    /// prefactor per cell; the host must support AVX2 (checked at runtime
+    /// by the dispatching caller).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn interior1_avx2(
+        &self,
+        i_lo: usize,
+        i_hi: usize,
+        nx: usize,
+        ap: *const f64,
+        pp: *const f64,
+    ) {
+        use std::arch::x86_64::*;
+        let nbrs = |i: usize| [i - 1, i + 1, i - nx, i + nx];
+        let mut i = i_lo;
+        while i + 4 <= i_hi {
+            self.lanes4(
+                i,
+                nbrs(i),
+                _mm256_loadu_pd(ap.add(i)),
+                _mm256_loadu_pd(pp.add(i)),
+            );
+            i += 4;
+        }
+        for i in i..i_hi {
+            self.lane(i, nbrs(i), *ap.add(i), *pp.add(i));
+        }
+    }
+}
+
+/// Where [`InteriorArm`]'s walk finds each cell of a stretch and its
+/// `[left, right, down, up]` neighbour cells.
+#[derive(Clone, Copy)]
+enum Stencil<'a> {
+    /// An interior run: its cells are consecutive, so list index `ci` is
+    /// flat cell `ci + shift`, with neighbours at the offsets `±1`, `±nx`.
+    Interior { shift: usize, nx: usize },
+    /// Any stretch: the cell list and the self-substituted stencil table.
+    Table {
+        cells: &'a [u32],
+        nbrs: &'a [[u32; 4]],
+    },
+}
+
+impl Stencil<'_> {
+    /// List cell `ci`'s flat index and neighbour flat indices.
+    #[inline(always)]
+    fn cell(&self, ci: usize) -> (usize, [usize; 4]) {
+        match *self {
+            Stencil::Interior { shift, nx } => {
+                let i = ci + shift;
+                (i, [i - 1, i + 1, i - nx, i + nx])
+            }
+            Stencil::Table { cells, nbrs } => (cells[ci] as usize, nbrs[ci].map(|j| j as usize)),
         }
     }
 }
@@ -460,7 +619,9 @@ struct FusedKernel {
     /// Flat indices of the magnetic cells, ascending.
     cells: Vec<u32>,
     /// Per magnetic cell: `[left, right, down, up]` neighbour flat index,
-    /// or [`NO_NEIGHBOUR`] where the stencil hits an edge or vacuum.
+    /// or the cell's own flat index where the stencil hits an edge or
+    /// vacuum — a self-neighbour adds an exact ±0 to the exchange sum
+    /// (see the module docs), so no kernel tests for presence.
     nbrs: Vec<[u32; 4]>,
     /// Fused ops in field-term order.
     ops: Vec<FusedTerm>,
@@ -472,15 +633,14 @@ struct FusedKernel {
     /// Antenna indices covering each magnetic cell.
     ant_ids: Vec<u32>,
     blocks: Vec<Block>,
-    /// Interior-run/scalar partition of every block's list range.
+    /// Interior-run/stencil partition of every block's list range.
     segs: Vec<Segment>,
+    /// Every block's magnetic cells as runs of consecutive flat indices.
+    runs: MagneticRuns,
     /// The canonical op sequence, when the terms match it.
     std_ops: Option<StdOps>,
     /// Mesh row length — interior neighbours are `i±1` and `i±nx`.
     nx: usize,
-    /// No vacuum anywhere: every block's list range equals its flat
-    /// range, so stage fusion can run inside the sweep pass.
-    full_film: bool,
 }
 
 /// Everything needed to assemble an [`LlgSystem`].
@@ -529,7 +689,7 @@ impl SystemSpec {
                     if cond && mask[j] {
                         j as u32
                     } else {
-                        NO_NEIGHBOUR
+                        c
                     }
                 };
                 [
@@ -563,25 +723,24 @@ impl SystemSpec {
         let mut segs: Vec<Segment> = Vec::new();
         let mut blocks: Vec<Block> = Vec::with_capacity(threads);
         for b in 0..threads {
-            let flat = chunk_bounds(n, threads, b);
             let list = chunk_bounds(cells.len(), threads, b);
             let seg0 = segs.len();
-            let mut scalar_start = list.0;
+            let mut stencil_start = list.0;
             let mut ci = list.0;
             while ci < list.1 {
                 // Grow a maximal interior run: every cell has all four
                 // neighbours and the flat indices are consecutive.
                 let run_start = ci;
                 while ci < list.1
-                    && nbrs[ci].iter().all(|&x| x != NO_NEIGHBOUR)
+                    && nbrs[ci].iter().all(|&x| x != cells[ci])
                     && (ci == run_start || cells[ci] == cells[ci - 1] + 1)
                 {
                     ci += 1;
                 }
                 if ci - run_start >= MIN_RUN {
-                    if run_start > scalar_start {
+                    if run_start > stencil_start {
                         segs.push(Segment {
-                            ci0: scalar_start as u32,
+                            ci0: stencil_start as u32,
                             ci1: run_start as u32,
                             interior: false,
                         });
@@ -591,28 +750,27 @@ impl SystemSpec {
                         ci1: ci as u32,
                         interior: true,
                     });
-                    scalar_start = ci;
+                    stencil_start = ci;
                 } else if ci == run_start {
-                    // Not interior: absorb into the current scalar stretch.
+                    // Not interior: absorb into the current stencil stretch.
                     ci += 1;
                 }
-                // Short runs simply stay inside the scalar stretch.
+                // Short runs simply stay inside the stencil stretch.
             }
-            if list.1 > scalar_start {
+            if list.1 > stencil_start {
                 segs.push(Segment {
-                    ci0: scalar_start as u32,
+                    ci0: stencil_start as u32,
                     ci1: list.1 as u32,
                     interior: false,
                 });
             }
             blocks.push(Block {
-                flat,
                 list,
                 segs: (seg0, segs.len()),
             });
         }
 
-        let full_film = mask.iter().all(|&m| m);
+        let runs = MagneticRuns::new(&cells, threads);
         let term_scratch = terms.iter().map(|t| t.make_scratch()).collect();
         let mut system = LlgSystem {
             terms,
@@ -632,8 +790,8 @@ impl SystemSpec {
                 ant_ids: Vec::new(),
                 blocks,
                 segs,
+                runs,
                 nx,
-                full_film,
             },
             team: WorkerTeam::new(threads),
         };
@@ -687,10 +845,10 @@ impl LlgSystem {
         &self.team
     }
 
-    /// True when the mask has no vacuum cells (see
-    /// [`renormalize_and_check`][crate::solver] for why integrators care).
-    pub(crate) fn full_film(&self) -> bool {
-        self.kernel.full_film
+    /// Every worker block's magnetic cells as flat-index runs (what
+    /// [`renormalize_and_check`][crate::solver] walks).
+    pub(crate) fn magnetic_runs(&self) -> &MagneticRuns {
+        &self.kernel.runs
     }
 
     /// Rebuilds the per-cell torque prefactor table from `alpha`.
@@ -781,20 +939,12 @@ impl LlgSystem {
             match *op {
                 FusedTerm::Exchange { coeff_x, coeff_y } => {
                     let nb = self.kernel.nbrs[ci];
-                    let at = |j: usize| Vec3::new(mx[j], my[j], mz[j]);
+                    let at = |j: u32| Vec3::new(mx[j as usize], my[j as usize], mz[j as usize]);
                     let mut acc = Vec3::ZERO;
-                    if nb[0] != NO_NEIGHBOUR {
-                        acc += (at(nb[0] as usize) - mi) * coeff_x;
-                    }
-                    if nb[1] != NO_NEIGHBOUR {
-                        acc += (at(nb[1] as usize) - mi) * coeff_x;
-                    }
-                    if nb[2] != NO_NEIGHBOUR {
-                        acc += (at(nb[2] as usize) - mi) * coeff_y;
-                    }
-                    if nb[3] != NO_NEIGHBOUR {
-                        acc += (at(nb[3] as usize) - mi) * coeff_y;
-                    }
+                    acc += (at(nb[0]) - mi) * coeff_x;
+                    acc += (at(nb[1]) - mi) * coeff_x;
+                    acc += (at(nb[2]) - mi) * coeff_y;
+                    acc += (at(nb[3]) - mi) * coeff_y;
                     h += acc;
                 }
                 FusedTerm::Uniaxial { coeff, axis } => {
@@ -877,21 +1027,18 @@ impl LlgSystem {
         self.sweep_block(b, sw, avx2);
     }
 
-    /// One block's share of a sweep: the segment walk dispatching
-    /// interior runs to [`LlgSystem::sweep_interior`] and the rest to the
+    /// One block's share of a sweep: the segment walk handing
+    /// [`LlgSystem::sweep_arm`] what the branch-free arm serves — interior
+    /// runs at every K, stencil stretches at K ≥ 2 — and the rest to the
     /// scalar kernels.
     #[inline(always)]
     fn sweep_block(&self, b: usize, sw: &Sweep, avx2: bool) {
         let block = self.kernel.blocks[b];
-        let Some(std) = self.kernel.std_ops else {
-            self.sweep_range(block.list.0, block.list.1, sw);
-            return;
-        };
+        let arm = self.arm(sw);
         for seg in &self.kernel.segs[block.segs.0..block.segs.1] {
-            if seg.interior {
-                self.sweep_interior(*seg, std, sw, avx2);
-            } else {
-                self.sweep_range(seg.ci0 as usize, seg.ci1 as usize, sw);
+            match arm {
+                Some(arm) if seg.interior || sw.kk > 1 => self.sweep_arm(*seg, &arm, sw, avx2),
+                _ => self.sweep_range(seg.ci0 as usize, seg.ci1 as usize, sw),
             }
         }
     }
@@ -934,40 +1081,18 @@ impl LlgSystem {
         }
     }
 
-    /// The branch-free interior sweep, at every batch width K: every
-    /// cell of the run has all four neighbours and consecutive flat
-    /// indices, so the K-interleaved neighbour offsets are the constants
-    /// `±K` and `±nx·K` and the stencil needs no table, no presence
-    /// checks and no bounds checks. Each lane evaluates the exact
-    /// expression sequence of [`LlgSystem::fused_field`] +
-    /// [`LlgSystem::torque`] (same terms, same order), so the result is
-    /// bitwise that of the scalar kernels.
-    ///
-    /// The fast arm, [`InteriorArm`], needs only the exchange term:
+    /// The branch-free arm of a stage: `None` unless the op sequence is
+    /// canonical and includes exchange. It needs only the exchange term:
     /// anisotropy, thin film and Zeeman are applied when present, and the
     /// pre-pass field (the Newell demag) and the thermal realization are
-    /// read when the stage has them. The run is split at antenna coverage
-    /// (a CSR range check once per cell, not once per member): covered
-    /// cells — antennas touch a few columns — take the scalar kernel, as
-    /// does the whole run when the system has no exchange term. The rest
-    /// runs the arm, four lanes per AVX2 vector when `avx2` is set.
+    /// read when the stage has them.
     #[inline(always)]
-    fn sweep_interior(
-        &self,
-        seg: Segment,
-        std: StdOps,
-        sw: &Sweep,
-        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))] avx2: bool,
-    ) {
-        let (ci0, ci1) = (seg.ci0 as usize, seg.ci1 as usize);
-        let Some((coeff_x, coeff_y)) = std.ex else {
-            self.sweep_range(ci0, ci1, sw);
-            return;
-        };
+    fn arm(&self, sw: &Sweep) -> Option<InteriorArm> {
+        let std = self.kernel.std_ops?;
+        let (coeff_x, coeff_y) = std.ex?;
         let planes = |f: &Field3| [f.xs().as_ptr(), f.ys().as_ptr(), f.zs().as_ptr()];
-        let arm = InteriorArm {
+        Some(InteriorArm {
             kk: sw.kk,
-            nxk: self.kernel.nx * sw.kk,
             m: [sw.mx.as_ptr(), sw.my.as_ptr(), sw.mz.as_ptr()],
             base: sw.base.map(|b| planes(b.data())),
             thermal: (!sw.thermal.is_empty()).then(|| planes(sw.thermal.data())),
@@ -977,10 +1102,26 @@ impl LlgSystem {
             film: std.film,
             zee: std.zee,
             out: sw.out,
-        };
-        // The run's cells are consecutive: list index `ci` is flat cell
-        // `ci + shift`.
-        let shift = self.kernel.cells[ci0] as usize - ci0;
+        })
+    }
+
+    /// One segment through the branch-free arm. An interior run's cells
+    /// have all four neighbours and consecutive flat indices, so their
+    /// neighbours are the constant offsets `±1` and `±nx` and need no
+    /// table; a stencil stretch (K ≥ 2 only) reads each cell's row of the
+    /// self-substituted stencil table. Either way there are no presence
+    /// checks and no bounds checks, and each lane evaluates the exact
+    /// expression sequence of [`LlgSystem::fused_field`] +
+    /// [`LlgSystem::torque`] (same terms, same order), so the result is
+    /// bitwise that of the scalar kernels.
+    ///
+    /// The segment is split at antenna coverage (a CSR range check once
+    /// per cell, not once per member): covered cells — antennas touch a
+    /// few columns — take the scalar kernel. The rest runs the arm, four
+    /// lanes per AVX2 vector when `avx2` is set.
+    #[inline(always)]
+    fn sweep_arm(&self, seg: Segment, arm: &InteriorArm, sw: &Sweep, avx2: bool) {
+        let (ci0, ci1) = (seg.ci0 as usize, seg.ci1 as usize);
         let (ap, pp) = (self.alpha.as_ptr(), self.prefactor.as_ptr());
         let has_ant = sw.ant_fields.iter().any(|f| !f.is_empty());
         let covered = |ci: usize| has_ant && self.kernel.ant_off[ci + 1] > self.kernel.ant_off[ci];
@@ -995,18 +1136,26 @@ impl LlgSystem {
             while ci < ci1 && !covered(ci) {
                 ci += 1;
             }
-            let (i_lo, i_hi) = (start + shift, ci + shift);
-            #[cfg(target_arch = "x86_64")]
-            if avx2 {
-                // Safety: AVX2 support was checked by the caller; interior
-                // runs are validated at build time (every lane and its
-                // four neighbours in bounds and magnetic) and the list
-                // range belongs to this block.
-                unsafe { arm.stretch_avx2(i_lo, i_hi, ap, pp) };
-                continue;
+            if seg.interior {
+                let st = Stencil::Interior {
+                    shift: self.kernel.cells[ci0] as usize - ci0,
+                    nx: self.kernel.nx,
+                };
+                // Safety: interior runs are validated at build time
+                // (consecutive cells, all four neighbours in bounds and
+                // magnetic), the list range belongs to this block, no
+                // cell of `start..ci` is antenna-covered, and AVX2
+                // support was checked by the caller when `avx2` is set.
+                unsafe { arm.run(start, ci, st, ap, pp, avx2) };
+            } else {
+                let st = Stencil::Table {
+                    cells: &self.kernel.cells,
+                    nbrs: &self.kernel.nbrs,
+                };
+                // Safety: as above, with every stencil entry built as a
+                // magnetic neighbour or the cell itself.
+                unsafe { arm.run(start, ci, st, ap, pp, avx2) };
             }
-            // Safety: as above, without the AVX2 requirement.
-            unsafe { arm.stretch(i_lo, i_hi, ap, pp) };
         }
     }
 
@@ -1081,9 +1230,10 @@ impl LlgSystem {
     /// The fused stage kernel: evaluates `dm/dt` of the K members of
     /// `y` — simulations sharing this system's geometry, damping map and
     /// fused kernel — into `k_out` through one sweep over the
-    /// K-interleaved planes, then invokes `fuse(i0, i1, k)` once per
-    /// worker block with an interleaved flat range and a raw view of
-    /// `k_out`, while the block's data is still cache-resident.
+    /// K-interleaved planes; right after its sweep, each worker block
+    /// invokes `fuse(i0, i1, k)` once per run of its magnetic cells with
+    /// the run's interleaved flat range and a raw view of `k_out`, while
+    /// the data is still cache-resident.
     /// Integrators use `fuse` to apply the axpy-style stage combinations
     /// (`m + dt·b·k`, the final RK update, …).
     ///
@@ -1091,9 +1241,11 @@ impl LlgSystem {
     /// time so its loop stays a plain streaming axpy the compiler can
     /// vectorize on its own — a per-cell callback inside the field sweep
     /// defeats the sweep's vectorization through opaque raw-pointer
-    /// aliasing. It runs on worker threads; each block invokes it for a
-    /// disjoint range, so writing through raw plane pointers inside
-    /// `i0..i1` is sound. It must not read any index another block may
+    /// aliasing. It runs on worker threads while other blocks may still
+    /// be sweeping; each block invokes it for disjoint ranges, so writing
+    /// through raw plane pointers inside `i0..i1` is sound. It must not
+    /// write a buffer the sweep reads (the stage input, the pre-pass,
+    /// thermal and drive inputs) nor read any index another block may
     /// write concurrently.
     ///
     /// Per-member inputs are explicit: `ant_fields[s]` holds member
@@ -1104,20 +1256,18 @@ impl LlgSystem {
     /// and `base` is the K-interleaved output of
     /// [`LlgSystem::unfused_prepass_batch`] (or `None`).
     ///
-    /// The kernels are selected on K alone (see the module docs): the
-    /// single-system kernels at K = 1, the lane kernels at K ≥ 2. Per
-    /// (cell, member) both evaluate the exact same expression sequence —
+    /// The kernels are selected on K (see the module docs). Per (cell,
+    /// member) all of them evaluate the exact same expression sequence —
     /// term order, neighbour gathers, antenna accumulation, torque — so
-    /// each member's slice of `k_out` does not depend on K. The lane
-    /// kernels' win is structural: the stencil table, neighbour-presence
-    /// branches, CSR offsets and per-cell damping loads are amortized
-    /// over K members, and with K innermost the member loop runs over
-    /// consecutive lanes the vectorizer can use.
+    /// each member's slice of `k_out` does not depend on K. The batch's
+    /// win is structural: the stencil row, CSR offsets and per-cell
+    /// damping loads are amortized over K members, and with K innermost
+    /// four members of a cell share one AVX2 vector.
     ///
     /// `k_out`'s vacuum lanes must already be zero on entry: only
     /// magnetic lanes are written, so a `FieldBatch::zeros` buffer
-    /// reused across stages keeps its vacuum zeros. Likewise, on shaped
-    /// meshes the fuse ranges cover only the magnetic runs: vacuum lanes
+    /// reused across stages keeps its vacuum zeros. Likewise the fuse
+    /// ranges cover only the magnetic runs: vacuum lanes
     /// are zero on both sides of every fuse, so the result `0 + 0·c = 0`
     /// is what skipping leaves in place.
     pub(crate) fn rhs_stage_batch<F>(
@@ -1161,52 +1311,30 @@ impl LlgSystem {
         let use_avx2 = false;
         this.team.run(&|b| {
             this.sweep_dispatch(b, &sw, use_avx2);
-            // On a full film every block's list range is its flat range,
-            // so the block fuses exactly the cells it just wrote — no
-            // cross-block ordering is needed and the data is still
-            // cache-resident.
-            if this.kernel.full_film {
-                let block = this.kernel.blocks[b];
-                fuse(block.flat.0 * kk, block.flat.1 * kk, out);
+            // Fuse the lanes this block just wrote, run by run, while they
+            // are still cache-resident. No cross-block ordering is needed:
+            // the runs are the block's own list range, and no fuse writes
+            // a buffer a sweep reads. Vacuum lanes of every batch buffer
+            // are zero (the builder zeroes vacuum magnetization and
+            // nothing here writes it), so a fuse over them would only
+            // recompute `0 + 0·c = 0` — on shaped meshes like the
+            // triangle gates that is most of the flat range.
+            for &(r0, r1) in this.kernel.runs.block(b) {
+                fuse(r0 * kk, r1 * kk, out);
             }
         });
-        if !this.kernel.full_film {
-            // With vacuum, a block's magnetic runs may hold cells another
-            // block's list range wrote; the `team.run` barrier above
-            // orders every `k_out` write before the fuse reads.
-            this.team.run(&|b| {
-                // Fuse only the magnetic lanes. Vacuum lanes of every
-                // batch buffer are zero (the builder zeroes vacuum
-                // magnetization and nothing here writes it), so a fuse
-                // over them would only recompute `0 + 0·c = 0` — on
-                // shaped meshes like the triangle gates that is half the
-                // flat range. Magnetic cells come in runs of consecutive
-                // flat indices, and a run's lanes form one contiguous
-                // interleaved range.
-                let block = this.kernel.blocks[b];
-                let cells = &this.kernel.cells[block.list.0..block.list.1];
-                let mut p = 0;
-                while p < cells.len() {
-                    let run0 = cells[p] as usize;
-                    let mut q = p + 1;
-                    while q < cells.len() && cells[q] as usize == run0 + (q - p) {
-                        q += 1;
-                    }
-                    fuse(run0 * kk, (run0 + (q - p)) * kk, out);
-                    p = q;
-                }
-            });
-        }
     }
 
-    /// Batched general sweep body (see [`LlgSystem::sweep_scalar`]): the
-    /// stencil table, CSR offsets and damping loads are hoisted per cell
-    /// and the member loop runs innermost over the interleaved planes.
+    /// Batched general sweep body (see [`LlgSystem::sweep_scalar`]) for
+    /// what the branch-free arm does not serve: antenna-covered cells and
+    /// non-canonical op sets. The stencil row, CSR offsets and damping
+    /// loads are hoisted per cell and the member loop runs innermost over
+    /// the interleaved planes.
     ///
     /// The member loop is chunked into groups of up to
     /// [`SCALAR_LANES`] consecutive lanes so every data-independent
-    /// branch — the op dispatch, the four neighbour-presence tests, the
-    /// antenna CSR walk — runs once per cell (per chunk) instead of once
+    /// branch — the op dispatch, the antenna CSR walk — runs once per
+    /// cell (per chunk) instead of once
     /// per cell per member. Each lane's `h` still accumulates its terms
     /// in exactly the single-system order, so members remain bitwise
     /// identical to independent runs; only the interleaving of work
@@ -1277,28 +1405,10 @@ impl LlgSystem {
                             for acc in accs.iter_mut().take(sl) {
                                 *acc = Vec3::ZERO;
                             }
-                            if nb[0] != NO_NEIGHBOUR {
-                                let n0 = nb[0] as usize * kk + s0;
+                            for (&j, coeff) in nb.iter().zip([coeff_x, coeff_x, coeff_y, coeff_y]) {
+                                let n0 = j as usize * kk + s0;
                                 for (t, acc) in accs.iter_mut().enumerate().take(sl) {
-                                    *acc += (at(n0 + t) - mis[t]) * coeff_x;
-                                }
-                            }
-                            if nb[1] != NO_NEIGHBOUR {
-                                let n0 = nb[1] as usize * kk + s0;
-                                for (t, acc) in accs.iter_mut().enumerate().take(sl) {
-                                    *acc += (at(n0 + t) - mis[t]) * coeff_x;
-                                }
-                            }
-                            if nb[2] != NO_NEIGHBOUR {
-                                let n0 = nb[2] as usize * kk + s0;
-                                for (t, acc) in accs.iter_mut().enumerate().take(sl) {
-                                    *acc += (at(n0 + t) - mis[t]) * coeff_y;
-                                }
-                            }
-                            if nb[3] != NO_NEIGHBOUR {
-                                let n0 = nb[3] as usize * kk + s0;
-                                for (t, acc) in accs.iter_mut().enumerate().take(sl) {
-                                    *acc += (at(n0 + t) - mis[t]) * coeff_y;
+                                    *acc += (at(n0 + t) - mis[t]) * coeff;
                                 }
                             }
                             for (t, h) in hs.iter_mut().enumerate().take(sl) {
@@ -1633,10 +1743,127 @@ mod tests {
         (sys, m)
     }
 
+    /// A gate-like mesh of narrow guides: one- and two-cell-wide strips
+    /// (two of them along mesh edges), an isolated cell and one 12 × 5
+    /// patch, so most magnetic cells lack a neighbour and take the
+    /// stencil table, with one interior run for contrast. An antenna
+    /// covers the left ends of the horizontal guides; as on the gates
+    /// there is no Zeeman term. Every fourth magnetic cell points along
+    /// ±z with signed-zero x and y, and a row's zero signs differ from
+    /// the rows beside it, so exchange differences of exactly ±0 reach
+    /// the accumulator.
+    fn narrow_guide_system(threads: usize) -> (LlgSystem, Vec<Vec3>) {
+        let (nx, ny) = (24, 16);
+        let mut mesh = Mesh::new(nx, ny, [5e-9, 5e-9, 1e-9]).unwrap();
+        mesh.set_mask_by(|_, _| false);
+        let mut set = |ix: usize, iy: usize| mesh.set_magnetic(ix, iy, true);
+        (0..nx).for_each(|ix| set(ix, 0));
+        (2..20).for_each(|ix| {
+            set(ix, 3);
+            set(ix, 4);
+        });
+        (5..ny).for_each(|iy| set(nx - 1, iy));
+        (7..ny).for_each(|iy| {
+            set(1, iy);
+            set(2, iy);
+        });
+        set(5, 7);
+        for iy in 9..14 {
+            (6..18).for_each(|ix| set(ix, iy));
+        }
+        let material = Material::fecob();
+        let antenna = Antenna::over_rect(
+            &mesh,
+            0.0,
+            0.0,
+            25e-9,
+            30e-9,
+            Vec3::X,
+            Drive::logic_cw(3e3, 10e9, 0.1),
+        );
+        let n = mesh.cell_count();
+        let m = (0..n)
+            .map(|i| {
+                let zero = if (i / nx) % 2 == 0 { -0.0 } else { 0.0 };
+                match i % 8 {
+                    _ if !mesh.mask()[i] => Vec3::ZERO,
+                    0 => Vec3::new(zero, -zero, 1.0),
+                    4 => Vec3::new(-zero, zero, -1.0),
+                    _ => Vec3::new(
+                        0.3 * (0.7 * i as f64).sin(),
+                        0.2 * (0.4 * i as f64).cos(),
+                        1.0,
+                    )
+                    .normalized(),
+                }
+            })
+            .collect();
+        let sys = SystemSpec {
+            terms: vec![
+                Box::new(Exchange::new(&mesh, &material)),
+                Box::new(UniaxialAnisotropy::new(&mesh, &material)),
+                Box::new(ThinFilmDemag::new(&mesh, &material)),
+            ],
+            antennas: vec![antenna],
+            alpha: (0..n).map(|i| 0.004 + 1e-5 * i as f64).collect(),
+            gamma: material.gamma(),
+            mask: mesh.mask().to_vec(),
+            nx: mesh.nx(),
+            threads,
+        }
+        .build();
+        (sys, m)
+    }
+
+    #[test]
+    fn narrow_guides_are_mostly_stencil_cells() {
+        let (sys, _) = narrow_guide_system(1);
+        let k = &sys.kernel;
+        let mut interior = 0;
+        for seg in &k.segs {
+            let cells = (seg.ci1 - seg.ci0) as usize;
+            if seg.interior {
+                interior += cells;
+            }
+        }
+        let stencil = k.cells.len() - interior;
+        assert!(interior >= MIN_RUN, "the patch must hold an interior run");
+        assert!(
+            stencil * 4 > k.cells.len() * 3,
+            "{stencil} of {} stencil cells",
+            k.cells.len()
+        );
+        // The table stores the cell itself for every missing neighbour,
+        // and a real neighbour otherwise.
+        for (ci, &c) in k.cells.iter().enumerate() {
+            let i = c as usize;
+            let want = [
+                (!i.is_multiple_of(k.nx)).then(|| i - 1),
+                (i % k.nx + 1 < k.nx).then_some(i + 1),
+                (i >= k.nx).then(|| i - k.nx),
+                (i + k.nx < sys.len()).then_some(i + k.nx),
+            ]
+            .map(|j| j.filter(|&j| sys.mask[j]).unwrap_or(i) as u32);
+            assert_eq!(k.nbrs[ci], want, "stencil row of cell {i}");
+        }
+        let covered = |ci: usize| k.ant_off[ci + 1] > k.ant_off[ci];
+        assert!(
+            (0..k.cells.len()).any(covered),
+            "the antenna must cover guide cells"
+        );
+    }
+
     #[test]
     fn fused_rhs_matches_reference_effective_field() {
         let (mut sys, m) = masked_multiterm_system(1);
         assert_rhs_matches_reference(&mut sys, &m, 13e-12, "masked multi-term system");
+        // The self-substituted stencil table against the reference's
+        // presence tests, signed zeros included.
+        for threads in [1, 3] {
+            let (mut sys, m) = narrow_guide_system(threads);
+            let what = format!("narrow guides, {threads} threads");
+            assert_rhs_matches_reference(&mut sys, &m, 13e-12, &what);
+        }
     }
 
     /// A full film with exactly the canonical term set and no antennas —
@@ -1835,73 +2062,121 @@ mod tests {
         }
     }
 
+    /// Member `s`'s state derived from `m0`: cells with an exactly zero
+    /// component keep their direction, with the signs of their zeros set
+    /// by the parity of `i + s`; the others tilt by a member-dependent
+    /// amount. Vacuum stays zero.
+    fn member_state(m0: &[Vec3], s: usize) -> Vec<Vec3> {
+        m0.iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let zeros = [v.x, v.y, v.z].contains(&0.0);
+                if v == Vec3::ZERO {
+                    v
+                } else if zeros {
+                    let sign = |c: f64| if c == 0.0 && (i + s) % 2 == 1 { -c } else { c };
+                    Vec3::new(sign(v.x), sign(v.y), sign(v.z))
+                } else {
+                    Vec3::new(v.x + 0.01 * s as f64, v.y, v.z + 0.02 * (i % 5) as f64).normalized()
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn batched_rhs_is_bitwise_identical_to_member_runs() {
-        // K members share geometry/terms but differ in state, drive
-        // phase (emulated by evaluating the antennas at different
-        // times) and thermal realization. The K = 3 lane kernels must
-        // reproduce each member's K = 1 evaluation (the single-system
-        // kernels) bit for bit, at several thread counts.
-        let kk = 3;
-        let times = [3e-12, 7.5e-12, 11e-12];
-        let (probe_sys, m0) = masked_multiterm_system(1);
-        let n = m0.len();
-        // Distinct per-member states and thermal buffers.
-        let member_m: Vec<Vec<Vec3>> = (0..kk)
-            .map(|s| {
-                m0.iter()
-                    .enumerate()
-                    .map(|(i, &v)| {
-                        if v == Vec3::ZERO {
-                            v
-                        } else {
-                            Vec3::new(v.x + 0.01 * s as f64, v.y, v.z + 0.02 * (i % 5) as f64)
-                                .normalized()
+        // K members share geometry/terms but differ in state (signed
+        // zeros included), drive phase (emulated by evaluating the
+        // antennas at different times) and thermal realization. At every
+        // K the lane kernels must reproduce each member's K = 1
+        // evaluation (the single-system kernels) bit for bit, at several
+        // thread counts, with and without a thermal plane — on the masked
+        // multi-term mesh and on narrow guides, where most cells take
+        // their neighbours from the stencil table.
+        type Fixture = fn(usize) -> (LlgSystem, Vec<Vec3>);
+        let fixtures: [(&str, Fixture); 2] = [
+            ("masked", masked_multiterm_system),
+            ("narrow", narrow_guide_system),
+        ];
+        let kmax = 8;
+        let times: Vec<f64> = (0..kmax).map(|s| 3e-12 + 1.1e-12 * s as f64).collect();
+        for (name, fixture) in fixtures {
+            let (probe_sys, m0) = fixture(1);
+            let n = m0.len();
+            let member_m: Vec<Vec<Vec3>> = (0..kmax).map(|s| member_state(&m0, s)).collect();
+            let member_thermal: Vec<Vec<Vec3>> = (0..kmax)
+                .map(|s| {
+                    (0..n)
+                        .map(|i| Vec3::new(1.0 + s as f64, i as f64 * 0.5, -(s as f64)) * 10.0)
+                        .collect()
+                })
+                .collect();
+            let ant_fields: Vec<Vec<Vec3>> = times
+                .iter()
+                .map(|&t| {
+                    let mut f = Vec::new();
+                    drive_fields(&probe_sys.antennas, t, &mut f);
+                    f
+                })
+                .collect();
+            for hot in [false, true] {
+                // Reference: independent single-system evaluations.
+                let expected: Vec<Field3> = (0..kmax)
+                    .map(|s| {
+                        let (mut sys, _) = fixture(1);
+                        let mut thermal = FieldBatch::empty(1);
+                        if hot {
+                            thermal = FieldBatch::zeros(n, 1);
+                            thermal.load_member(0, member_thermal[s].as_slice());
                         }
+                        rhs(
+                            &mut sys,
+                            &Field3::from_vec3s(&member_m[s]),
+                            times[s],
+                            &thermal,
+                        )
                     })
-                    .collect()
-            })
-            .collect();
-        let member_thermal: Vec<Vec<Vec3>> = (0..kk)
-            .map(|s| {
-                (0..n)
-                    .map(|i| Vec3::new(1.0 + s as f64, i as f64 * 0.5, -(s as f64)) * 10.0)
-                    .collect()
-            })
-            .collect();
-        // Reference: independent single-system evaluations.
-        let mut expected: Vec<Field3> = Vec::new();
-        for s in 0..kk {
-            let (mut sys, _) = masked_multiterm_system(1);
-            let mut thermal = FieldBatch::zeros(n, 1);
-            thermal.load_member(0, member_thermal[s].as_slice());
-            let ms = Field3::from_vec3s(&member_m[s]);
-            expected.push(rhs(&mut sys, &ms, times[s], &thermal));
+                    .collect();
+                for threads in [1, 2, 4] {
+                    let (sys, _) = fixture(threads);
+                    for kk in [2, 3, 4, 5, 8] {
+                        let mut y = FieldBatch::zeros(n, kk);
+                        let mut thermal = FieldBatch::empty(kk);
+                        if hot {
+                            thermal = FieldBatch::zeros(n, kk);
+                        }
+                        for s in 0..kk {
+                            y.load_member(s, member_m[s].as_slice());
+                            if hot {
+                                thermal.load_member(s, member_thermal[s].as_slice());
+                            }
+                        }
+                        let mut k_out = FieldBatch::zeros(n, kk);
+                        let ant = &ant_fields[..kk];
+                        sys.rhs_stage_batch(&y, &mut k_out, None, ant, &thermal, |_, _, _| {});
+                        for (s, want) in expected.iter().enumerate().take(kk) {
+                            let mut got = Field3::zeros(n);
+                            k_out.store_member(s, &mut got);
+                            assert!(
+                                bits(&got) == bits(want),
+                                "{name}, thermal {hot}: member {s} of K = {kk} diverged at \
+                                 {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
         }
-        let ant_fields: Vec<Vec<Vec3>> = times
+    }
+
+    /// Every component of `f`, as bits (so signed zeros compare unequal).
+    fn bits(f: &Field3) -> Vec<u64> {
+        f.xs()
             .iter()
-            .map(|&t| {
-                let mut f = Vec::new();
-                drive_fields(&probe_sys.antennas, t, &mut f);
-                f
-            })
-            .collect();
-        for threads in [1, 2, 4] {
-            let (sys, _) = masked_multiterm_system(threads);
-            let mut y = FieldBatch::zeros(n, kk);
-            let mut thermal = FieldBatch::zeros(n, kk);
-            for s in 0..kk {
-                y.load_member(s, member_m[s].as_slice());
-                thermal.load_member(s, member_thermal[s].as_slice());
-            }
-            let mut k_out = FieldBatch::zeros(n, kk);
-            sys.rhs_stage_batch(&y, &mut k_out, None, &ant_fields, &thermal, |_, _, _| {});
-            for (s, want) in expected.iter().enumerate().take(kk) {
-                let mut got = Field3::zeros(n);
-                k_out.store_member(s, &mut got);
-                assert_eq!(&got, want, "member {s} diverged at {threads} threads");
-            }
-        }
+            .chain(f.ys())
+            .chain(f.zs())
+            .map(|v| v.to_bits())
+            .collect()
     }
 
     /// The stage sweep alone (no fuse) through `sweep_dispatch`, with the
@@ -1934,89 +2209,89 @@ mod tests {
         // On AVX2 hosts the stage takes the AVX2 kernels and the portable
         // arm runs only remainder lanes. Here the same stage — a pre-pass
         // base field, a thermal plane and an antenna over part of the
-        // interior runs — goes through both, and every output bit must
-        // agree; each member must also be its own K = 1 stage.
-        let (sys, m) = masked_multiterm_system(3);
-        let n = m.len();
-        let covers_interior = sys.kernel.segs.iter().any(|seg| {
-            seg.interior
-                && (seg.ci0 as usize..seg.ci1 as usize)
-                    .any(|ci| sys.kernel.ant_off[ci + 1] > sys.kernel.ant_off[ci])
-        });
-        assert!(covers_interior, "the antenna must cover interior-run cells");
+        // interior runs and of the stencil stretches — goes through both,
+        // and every output bit must agree; each member must also be its
+        // own K = 1 stage. At K ≥ 2 the stencil stretches run the arm too
+        // (the stencil walk), so both neighbour sources are covered.
         #[cfg(target_arch = "x86_64")]
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
         let avx2 = false;
-        let member = |s: usize| -> (Vec<Vec3>, Vec<Vec3>, Vec<Vec3>, Vec<Vec3>) {
-            let state = m
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| {
-                    if v == Vec3::ZERO {
-                        v
-                    } else {
-                        Vec3::new(v.x - 0.03 * s as f64, v.y + 0.01 * (i % 7) as f64, v.z)
-                            .normalized()
-                    }
+        type Fixture = fn(usize) -> (LlgSystem, Vec<Vec3>);
+        let fixtures: [(&str, Fixture); 2] = [
+            ("masked", masked_multiterm_system),
+            ("narrow", narrow_guide_system),
+        ];
+        for (name, fixture) in fixtures {
+            let (sys, m) = fixture(3);
+            let n = m.len();
+            let covered = |ci: usize| sys.kernel.ant_off[ci + 1] > sys.kernel.ant_off[ci];
+            let in_segments = |interior: bool, want_covered: bool| {
+                sys.kernel.segs.iter().any(|seg| {
+                    seg.interior == interior
+                        && (seg.ci0 as usize..seg.ci1 as usize)
+                            .any(|ci| covered(ci) == want_covered)
                 })
-                .collect();
-            // Irrational-looking values, so reordering any addition
-            // would show in the low bits.
-            let wave = |i: usize, f: f64| (f * (i + 7 * s) as f64).sin();
-            let base = (0..n)
-                .map(|i| Vec3::new(wave(i, 0.3), wave(i, 0.7), wave(i, 1.1)) * 3.1e4)
-                .collect();
-            let thermal = (0..n)
-                .map(|i| Vec3::new(wave(i, 1.3), wave(i, 0.2), wave(i, 0.9)) * 713.7)
-                .collect();
-            let mut drives = Vec::new();
-            drive_fields(&sys.antennas, 2e-12 + 1.5e-12 * s as f64, &mut drives);
-            (state, base, thermal, drives)
-        };
-        let bits = |f: &Field3| -> Vec<u64> {
-            f.xs()
-                .iter()
-                .chain(f.ys())
-                .chain(f.zs())
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        let stage = |members: &[usize], avx2: bool| -> FieldBatch {
-            let kk = members.len();
-            let (mut y, mut base, mut thermal) = (
-                FieldBatch::zeros(n, kk),
-                FieldBatch::zeros(n, kk),
-                FieldBatch::zeros(n, kk),
+            };
+            assert!(
+                in_segments(false, false),
+                "{name}: stencil cells for the walk"
             );
-            let mut ant_fields = Vec::new();
-            for (s, &id) in members.iter().enumerate() {
-                let (state, b, th, drives) = member(id);
-                y.load_member(s, state.as_slice());
-                base.load_member(s, b.as_slice());
-                thermal.load_member(s, th.as_slice());
-                ant_fields.push(drives);
+            assert!(in_segments(false, true), "{name}: covered stencil cells");
+            if name == "masked" {
+                assert!(in_segments(true, true), "{name}: covered interior cells");
             }
-            sweep_stage(&sys, &y, &base, &ant_fields, &thermal, avx2)
-        };
-        let solo: Vec<Vec<u64>> = (0..8).map(|s| bits(stage(&[s], false).data())).collect();
-        for kk in [1, 3, 4, 8] {
-            let members: Vec<usize> = (0..kk).collect();
-            let portable = stage(&members, false);
-            if avx2 {
-                let fast = stage(&members, true);
-                assert!(
-                    bits(portable.data()) == bits(fast.data()),
-                    "K = {kk}: the portable sweep diverged from the AVX2 sweep"
+            let member = |s: usize| -> (Vec<Vec3>, Vec<Vec3>, Vec<Vec3>, Vec<Vec3>) {
+                let state = member_state(&m, s);
+                // Irrational-looking values, so reordering any addition
+                // would show in the low bits.
+                let wave = |i: usize, f: f64| (f * (i + 7 * s) as f64).sin();
+                let base = (0..n)
+                    .map(|i| Vec3::new(wave(i, 0.3), wave(i, 0.7), wave(i, 1.1)) * 3.1e4)
+                    .collect();
+                let thermal = (0..n)
+                    .map(|i| Vec3::new(wave(i, 1.3), wave(i, 0.2), wave(i, 0.9)) * 713.7)
+                    .collect();
+                let mut drives = Vec::new();
+                drive_fields(&sys.antennas, 2e-12 + 1.5e-12 * s as f64, &mut drives);
+                (state, base, thermal, drives)
+            };
+            let stage = |members: &[usize], avx2: bool| -> FieldBatch {
+                let kk = members.len();
+                let (mut y, mut base, mut thermal) = (
+                    FieldBatch::zeros(n, kk),
+                    FieldBatch::zeros(n, kk),
+                    FieldBatch::zeros(n, kk),
                 );
-            }
-            for (s, want) in solo.iter().enumerate().take(kk) {
-                let mut got = Field3::zeros(n);
-                portable.store_member(s, &mut got);
-                assert!(
-                    bits(&got) == *want,
-                    "K = {kk}: member {s} diverged from K = 1"
-                );
+                let mut ant_fields = Vec::new();
+                for (s, &id) in members.iter().enumerate() {
+                    let (state, b, th, drives) = member(id);
+                    y.load_member(s, state.as_slice());
+                    base.load_member(s, b.as_slice());
+                    thermal.load_member(s, th.as_slice());
+                    ant_fields.push(drives);
+                }
+                sweep_stage(&sys, &y, &base, &ant_fields, &thermal, avx2)
+            };
+            let solo: Vec<Vec<u64>> = (0..8).map(|s| bits(stage(&[s], false).data())).collect();
+            for kk in [1, 2, 3, 4, 5, 8] {
+                let members: Vec<usize> = (0..kk).collect();
+                let portable = stage(&members, false);
+                if avx2 {
+                    let fast = stage(&members, true);
+                    assert!(
+                        bits(portable.data()) == bits(fast.data()),
+                        "{name}, K = {kk}: the portable sweep diverged from the AVX2 sweep"
+                    );
+                }
+                for (s, want) in solo.iter().enumerate().take(kk) {
+                    let mut got = Field3::zeros(n);
+                    portable.store_member(s, &mut got);
+                    assert!(
+                        bits(&got) == *want,
+                        "{name}, K = {kk}: member {s} diverged from K = 1"
+                    );
+                }
             }
         }
     }

@@ -35,9 +35,9 @@ use rk4::RungeKutta4;
 use crate::error::MagnumError;
 use crate::excitation::Antenna;
 use crate::field3::{Field3, Field3Ptr, Field3Read, FieldBatch};
-use crate::llg::{drive_fields, LlgSystem};
+use crate::llg::{drive_fields, LlgSystem, MagneticRuns};
 use crate::math::Vec3;
-use crate::par::{chunk_bounds, WorkerTeam};
+use crate::par::WorkerTeam;
 
 /// `out[i] = a[i] + k[i]·c` over `i0..i1`, one component plane at a time.
 ///
@@ -237,13 +237,7 @@ impl Stages<'_> {
 
     /// Renormalizes every member after an accepted step ending at `t`.
     fn renormalize(&self, m: &mut FieldBatch, t: f64) -> Result<(), MagnumError> {
-        renormalize_and_check(
-            m,
-            &self.system.mask,
-            self.system.full_film(),
-            t,
-            self.system.par(),
-        )
+        renormalize_and_check(m, self.system.magnetic_runs(), t, self.system.par())
     }
 
     /// The worker team of the host system.
@@ -255,12 +249,13 @@ impl Stages<'_> {
 /// Renormalizes magnetic cells of every member of a K-interleaved batch
 /// to |m| = 1 and reports divergence.
 ///
-/// Runs block-parallel on the system's worker team; blocks chunk over
-/// *cells* (each owning its cells' full K lanes) and per-block results are
-/// folded in block order, so the reported error (first bad block) is
-/// deterministic for a fixed thread count. The arithmetic per (cell,
-/// member) element — finiteness test, norm, componentwise divide — does
-/// not depend on K or on the partition.
+/// Runs block-parallel on the system's worker team over the magnetic
+/// runs the system derived at build (`runs`, one list per block: each
+/// block owns its cells' full K lanes, and a run's lanes are one
+/// contiguous interleaved range, so vacuum is never visited). Per-block
+/// results are folded in block order, so the outcome is deterministic.
+/// The arithmetic per (cell, member) element — finiteness test, norm,
+/// componentwise divide — does not depend on K or on the partition.
 ///
 /// The loop runs tiled: norms for a small tile first, then one divide loop
 /// per component plane. Divide and square root are exactly rounded in
@@ -269,15 +264,18 @@ impl Stages<'_> {
 /// aborts the run) can differ within the failing tile.
 pub(crate) fn renormalize_and_check(
     m: &mut FieldBatch,
-    mask: &[bool],
-    full_film: bool,
+    runs: &MagneticRuns,
     t: f64,
     team: &WorkerTeam,
 ) -> Result<(), MagnumError> {
     let kk = m.k();
-    let n = m.cells();
-    let nb = team.threads().max(1);
-    debug_assert_eq!(full_film, mask.iter().all(|&magnetic| magnetic));
+    // The unchecked tile bodies below rely on both.
+    assert!(runs.end() <= m.cells(), "magnetic runs beyond the batch");
+    assert_eq!(
+        runs.blocks(),
+        team.threads().max(1),
+        "one run list per block"
+    );
     let out = m.ptrs();
     // The divide- and sqrt-heavy tile body is worth compiling 4-wide
     // where the host supports it; `vdivpd`/`vsqrtpd` are correctly
@@ -297,27 +295,10 @@ pub(crate) fn renormalize_and_check(
     team.fold_blocks(
         Ok(()),
         |b| {
-            let (start, end) = chunk_bounds(n, nb, b);
-            if full_film {
-                // Safety: cell chunks are disjoint across blocks, so the
-                // interleaved ranges are too, and in bounds for all planes.
-                return renorm(start * kk, end * kk);
-            }
-            // Magnetic cells come in contiguous runs (the rows of the
-            // shape), and a run's K lanes are one contiguous interleaved
-            // range — so the masked arm uses the tiled body too, run by
-            // run.
-            let mut i = start;
-            while i < end {
-                if !mask[i] {
-                    i += 1;
-                    continue;
-                }
-                let run0 = i;
-                while i < end && mask[i] {
-                    i += 1;
-                }
-                renorm(run0 * kk, i * kk)?;
+            // Safety: the runs of different blocks are disjoint, so their
+            // interleaved ranges are too, and in bounds for all planes.
+            for &(r0, r1) in runs.block(b) {
+                renorm(r0 * kk, r1 * kk)?;
             }
             Ok(())
         },
@@ -523,6 +504,14 @@ mod tests {
         );
     }
 
+    /// The magnetic runs of `mask` split over `blocks` worker blocks.
+    fn runs_of(mask: &[bool], blocks: usize) -> MagneticRuns {
+        let cells: Vec<u32> = (0..mask.len() as u32)
+            .filter(|&i| mask[i as usize])
+            .collect();
+        MagneticRuns::new(&cells, blocks)
+    }
+
     fn batch_of(v: &[Vec3]) -> FieldBatch {
         let mut b = FieldBatch::zeros(v.len(), 1);
         b.load_member(0, v);
@@ -533,7 +522,7 @@ mod tests {
     fn renormalize_rejects_nan() {
         let team = WorkerTeam::new(1);
         let mut m = batch_of(&[Vec3::new(f64::NAN, 0.0, 0.0)]);
-        let err = renormalize_and_check(&mut m, &[true], true, 1e-9, &team);
+        let err = renormalize_and_check(&mut m, &runs_of(&[true], 1), 1e-9, &team);
         assert!(matches!(err, Err(MagnumError::Diverged { .. })));
     }
 
@@ -541,7 +530,7 @@ mod tests {
     fn renormalize_skips_vacuum() {
         let team = WorkerTeam::new(1);
         let mut m = FieldBatch::zeros(1, 1);
-        renormalize_and_check(&mut m, &[false], false, 0.0, &team)
+        renormalize_and_check(&mut m, &runs_of(&[false], 1), 0.0, &team)
             .expect("vacuum zero vector is fine");
         assert_eq!(m.get(0, 0), Vec3::ZERO);
     }
@@ -560,9 +549,9 @@ mod tests {
             })
             .collect();
         let mut serial = batch_of(&original);
-        renormalize_and_check(&mut serial, &mask, false, 0.0, &WorkerTeam::new(1)).unwrap();
+        renormalize_and_check(&mut serial, &runs_of(&mask, 1), 0.0, &WorkerTeam::new(1)).unwrap();
         let mut parallel = batch_of(&original);
-        renormalize_and_check(&mut parallel, &mask, false, 0.0, &WorkerTeam::new(4)).unwrap();
+        renormalize_and_check(&mut parallel, &runs_of(&mask, 4), 0.0, &WorkerTeam::new(4)).unwrap();
         assert_eq!(serial, parallel);
         // Per element the tiled body is the per-cell expression.
         for (i, v) in original.iter().enumerate() {
