@@ -55,7 +55,7 @@ test -s target/BENCH_rhs_smoke.json
 grep -q '"cpus"' target/BENCH_rhs_smoke.json
 
 echo "==> batch bench smoke (asserts batch/independent bitwise parity and >=1.5x at K=8)"
-./target/release/parbench --batch --ks 1,4,8 --steps 100 \
+./target/release/parbench --batch --ks 1,4,8 --steps 1000 \
     --out target/BENCH_batch_smoke.json
 test -s target/BENCH_batch_smoke.json
 

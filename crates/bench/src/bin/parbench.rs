@@ -488,7 +488,8 @@ fn build_gate_sim(phase: f64) -> Simulation {
 
 /// `--batch`: K independent serial runs vs one batched K-way advance on
 /// the triangle-gate workload, with bitwise parity checked per member.
-/// The two arms alternate, and each reports its best of three.
+/// Both arms build their members before their timers start; the two
+/// arms alternate, and each reports its best of three.
 /// Writes `BENCH_batch.json` and fails unless the largest K is at least
 /// 1.5x faster batched.
 fn batch_main(ks: Vec<usize>, steps: usize, out: String) {
@@ -517,18 +518,18 @@ fn batch_main(ks: Vec<usize>, steps: usize, out: String) {
         // at the mercy of timer and scheduler noise on a shared host.
         let (mut t_independent, mut t_batch) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..REPS {
+            let mut solo: Vec<Simulation> = phases.iter().map(|&p| build_gate_sim(p)).collect();
             let start = Instant::now();
-            let independent: Vec<Vec<Vec3>> = phases
-                .iter()
-                .map(|&p| {
-                    let mut sim = build_gate_sim(p);
-                    for _ in 0..steps {
-                        sim.step().unwrap();
-                    }
-                    sim.magnetization().to_vec()
-                })
-                .collect();
+            for sim in &mut solo {
+                for _ in 0..steps {
+                    sim.step().unwrap();
+                }
+            }
             t_independent = t_independent.min(start.elapsed().as_secs_f64());
+            let independent: Vec<Vec<Vec3>> = solo
+                .iter()
+                .map(|sim| sim.magnetization().to_vec())
+                .collect();
 
             let sims: Vec<Simulation> = phases.iter().map(|&p| build_gate_sim(p)).collect();
             let mut batch =

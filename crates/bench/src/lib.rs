@@ -42,10 +42,11 @@ pub fn write_report(out: &str, report: &Json) {
 }
 
 /// A minimal blocking HTTP/1.1 client over `std::net`, just enough to
-/// drive the `swserve` API: keep-alive connections, `Content-Length`
-/// framed bodies, lowercase header access.
+/// drive the `swserve` API: keep-alive connections, responses read by
+/// [`swserve::http::read_response`] through one buffer per connection,
+/// lowercase header access.
 pub mod httpc {
-    use std::io::{Read, Write};
+    use std::io::{BufReader, Write};
     use std::net::{SocketAddr, TcpStream};
     use std::time::Duration;
 
@@ -72,7 +73,9 @@ pub mod httpc {
 
     /// A keep-alive connection to the server.
     pub struct Client {
-        stream: TcpStream,
+        /// The connection, buffered for reading; requests are written
+        /// to the stream underneath.
+        reader: BufReader<TcpStream>,
     }
 
     impl Client {
@@ -85,7 +88,9 @@ pub mod httpc {
             let stream = TcpStream::connect(addr)?;
             stream.set_read_timeout(Some(Duration::from_secs(60)))?;
             stream.set_nodelay(true)?;
-            Ok(Client { stream })
+            Ok(Client {
+                reader: BufReader::new(stream),
+            })
         }
 
         /// Issues one request and reads the response, reusing the
@@ -105,74 +110,19 @@ pub mod httpc {
                 "{method} {path} HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n",
                 body.len()
             );
-            self.stream.write_all(head.as_bytes())?;
-            self.stream.write_all(body.as_bytes())?;
-            self.read_response()
-        }
-
-        fn read_line(&mut self) -> std::io::Result<String> {
-            let mut line = Vec::new();
-            let mut byte = [0u8; 1];
-            loop {
-                let n = self.stream.read(&mut byte)?;
-                if n == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-response",
-                    ));
-                }
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return String::from_utf8(line).map_err(|_| {
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 header")
-                    });
-                }
-                line.push(byte[0]);
-            }
-        }
-
-        fn read_response(&mut self) -> std::io::Result<Response> {
-            let status_line = self.read_line()?;
-            let status: u16 = status_line
-                .split_whitespace()
-                .nth(1)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("bad status line `{status_line}`"),
-                    )
-                })?;
-            let mut headers = Vec::new();
-            loop {
-                let line = self.read_line()?;
-                if line.is_empty() {
-                    break;
-                }
-                if let Some((name, value)) = line.split_once(':') {
-                    headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-                }
-            }
-            let length: usize = headers
-                .iter()
-                .find(|(k, _)| k == "content-length")
-                .and_then(|(_, v)| v.parse().ok())
-                .ok_or_else(|| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "missing content-length")
-                })?;
-            let mut body = vec![0u8; length];
-            self.stream.read_exact(&mut body)?;
-            let mut body = String::from_utf8(body).map_err(|_| {
+            let stream = self.reader.get_mut();
+            stream.write_all(head.as_bytes())?;
+            stream.write_all(body.as_bytes())?;
+            let response = swserve::http::read_response(&mut self.reader)?;
+            let mut body = String::from_utf8(response.body).map_err(|_| {
                 std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 body")
             })?;
             if body.ends_with('\n') {
                 body.pop();
             }
             Ok(Response {
-                status,
-                headers,
+                status: response.status,
+                headers: response.headers,
                 body,
             })
         }

@@ -3,21 +3,22 @@
 //! Every experiment in the paper reproduction is N nearly-identical LLG
 //! runs — the 8 MAJ3 input patterns, variability sweeps, thermal
 //! Monte-Carlo — and each independent run pays the full per-sweep
-//! overhead (stencil tables, neighbour-presence branches, CSR offsets,
-//! fork/join, FFT twiddle/spectrum loads) on its own. A
-//! [`BatchedSimulation`] advances K member simulations in lockstep
-//! through one K-interleaved SoA sweep per stage: the shared geometry
-//! walk is amortized over all members and the innermost member loop runs
-//! over consecutive lanes the vectorizer can use.
+//! overhead (stencil-table reads, CSR offsets, fork/join, FFT
+//! twiddle/spectrum loads) on its own. A [`BatchedSimulation`] advances
+//! K member simulations in lockstep through one K-interleaved SoA sweep
+//! per stage: the shared geometry walk is amortized over all members,
+//! and the K lanes of a cell are consecutive, so the branch-free arm
+//! runs four members per AVX2 vector.
 //!
 //! ## One stepper family
 //!
 //! There is no batch-only integrator: a batch runs the same
 //! [`crate::solver`] steppers a [`Simulation`] runs, at width K instead
-//! of 1. The stage function selects its kernels on K alone — the
-//! single-system kernels at K = 1, the lane kernels at K ≥ 2 — so a
-//! batch of one costs what a solo run costs, and every K ≥ 2 batch gets
-//! the lane kernels.
+//! of 1, and one stage body serves every K (see [`crate::llg`]): the
+//! branch-free arm, whose AVX2 form packs four interior cells per
+//! vector at K = 1 and four members per vector at K ≥ 4, and one scalar
+//! body, which the K = 1 sweep compiles with a constant stride. A batch
+//! of one costs what a solo run costs.
 //!
 //! ## Layout and parity
 //!

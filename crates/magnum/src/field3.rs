@@ -282,9 +282,9 @@ impl Field3Ptr {
 ///
 /// With the batch index innermost, one sweep over the shared
 /// geometry/neighbour tables advances all `k` systems: the per-cell
-/// stencil coefficients, neighbour-presence branches and CSR offsets are
-/// loaded once per cell and the per-member arithmetic runs over `k`
-/// consecutive lanes, which is the layout the loop vectorizer wants.
+/// stencil row, damping and CSR offsets are loaded once per cell and
+/// the per-member arithmetic runs over `k` consecutive lanes, which is
+/// the layout vector loads want.
 /// Interleaving and de-interleaving are pure permutations of `f64`
 /// values (no arithmetic), so member round-trips are bitwise lossless —
 /// the same determinism argument [`Field3::from_vec3s`] makes for the

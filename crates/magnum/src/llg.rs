@@ -56,14 +56,15 @@
 //! canonical and includes exchange (`sweep_arm`). Interior runs feed it
 //! the constant offsets `±1` and `±nx`; at K ≥ 2 every other cell feeds
 //! it its row of the stencil table, so at K ≥ 4 every such cell runs
-//! four members per AVX2 vector. The remaining cells take a scalar
-//! kernel picked from K alone: `sweep_scalar` on the plain planes at
-//! K = 1 (boundary cells included), the lane kernel
-//! `sweep_scalar_batch`, whose member loop is innermost over
-//! consecutive interleaved lanes, at K ≥ 2 — there only for
-//! antenna-covered cells and non-canonical op sets. All of them evaluate
-//! the same expression sequence per (cell, member), so a member of a
-//! batch is bitwise identical to the same simulation stepped alone.
+//! four members per AVX2 vector. The remaining cells — at K = 1 the
+//! stencil cells, at every K the antenna-covered cells and, for a
+//! non-canonical op sequence, every cell — take the one scalar body,
+//! `sweep_scalar`: `fused_field` + `torque` per lane `i·K + s`, its
+//! member loop inside the cell loop. The K = 1 sweep passes K as the
+//! literal 1, so that copy compiles with a constant stride from the same
+//! source. Both bodies evaluate the same expression sequence per (cell,
+//! member), so a member of a batch is bitwise identical to the same
+//! simulation stepped alone.
 
 use crate::excitation::Antenna;
 use crate::field::{FieldTerm, FusedTerm};
@@ -583,34 +584,26 @@ fn std_ops(ops: &[FusedTerm]) -> Option<StdOps> {
     Some(std)
 }
 
-/// What one stage sweep reads and writes: the K-interleaved stage-input
-/// planes, the per-member inputs of [`LlgSystem::rhs_stage_batch`] and
-/// the output planes.
+/// What a stage reads: the stage-input planes, the pre-pass field planes
+/// (when a non-local term wrote one) and the thermal planes (empty at
+/// T = 0), all K-interleaved, and one drive-field list per member (empty
+/// without antennas).
 #[derive(Clone, Copy)]
-struct Sweep<'a> {
+struct StageIn<'a> {
     mx: &'a [f64],
     my: &'a [f64],
     mz: &'a [f64],
-    base: Option<&'a FieldBatch>,
+    base: Option<&'a Field3>,
     ant_fields: &'a [Vec<Vec3>],
-    thermal: &'a FieldBatch,
-    kk: usize,
-    out: Field3Ptr,
+    thermal: &'a Field3,
 }
 
-impl<'a> Sweep<'a> {
-    /// The single member's pre-pass field, drive fields and thermal
-    /// realization as plain planes — valid at K = 1, where the batch
-    /// layout is the single-system layout.
-    #[inline(always)]
-    fn member0(&self) -> (Option<&'a Field3>, &'a [Vec3], &'a Field3) {
-        debug_assert_eq!(self.kk, 1);
-        (
-            self.base.map(FieldBatch::data),
-            self.ant_fields.first().map_or(&[][..], Vec::as_slice),
-            self.thermal.data(),
-        )
-    }
+/// What one stage sweep reads, its batch width and its output planes.
+#[derive(Clone, Copy)]
+struct Sweep<'a> {
+    input: StageIn<'a>,
+    kk: usize,
+    out: Field3Ptr,
 }
 
 /// The precompiled single-pass kernel (see module docs).
@@ -910,36 +903,35 @@ impl LlgSystem {
         }
     }
 
-    /// Effective field at one magnetic cell, assembled from the serial
-    /// pre-pass (`base`), the fused ops, the antenna drives and the
-    /// thermal realization (empty at T = 0) — in exactly the order the
-    /// term-by-term path uses.
-    ///
-    /// `mx`/`my`/`mz` are the component planes of the stage input; the
-    /// exchange stencil gathers neighbours from them directly.
-    #[allow(clippy::too_many_arguments)]
+    /// Effective field at member `s` of magnetic cell `i` (list index
+    /// `ci`) in a K = `kk` batch — lane `i·kk + s` — assembled from the
+    /// pre-pass (`base`), the fused ops, member `s`'s antenna drives and
+    /// the thermal realization — in exactly the order the term-by-term
+    /// path uses. `mi` is the lane's stage input; the exchange stencil
+    /// gathers member `s` of each neighbour, lane `nb·kk + s`, from the
+    /// input planes directly.
     #[inline(always)]
     fn fused_field(
         &self,
+        inp: &StageIn,
         ci: usize,
         i: usize,
+        kk: usize,
+        s: usize,
         mi: Vec3,
-        mx: &[f64],
-        my: &[f64],
-        mz: &[f64],
-        base: Option<&Field3>,
-        ant_fields: &[Vec3],
-        thermal: &Field3,
     ) -> Vec3 {
-        let mut h = match base {
-            Some(b) => b.get(i),
+        let mut h = match inp.base {
+            Some(b) => b.get(i * kk + s),
             None => Vec3::ZERO,
         };
         for op in &self.kernel.ops {
             match *op {
                 FusedTerm::Exchange { coeff_x, coeff_y } => {
                     let nb = self.kernel.nbrs[ci];
-                    let at = |j: u32| Vec3::new(mx[j as usize], my[j as usize], mz[j as usize]);
+                    let at = |j: u32| {
+                        let l = j as usize * kk + s;
+                        Vec3::new(inp.mx[l], inp.my[l], inp.mz[l])
+                    };
                     let mut acc = Vec3::ZERO;
                     acc += (at(nb[0]) - mi) * coeff_x;
                     acc += (at(nb[1]) - mi) * coeff_x;
@@ -958,18 +950,18 @@ impl LlgSystem {
                 }
             }
         }
-        if !ant_fields.is_empty() {
+        if let Some(drives) = inp.ant_fields.get(s).filter(|d| !d.is_empty()) {
             let a0 = self.kernel.ant_off[ci] as usize;
             let a1 = self.kernel.ant_off[ci + 1] as usize;
             for &ai in &self.kernel.ant_ids[a0..a1] {
-                let f = ant_fields[ai as usize];
+                let f = drives[ai as usize];
                 if f != Vec3::ZERO {
                     h += f;
                 }
             }
         }
-        if !thermal.is_empty() {
-            h += thermal.get(i);
+        if !inp.thermal.is_empty() {
+            h += inp.thermal.get(i * kk + s);
         }
         h
     }
@@ -1002,7 +994,10 @@ impl LlgSystem {
     }
 
     /// One block's share of a stage sweep: the kernels picked on K and on
-    /// AVX2 support (see the module docs).
+    /// AVX2 support (see the module docs). The sweep takes its batch
+    /// width as an argument so that the K = 1 call passes a literal: the
+    /// compiler then builds that copy of the scalar body with a constant
+    /// stride, from the same source as every other K.
     fn sweep_dispatch(&self, b: usize, sw: &Sweep, avx2: bool) {
         if sw.kk == 1 {
             self.sweep_block_one(b, sw, avx2);
@@ -1014,70 +1009,64 @@ impl LlgSystem {
             unsafe { self.sweep_block_avx2(b, sw) };
             return;
         }
-        self.sweep_block(b, sw, false);
+        self.sweep_block(b, sw, sw.kk, false);
     }
 
     /// [`LlgSystem::sweep_block`] at K = 1.
     ///
-    /// Kept out of line: inlined next to the lane kernels, the
-    /// single-system kernels measured about 7% slower per RK4 step on a
+    /// Kept out of line: inlined next to the K ≥ 2 sweeps, the
+    /// single-system sweep measured about 7% slower per RK4 step on a
     /// 256 × 128 film (2-CPU x86-64 host).
     #[inline(never)]
     fn sweep_block_one(&self, b: usize, sw: &Sweep, avx2: bool) {
-        self.sweep_block(b, sw, avx2);
+        self.sweep_block(b, sw, 1, avx2);
     }
 
-    /// One block's share of a sweep: the segment walk handing
-    /// [`LlgSystem::sweep_arm`] what the branch-free arm serves — interior
-    /// runs at every K, stencil stretches at K ≥ 2 — and the rest to the
-    /// scalar kernels.
+    /// One block's share of a sweep at batch width `kk`: the segment walk
+    /// handing [`LlgSystem::sweep_arm`] what the branch-free arm serves —
+    /// interior runs at every K, stencil stretches at K ≥ 2 — and the
+    /// rest to [`LlgSystem::sweep_scalar`].
     #[inline(always)]
-    fn sweep_block(&self, b: usize, sw: &Sweep, avx2: bool) {
+    fn sweep_block(&self, b: usize, sw: &Sweep, kk: usize, avx2: bool) {
         let block = self.kernel.blocks[b];
         let arm = self.arm(sw);
         for seg in &self.kernel.segs[block.segs.0..block.segs.1] {
             match arm {
-                Some(arm) if seg.interior || sw.kk > 1 => self.sweep_arm(*seg, &arm, sw, avx2),
-                _ => self.sweep_range(seg.ci0 as usize, seg.ci1 as usize, sw),
+                Some(arm) if seg.interior || kk > 1 => self.sweep_arm(*seg, &arm, sw, kk, avx2),
+                _ => self.sweep_scalar(seg.ci0 as usize, seg.ci1 as usize, sw, kk),
             }
         }
     }
 
     /// [`LlgSystem::sweep_block`] compiled with AVX2 enabled, for hosts
-    /// that have it (checked at runtime by the caller): the inlined lane
-    /// kernels auto-vectorize 4-wide over the consecutive interleaved
+    /// that have it (checked at runtime by the caller): the inlined
+    /// member loops may vectorize over the consecutive interleaved
     /// lanes. Every operation is the same correctly-rounded IEEE
     /// arithmetic, so results are bitwise identical to the baseline copy.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn sweep_block_avx2(&self, b: usize, sw: &Sweep) {
-        self.sweep_block(b, sw, true);
+        self.sweep_block(b, sw, sw.kk, true);
     }
 
-    /// The scalar kernel for the stage's K over list range `ci0..ci1`.
+    /// The general sweep body at every K: each member of list cells
+    /// `ci0..ci1` through [`LlgSystem::fused_field`] and
+    /// [`LlgSystem::torque`], the stencil table and the ops loop serving
+    /// boundary and vacuum-adjacent cells, antenna-covered cells and
+    /// arbitrary op sequences. `kk` is the batch width.
     #[inline(always)]
-    fn sweep_range(&self, ci0: usize, ci1: usize, sw: &Sweep) {
-        if sw.kk == 1 {
-            self.sweep_scalar(ci0, ci1, sw);
-        } else {
-            self.sweep_scalar_batch(ci0, ci1, sw);
-        }
-    }
-
-    /// The general K = 1 sweep body: handles boundary and vacuum-adjacent
-    /// cells (and arbitrary op sequences) via the stencil table and the
-    /// ops loop.
-    fn sweep_scalar(&self, ci0: usize, ci1: usize, sw: &Sweep) {
-        let (mx, my, mz, out) = (sw.mx, sw.my, sw.mz, sw.out);
-        let (base, ant_fields, thermal) = sw.member0();
+    fn sweep_scalar(&self, ci0: usize, ci1: usize, sw: &Sweep, kk: usize) {
+        let inp = &sw.input;
         for ci in ci0..ci1 {
             let i = self.kernel.cells[ci] as usize;
-            let mi = Vec3::new(mx[i], my[i], mz[i]);
-            let h = self.fused_field(ci, i, mi, mx, my, mz, base, ant_fields, thermal);
-            let k = self.torque(i, mi, h);
-            // Safety: list ranges are disjoint across blocks and only
-            // magnetic cells are touched here.
-            unsafe { out.write(i, k) };
+            for s in 0..kk {
+                let f = i * kk + s;
+                let mi = Vec3::new(inp.mx[f], inp.my[f], inp.mz[f]);
+                let h = self.fused_field(inp, ci, i, kk, s, mi);
+                // Safety: list ranges are disjoint across blocks and only
+                // magnetic lanes are touched here.
+                unsafe { sw.out.write(f, self.torque(i, mi, h)) };
+            }
         }
     }
 
@@ -1091,11 +1080,12 @@ impl LlgSystem {
         let std = self.kernel.std_ops?;
         let (coeff_x, coeff_y) = std.ex?;
         let planes = |f: &Field3| [f.xs().as_ptr(), f.ys().as_ptr(), f.zs().as_ptr()];
+        let inp = &sw.input;
         Some(InteriorArm {
             kk: sw.kk,
-            m: [sw.mx.as_ptr(), sw.my.as_ptr(), sw.mz.as_ptr()],
-            base: sw.base.map(|b| planes(b.data())),
-            thermal: (!sw.thermal.is_empty()).then(|| planes(sw.thermal.data())),
+            m: [inp.mx.as_ptr(), inp.my.as_ptr(), inp.mz.as_ptr()],
+            base: inp.base.map(planes),
+            thermal: (!inp.thermal.is_empty()).then(|| planes(inp.thermal)),
             coeff_x,
             coeff_y,
             uni: std.uni,
@@ -1117,18 +1107,18 @@ impl LlgSystem {
     ///
     /// The segment is split at antenna coverage (a CSR range check once
     /// per cell, not once per member): covered cells — antennas touch a
-    /// few columns — take the scalar kernel. The rest runs the arm, four
-    /// lanes per AVX2 vector when `avx2` is set.
+    /// few columns — take [`LlgSystem::sweep_scalar`]. The rest runs the
+    /// arm, four lanes per AVX2 vector when `avx2` is set.
     #[inline(always)]
-    fn sweep_arm(&self, seg: Segment, arm: &InteriorArm, sw: &Sweep, avx2: bool) {
+    fn sweep_arm(&self, seg: Segment, arm: &InteriorArm, sw: &Sweep, kk: usize, avx2: bool) {
         let (ci0, ci1) = (seg.ci0 as usize, seg.ci1 as usize);
         let (ap, pp) = (self.alpha.as_ptr(), self.prefactor.as_ptr());
-        let has_ant = sw.ant_fields.iter().any(|f| !f.is_empty());
+        let has_ant = sw.input.ant_fields.iter().any(|f| !f.is_empty());
         let covered = |ci: usize| has_ant && self.kernel.ant_off[ci + 1] > self.kernel.ant_off[ci];
         let mut ci = ci0;
         while ci < ci1 {
             if covered(ci) {
-                self.sweep_range(ci, ci + 1, sw);
+                self.sweep_scalar(ci, ci + 1, sw, kk);
                 ci += 1;
                 continue;
             }
@@ -1290,21 +1280,23 @@ impl LlgSystem {
         let out = k_out.ptrs();
         let this: &LlgSystem = self;
         let sw = Sweep {
-            mx: y.data().xs(),
-            my: y.data().ys(),
-            mz: y.data().zs(),
-            base,
-            ant_fields,
-            thermal,
+            input: StageIn {
+                mx: y.data().xs(),
+                my: y.data().ys(),
+                mz: y.data().zs(),
+                base: base.map(FieldBatch::data),
+                ant_fields,
+                thermal: thermal.data(),
+            },
             kk,
             out,
         };
-        // One runtime check per stage: the lane kernels' inner loops run
-        // over consecutive interleaved lanes, which pays off most when
-        // compiled 4-wide — so the whole per-block lane sweep exists
+        // One runtime check per stage: the branch-free arm runs four
+        // lanes per AVX2 vector, so the whole per-block sweep exists
         // twice, baseline and AVX2, and the AVX2 copy is picked when the
-        // host supports it. Same Rust code, so identical IEEE results:
-        // wider lanes change throughput, never rounding.
+        // host supports it. Same IEEE operations in the same order, so
+        // identical results: wider lanes change throughput, never
+        // rounding.
         #[cfg(target_arch = "x86_64")]
         let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
@@ -1325,142 +1317,6 @@ impl LlgSystem {
         });
     }
 
-    /// Batched general sweep body (see [`LlgSystem::sweep_scalar`]) for
-    /// what the branch-free arm does not serve: antenna-covered cells and
-    /// non-canonical op sets. The stencil row, CSR offsets and damping
-    /// loads are hoisted per cell and the member loop runs innermost over
-    /// the interleaved planes.
-    ///
-    /// The member loop is chunked into groups of up to
-    /// [`SCALAR_LANES`] consecutive lanes so every data-independent
-    /// branch — the op dispatch, the antenna CSR walk — runs once per
-    /// cell (per chunk) instead of once
-    /// per cell per member. Each lane's `h` still accumulates its terms
-    /// in exactly the single-system order, so members remain bitwise
-    /// identical to independent runs; only the interleaving of work
-    /// across lanes changes.
-    #[inline(always)]
-    fn sweep_scalar_batch(&self, ci0: usize, ci1: usize, sw: &Sweep) {
-        let Sweep {
-            mx,
-            my,
-            mz,
-            base,
-            ant_fields,
-            thermal,
-            kk,
-            out,
-        } = *sw;
-        /// Lane-chunk width for the batched scalar sweep: big enough to
-        /// amortize per-cell branch hoisting for every realistic batch,
-        /// small enough for comfortable stack buffers.
-        const SCALAR_LANES: usize = 16;
-        let has_ant = ant_fields.iter().any(|f| !f.is_empty());
-        let (mxp, myp, mzp) = (mx.as_ptr(), my.as_ptr(), mz.as_ptr());
-        let at = |j: usize| unsafe { Vec3::new(*mxp.add(j), *myp.add(j), *mzp.add(j)) };
-        // Allocated once and reused across cells; every chunk rewrites
-        // lanes `0..sl` before reading them.
-        let mut mis = [Vec3::ZERO; SCALAR_LANES];
-        let mut hs = [Vec3::ZERO; SCALAR_LANES];
-        let mut accs = [Vec3::ZERO; SCALAR_LANES];
-        for ci in ci0..ci1 {
-            let i = self.kernel.cells[ci] as usize;
-            let alpha = self.alpha[i];
-            let prefactor = self.prefactor[i];
-            let nb = self.kernel.nbrs[ci];
-            let (a0, a1) = if has_ant {
-                (
-                    self.kernel.ant_off[ci] as usize,
-                    self.kernel.ant_off[ci + 1] as usize,
-                )
-            } else {
-                (0, 0)
-            };
-            let mut s0 = 0;
-            while s0 < kk {
-                let sl = (kk - s0).min(SCALAR_LANES);
-                let f0 = i * kk + s0;
-                for (t, mi) in mis.iter_mut().enumerate().take(sl) {
-                    // Safety: list ranges are disjoint across blocks and
-                    // only magnetic lanes are touched; `f0 + t` indexes
-                    // lanes of magnetic cell `i`.
-                    *mi = at(f0 + t);
-                }
-                match base {
-                    Some(b) => {
-                        let bd = b.data();
-                        for (t, h) in hs.iter_mut().enumerate().take(sl) {
-                            *h = bd.get(f0 + t);
-                        }
-                    }
-                    None => {
-                        for h in hs.iter_mut().take(sl) {
-                            *h = Vec3::ZERO;
-                        }
-                    }
-                }
-                for op in &self.kernel.ops {
-                    match *op {
-                        FusedTerm::Exchange { coeff_x, coeff_y } => {
-                            for acc in accs.iter_mut().take(sl) {
-                                *acc = Vec3::ZERO;
-                            }
-                            for (&j, coeff) in nb.iter().zip([coeff_x, coeff_x, coeff_y, coeff_y]) {
-                                let n0 = j as usize * kk + s0;
-                                for (t, acc) in accs.iter_mut().enumerate().take(sl) {
-                                    *acc += (at(n0 + t) - mis[t]) * coeff;
-                                }
-                            }
-                            for (t, h) in hs.iter_mut().enumerate().take(sl) {
-                                *h += accs[t];
-                            }
-                        }
-                        FusedTerm::Uniaxial { coeff, axis } => {
-                            for (t, h) in hs.iter_mut().enumerate().take(sl) {
-                                *h += axis * (coeff * mis[t].dot(axis));
-                            }
-                        }
-                        FusedTerm::ThinFilm { ms } => {
-                            for (t, h) in hs.iter_mut().enumerate().take(sl) {
-                                h.z -= ms * mis[t].z;
-                            }
-                        }
-                        FusedTerm::Uniform(f) => {
-                            for h in hs.iter_mut().take(sl) {
-                                *h += f;
-                            }
-                        }
-                    }
-                }
-                if has_ant {
-                    for &ai in &self.kernel.ant_ids[a0..a1] {
-                        for (t, h) in hs.iter_mut().enumerate().take(sl) {
-                            let f = ant_fields[s0 + t][ai as usize];
-                            if f != Vec3::ZERO {
-                                *h += f;
-                            }
-                        }
-                    }
-                }
-                if !thermal.is_empty() {
-                    let td = thermal.data();
-                    for (t, h) in hs.iter_mut().enumerate().take(sl) {
-                        *h += td.get(f0 + t);
-                    }
-                }
-                for t in 0..sl {
-                    let mi = mis[t];
-                    let mxh = mi.cross(hs[t]);
-                    let mxmxh = mi.cross(mxh);
-                    // Safety: list ranges are disjoint across blocks and
-                    // only magnetic cells are touched here.
-                    unsafe { out.write(f0 + t, (mxh + mxmxh * alpha) * prefactor) };
-                }
-                s0 += sl;
-            }
-        }
-    }
-
     /// Maximum deterministic torque |dm/dt| over all cells, in 1/s (the
     /// field of [`LlgSystem::effective_field`], no thermal realization)
     /// — used as a convergence criterion by
@@ -1478,18 +1334,24 @@ impl LlgSystem {
             }
             h
         });
-        let base = pre.as_ref();
-        let mut ant_fields = Vec::new();
-        drive_fields(&self.antennas, t, &mut ant_fields);
+        let mut drives = Vec::new();
+        drive_fields(&self.antennas, t, &mut drives);
         let no_thermal = Field3::zeros(0);
-        let (mx, my, mz) = (m.xs(), m.ys(), m.zs());
+        let inp = StageIn {
+            mx: m.xs(),
+            my: m.ys(),
+            mz: m.zs(),
+            base: pre.as_ref(),
+            ant_fields: std::slice::from_ref(&drives),
+            thermal: &no_thermal,
+        };
         let partials = self.team.map_blocks(|b| {
             let block = self.kernel.blocks[b];
             let mut local: f64 = 0.0;
             for ci in block.list.0..block.list.1 {
                 let i = self.kernel.cells[ci] as usize;
-                let mi = Vec3::new(mx[i], my[i], mz[i]);
-                let h = self.fused_field(ci, i, mi, mx, my, mz, base, &ant_fields, &no_thermal);
+                let mi = m.get(i);
+                let h = self.fused_field(&inp, ci, i, 1, 0, mi);
                 local = local.max(self.torque(i, mi, h).norm());
             }
             local
@@ -1699,6 +1561,41 @@ mod tests {
     /// Builds a full multi-term system on a masked mesh with an antenna,
     /// for cross-checking the fused kernel against the reference path.
     fn masked_multiterm_system(threads: usize) -> (LlgSystem, Vec<Vec3>) {
+        masked_system(threads, |mesh, material| {
+            vec![
+                Box::new(Exchange::new(mesh, material)),
+                Box::new(UniaxialAnisotropy::new(mesh, material)),
+                Box::new(ThinFilmDemag::new(mesh, material)),
+                // Non-dyadic, so a reordered addition shows in the low bits.
+                Box::new(Zeeman::uniform(Vec3::new(1e3 / 3.0, 0.0, 2e3 / 7.0))),
+            ]
+        })
+    }
+
+    /// The masked mesh and antenna of [`masked_multiterm_system`] with a
+    /// hand-assembled term order — Zeeman before exchange, a Newell demag
+    /// pre-pass between them — so the ops are not canonical and every
+    /// cell, at every K, takes the scalar body with a pre-pass field.
+    fn reordered_system(threads: usize) -> (LlgSystem, Vec<Vec3>) {
+        let (sys, m) = masked_system(threads, |mesh, material| {
+            vec![
+                Box::new(Zeeman::uniform(Vec3::new(1e3 / 3.0, 0.0, 2e3 / 7.0))),
+                Box::new(crate::field::demag::NewellDemag::new(mesh, material)),
+                Box::new(Exchange::new(mesh, material)),
+                Box::new(UniaxialAnisotropy::new(mesh, material)),
+            ]
+        });
+        assert!(sys.kernel.std_ops.is_none() && sys.has_unfused());
+        (sys, m)
+    }
+
+    /// A 16 × 8 mesh with vacuum holes (one on a block boundary), a
+    /// tilted state and an antenna over its left columns, with the terms
+    /// `terms` builds.
+    fn masked_system(
+        threads: usize,
+        terms: impl FnOnce(&Mesh, &Material) -> Vec<Box<dyn FieldTerm>>,
+    ) -> (LlgSystem, Vec<Vec3>) {
         let mut mesh = Mesh::new(16, 8, [5e-9, 5e-9, 1e-9]).unwrap();
         // Punch some vacuum holes, including on a block boundary.
         mesh.set_magnetic(3, 2, false);
@@ -1725,13 +1622,7 @@ mod tests {
             })
             .collect();
         let sys = SystemSpec {
-            terms: vec![
-                Box::new(Exchange::new(&mesh, &material)),
-                Box::new(UniaxialAnisotropy::new(&mesh, &material)),
-                Box::new(ThinFilmDemag::new(&mesh, &material)),
-                // Non-dyadic, so a reordered addition shows in the low bits.
-                Box::new(Zeeman::uniform(Vec3::new(1e3 / 3.0, 0.0, 2e3 / 7.0))),
-            ],
+            terms: terms(&mesh, &material),
             antennas: vec![antenna],
             alpha: (0..n).map(|i| 0.004 + 1e-5 * i as f64).collect(),
             gamma: material.gamma(),
@@ -2088,15 +1979,17 @@ mod tests {
         // K members share geometry/terms but differ in state (signed
         // zeros included), drive phase (emulated by evaluating the
         // antennas at different times) and thermal realization. At every
-        // K the lane kernels must reproduce each member's K = 1
-        // evaluation (the single-system kernels) bit for bit, at several
-        // thread counts, with and without a thermal plane — on the masked
-        // multi-term mesh and on narrow guides, where most cells take
-        // their neighbours from the stencil table.
+        // K the stage must reproduce each member's K = 1 evaluation bit
+        // for bit, at several thread counts, with and
+        // without a thermal plane — on the masked multi-term mesh, on
+        // narrow guides, where most cells take their neighbours from the
+        // stencil table, and on a non-canonical term order with a Newell
+        // pre-pass, where every cell takes the scalar body.
         type Fixture = fn(usize) -> (LlgSystem, Vec<Vec3>);
-        let fixtures: [(&str, Fixture); 2] = [
+        let fixtures: [(&str, Fixture); 3] = [
             ("masked", masked_multiterm_system),
             ("narrow", narrow_guide_system),
+            ("reordered", reordered_system),
         ];
         let kmax = 8;
         let times: Vec<f64> = (0..kmax).map(|s| 3e-12 + 1.1e-12 * s as f64).collect();
@@ -2138,7 +2031,8 @@ mod tests {
                     })
                     .collect();
                 for threads in [1, 2, 4] {
-                    let (sys, _) = fixture(threads);
+                    let (mut sys, _) = fixture(threads);
+                    let (mut m_scratch, mut h_scratch) = (Field3::zeros(n), Field3::zeros(n));
                     for kk in [2, 3, 4, 5, 8] {
                         let mut y = FieldBatch::zeros(n, kk);
                         let mut thermal = FieldBatch::empty(kk);
@@ -2151,9 +2045,20 @@ mod tests {
                                 thermal.load_member(s, member_thermal[s].as_slice());
                             }
                         }
+                        // The pre-pass (a Newell demag, independent of t)
+                        // de-interleaves each member, as a batch step does.
+                        let mut base = FieldBatch::zeros(n, kk);
+                        let wrote = sys.unfused_prepass_batch(
+                            &y,
+                            times[0],
+                            &mut base,
+                            &mut m_scratch,
+                            &mut h_scratch,
+                        );
+                        let base = wrote.then_some(&base);
                         let mut k_out = FieldBatch::zeros(n, kk);
                         let ant = &ant_fields[..kk];
-                        sys.rhs_stage_batch(&y, &mut k_out, None, ant, &thermal, |_, _, _| {});
+                        sys.rhs_stage_batch(&y, &mut k_out, base, ant, &thermal, |_, _, _| {});
                         for (s, want) in expected.iter().enumerate().take(kk) {
                             let mut got = Field3::zeros(n);
                             k_out.store_member(s, &mut got);
@@ -2191,12 +2096,14 @@ mod tests {
     ) -> FieldBatch {
         let mut k = FieldBatch::zeros(y.cells(), y.k());
         let sw = Sweep {
-            mx: y.data().xs(),
-            my: y.data().ys(),
-            mz: y.data().zs(),
-            base: Some(base),
-            ant_fields,
-            thermal,
+            input: StageIn {
+                mx: y.data().xs(),
+                my: y.data().ys(),
+                mz: y.data().zs(),
+                base: Some(base.data()),
+                ant_fields,
+                thermal: thermal.data(),
+            },
             kk: y.k(),
             out: k.ptrs(),
         };
@@ -2299,8 +2206,7 @@ mod tests {
     #[test]
     fn fuse_covers_magnetic_lanes_once() {
         // The fuse ranges must cover every magnetic lane exactly once —
-        // at K = 1 (single-system kernels) and K = 2 (lane kernels) —
-        // and skip vacuum lanes, whose k stays zero.
+        // at K = 1 and K = 2 — and skip vacuum lanes, whose k stays zero.
         for (kk, threads) in [(1, 1), (1, 3), (1, 4), (2, 1), (2, 3)] {
             let (sys, m) = masked_multiterm_system(threads);
             let n = m.len();

@@ -31,10 +31,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use swjson::Json;
-use swserve::http::{error_body, read_request, write_json, ReadError, Request};
+use swserve::http::{error_body, read_request, write_json, ReadError, Request, Response};
 use swserve::{content_key, eval, jobs, netlist};
 
-use proxy::{serialize_request, Backend, BackendResponse};
+use proxy::{serialize_request, Backend};
 use ring::Ring;
 
 /// How a [`Router`] is configured; see `repro route --help` for the
@@ -391,10 +391,7 @@ enum Dispatched {
     /// The router answered it directly.
     Local { status: u16, body: String },
     /// Shard `shard` answered; relay its bytes.
-    Relayed {
-        shard: usize,
-        response: BackendResponse,
-    },
+    Relayed { shard: usize, response: Response },
 }
 
 impl Dispatched {
@@ -536,7 +533,7 @@ fn forward(request: &Request, shared: &Shared, key: u64) -> Dispatched {
 fn relay(
     stream: &mut TcpStream,
     shard: usize,
-    response: &BackendResponse,
+    response: &Response,
     keep_alive: bool,
 ) -> std::io::Result<()> {
     use std::io::Write;

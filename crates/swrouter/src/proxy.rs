@@ -13,37 +13,13 @@
 //! down (see [`Backend::request`]).
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Largest relayed response body (matches swserve's request bound with
-/// headroom for large netlist responses).
-const MAX_RESPONSE_BODY: usize = 8 << 20;
-
-/// A response read back from a shard, body bytes untouched.
-#[derive(Debug)]
-pub struct BackendResponse {
-    /// HTTP status code.
-    pub status: u16,
-    /// Header name/value pairs, names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// The exact body bytes (including swserve's trailing newline).
-    pub body: Vec<u8>,
-    keep_alive: bool,
-}
-
-impl BackendResponse {
-    /// First header with this (lowercase) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
+use swserve::http::{self, ReadError, Response};
 
 /// Why a backend request failed (all of them are retryable on another
 /// shard; none leave a half-written client response).
@@ -53,6 +29,21 @@ pub enum ProxyError {
     Io(std::io::Error),
     /// The shard answered bytes that do not parse as HTTP/1.1.
     BadResponse(String),
+}
+
+impl From<ReadError> for ProxyError {
+    /// Unparseable or oversized responses are bad responses; a closed,
+    /// timed-out or failed socket is an I/O failure.
+    fn from(e: ReadError) -> ProxyError {
+        match e {
+            ReadError::Malformed(m) => ProxyError::BadResponse(m),
+            ReadError::BodyTooLarge => ProxyError::BadResponse(format!(
+                "response body exceeds the relay bound of {} bytes",
+                http::MAX_RESPONSE_BODY
+            )),
+            e => ProxyError::Io(e.into()),
+        }
+    }
 }
 
 impl std::fmt::Display for ProxyError {
@@ -144,7 +135,7 @@ impl Backend {
     /// # Errors
     ///
     /// [`ProxyError`] once both the pooled and fresh attempts failed.
-    pub fn request(&self, raw: &[u8]) -> Result<BackendResponse, ProxyError> {
+    pub fn request(&self, raw: &[u8]) -> Result<Response, ProxyError> {
         if let Some(stream) = self.checkout() {
             match round_trip(stream, raw, self) {
                 Ok(response) => return Ok(response),
@@ -168,89 +159,27 @@ impl Backend {
     }
 }
 
-/// One request/response exchange on `stream`; on a keep-alive response
-/// the stream goes back into the backend's pool.
+/// One request/response exchange on `stream`, the response read through
+/// the shared reader, which enforces the `HTTP/1.` status line,
+/// well-formed headers and the relay bound
+/// ([`http::MAX_RESPONSE_BODY`]). When the shard keeps the connection
+/// alive the stream goes back into the backend's pool.
 fn round_trip(
     mut stream: TcpStream,
     raw: &[u8],
     backend: &Backend,
-) -> Result<BackendResponse, ProxyError> {
+) -> Result<Response, ProxyError> {
     stream.write_all(raw).map_err(ProxyError::Io)?;
     stream.flush().map_err(ProxyError::Io)?;
-    let response = read_response(&stream)?;
+    let response = http::read_response(&mut BufReader::new(&stream))?;
     backend.forwarded.fetch_add(1, Ordering::Relaxed);
-    if response.keep_alive {
+    if response
+        .header("connection")
+        .is_some_and(|value| value.eq_ignore_ascii_case("keep-alive"))
+    {
         backend.checkin(stream);
     }
     Ok(response)
-}
-
-fn read_response(stream: &TcpStream) -> Result<BackendResponse, ProxyError> {
-    let mut reader = BufReader::new(stream);
-    let status_line = read_line(&mut reader)?;
-    let mut parts = status_line.split_whitespace();
-    let status = match (parts.next(), parts.next()) {
-        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code
-            .parse::<u16>()
-            .map_err(|_| ProxyError::BadResponse(format!("bad status in `{status_line}`")))?,
-        _ => {
-            return Err(ProxyError::BadResponse(format!(
-                "bad status line `{status_line}`"
-            )))
-        }
-    };
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(&mut reader)?;
-        if line.is_empty() {
-            break;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(ProxyError::BadResponse(format!("bad header `{line}`")));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    let content_length = headers
-        .iter()
-        .find(|(name, _)| name == "content-length")
-        .map(|(_, value)| value.parse::<usize>())
-        .transpose()
-        .map_err(|_| ProxyError::BadResponse("bad content-length".into()))?
-        .unwrap_or(0);
-    if content_length > MAX_RESPONSE_BODY {
-        return Err(ProxyError::BadResponse(format!(
-            "response body of {content_length} bytes exceeds relay bound"
-        )));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(ProxyError::Io)?;
-    let keep_alive = headers
-        .iter()
-        .find(|(name, _)| name == "connection")
-        .is_some_and(|(_, value)| value.eq_ignore_ascii_case("keep-alive"));
-    Ok(BackendResponse {
-        status,
-        headers,
-        body,
-        keep_alive,
-    })
-}
-
-fn read_line(reader: &mut BufReader<&TcpStream>) -> Result<String, ProxyError> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => Err(ProxyError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "shard closed mid-response",
-        ))),
-        Ok(_) => {
-            while line.ends_with('\n') || line.ends_with('\r') {
-                line.pop();
-            }
-            Ok(line)
-        }
-        Err(e) => Err(ProxyError::Io(e)),
-    }
 }
 
 /// Serializes a request for relaying: same method/path/body, explicit
@@ -269,6 +198,7 @@ pub fn serialize_request(method: &str, path: &str, body: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::TcpListener;
     use std::thread;
 
@@ -370,16 +300,5 @@ mod tests {
         let result = backend.request(&serialize_request("GET", "/healthz", b""));
         assert!(result.is_err());
         assert!(!backend.probe());
-    }
-
-    #[test]
-    fn garbage_response_is_bad_response() {
-        let addr = fake_shard(vec!["TOTALLY NOT HTTP\r\n\r\n".to_string()]);
-        let backend = Backend::new(addr, 2, Duration::from_secs(2));
-        let result = backend.request(&serialize_request("GET", "/healthz", b""));
-        assert!(
-            matches!(result, Err(ProxyError::BadResponse(_))),
-            "{result:?}"
-        );
     }
 }

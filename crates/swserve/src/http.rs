@@ -1,22 +1,36 @@
 //! A minimal HTTP/1.1 layer over `std::net` — just enough for a JSON
-//! service: request-line + header parsing, `Content-Length` framed
-//! bodies, keep-alive, and response writing. No chunked encoding, no
-//! TLS, no pipelining (each request is fully answered before the next
-//! is read, which HTTP/1.1 permits).
+//! service and its clients: request and response parsing with
+//! `Content-Length` framed bodies, keep-alive, and response writing. No
+//! chunked encoding, no TLS, no pipelining (each request is fully
+//! answered before the next is read, which HTTP/1.1 permits).
 //!
-//! Inputs come off the network, so everything is bounded: request line
-//! and headers are capped, bodies are capped (the caller gets a clean
-//! 413), and malformed framing produces an error instead of a hang.
+//! Inputs come off the network, so everything is bounded: start lines
+//! and headers are capped, bodies are capped (a server answers 413), and
+//! malformed framing produces an error instead of a hang or a panic. The
+//! server reads requests with [`read_request`]; the router's backend
+//! pool, the benchmark client and the integration tests read responses
+//! with [`read_response`].
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 /// Largest accepted request body (1 MiB — JSON requests are tiny).
 pub const MAX_BODY: usize = 1 << 20;
-/// Largest accepted request line or header line.
+/// Largest accepted response body: the request bound with headroom for
+/// large netlist responses.
+pub const MAX_RESPONSE_BODY: usize = 8 << 20;
+/// Largest accepted start line (request or status line) or header line.
 pub const MAX_LINE: usize = 8 << 10;
-/// Most headers accepted per request.
+/// Most headers accepted per message.
 pub const MAX_HEADERS: usize = 64;
+
+/// The first header named `name` (lowercase) in a parsed header list.
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
+}
 
 /// A parsed request.
 #[derive(Debug)]
@@ -35,10 +49,7 @@ pub struct Request {
 impl Request {
     /// The first header with this (lowercase) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// True if the client asked to close the connection.
@@ -48,22 +59,59 @@ impl Request {
     }
 }
 
-/// Why a request could not be read.
+/// A parsed response.
+#[derive(Debug)]
+pub struct Response {
+    /// The HTTP status code.
+    pub status: u16,
+    /// Header name/value pairs; names lowercased.
+    pub headers: Vec<(String, String)>,
+    /// The exact body bytes (empty when no `Content-Length`).
+    pub body: Vec<u8>,
+}
+
+impl Response {
+    /// The first header with this (lowercase) name.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        find_header(&self.headers, name)
+    }
+}
+
+/// Why a message could not be read.
 #[derive(Debug)]
 pub enum ReadError {
-    /// The peer closed the connection before (or between) requests.
+    /// The peer closed the connection before (or between) messages.
     Closed,
     /// The socket read timed out (idle keep-alive tick; retry or close).
     TimedOut,
-    /// The request is malformed; the message is safe to echo in a 400.
+    /// The message is malformed; for a request the text is safe to echo
+    /// in a 400.
     Malformed(String),
-    /// The body exceeds [`MAX_BODY`]; answer 413.
+    /// The body exceeds [`MAX_BODY`] (requests, answer 413) or
+    /// [`MAX_RESPONSE_BODY`] (responses).
     BodyTooLarge,
     /// An underlying socket error.
     Io(std::io::Error),
 }
 
-fn read_line(reader: &mut BufReader<&TcpStream>) -> Result<String, ReadError> {
+impl From<ReadError> for std::io::Error {
+    /// The error as an `io::Error`, for clients that report socket
+    /// failures and protocol failures alike.
+    fn from(e: ReadError) -> std::io::Error {
+        use std::io::{Error, ErrorKind};
+        match e {
+            ReadError::Closed => Error::new(ErrorKind::UnexpectedEof, "connection closed"),
+            ReadError::TimedOut => Error::new(ErrorKind::TimedOut, "read timed out"),
+            ReadError::Malformed(m) => Error::new(ErrorKind::InvalidData, m),
+            ReadError::BodyTooLarge => Error::new(ErrorKind::InvalidData, "body too large"),
+            ReadError::Io(e) => e,
+        }
+    }
+}
+
+/// Reads one CRLF- (or LF-) terminated line of at most [`MAX_LINE`]
+/// bytes, without the terminator.
+fn read_line(reader: &mut impl BufRead) -> Result<String, ReadError> {
     let mut line = Vec::new();
     loop {
         let mut byte = [0u8; 1];
@@ -72,7 +120,7 @@ fn read_line(reader: &mut BufReader<&TcpStream>) -> Result<String, ReadError> {
                 if line.is_empty() {
                     return Err(ReadError::Closed);
                 }
-                return Err(ReadError::Malformed("truncated request line".into()));
+                return Err(ReadError::Malformed("truncated line".into()));
             }
             Ok(_) => {
                 if byte[0] == b'\n' {
@@ -80,11 +128,11 @@ fn read_line(reader: &mut BufReader<&TcpStream>) -> Result<String, ReadError> {
                         line.pop();
                     }
                     return String::from_utf8(line)
-                        .map_err(|_| ReadError::Malformed("non-UTF-8 in request head".into()));
+                        .map_err(|_| ReadError::Malformed("non-UTF-8 in message head".into()));
                 }
                 line.push(byte[0]);
                 if line.len() > MAX_LINE {
-                    return Err(ReadError::Malformed("request line too long".into()));
+                    return Err(ReadError::Malformed("line too long".into()));
                 }
             }
             Err(e)
@@ -101,6 +149,52 @@ fn read_line(reader: &mut BufReader<&TcpStream>) -> Result<String, ReadError> {
             Err(e) => return Err(ReadError::Io(e)),
         }
     }
+}
+
+/// Reads header lines up to the blank line that ends the head: at most
+/// [`MAX_HEADERS`], each `name: value`, names lowercased.
+fn read_headers(reader: &mut impl BufRead) -> Result<Vec<(String, String)>, ReadError> {
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line(reader)?;
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err(ReadError::Malformed("too many headers".into()));
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(ReadError::Malformed(format!("bad header `{line}`")));
+        };
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+}
+
+/// Reads the `Content-Length` framed body (none without the header) of
+/// at most `max_body` bytes.
+fn read_body(
+    reader: &mut impl BufRead,
+    headers: &[(String, String)],
+    max_body: usize,
+) -> Result<Vec<u8>, ReadError> {
+    let length = match find_header(headers, "content-length") {
+        None => 0,
+        Some(v) => v
+            .parse::<usize>()
+            .map_err(|_| ReadError::Malformed(format!("bad content-length `{v}`")))?,
+    };
+    if length > max_body {
+        return Err(ReadError::BodyTooLarge);
+    }
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            ReadError::Malformed("truncated body".into())
+        } else {
+            ReadError::Io(e)
+        }
+    })?;
+    Ok(body)
 }
 
 /// Reads one request off the stream. Blocks until a request arrives,
@@ -127,44 +221,44 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, ReadError> {
             "unsupported version `{version}`"
         )));
     }
-
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(&mut reader)?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(ReadError::Malformed("too many headers".into()));
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(ReadError::Malformed(format!("bad header `{line}`")));
-        };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        None => 0,
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| ReadError::Malformed(format!("bad content-length `{v}`")))?,
-    };
-    if content_length > MAX_BODY {
-        return Err(ReadError::BodyTooLarge);
-    }
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                ReadError::Malformed("truncated body".into())
-            } else {
-                ReadError::Io(e)
-            }
-        })?;
-    }
+    let headers = read_headers(&mut reader)?;
+    let body = read_body(&mut reader, &headers, MAX_BODY)?;
     Ok(Request {
         method,
         path,
+        headers,
+        body,
+    })
+}
+
+/// Reads one response: an `HTTP/1.x` status line, headers and a
+/// `Content-Length` framed body of at most [`MAX_RESPONSE_BODY`] bytes.
+/// It never reads past the body, so a reader made per response loses
+/// nothing on a connection where each request is answered before the
+/// next is sent.
+///
+/// # Errors
+///
+/// See [`ReadError`]: `Closed` when the peer closed before the status
+/// line, `Malformed` for anything that does not parse, `BodyTooLarge`
+/// past the bound.
+pub fn read_response(reader: &mut impl BufRead) -> Result<Response, ReadError> {
+    let status_line = read_line(reader)?;
+    let mut parts = status_line.split_whitespace();
+    let status = match (parts.next(), parts.next()) {
+        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code
+            .parse::<u16>()
+            .map_err(|_| ReadError::Malformed(format!("bad status in `{status_line}`")))?,
+        _ => {
+            return Err(ReadError::Malformed(format!(
+                "bad status line `{status_line}`"
+            )))
+        }
+    };
+    let headers = read_headers(reader)?;
+    let body = read_body(reader, &headers, MAX_RESPONSE_BODY)?;
+    Ok(Response {
+        status,
         headers,
         body,
     })
@@ -227,6 +321,7 @@ pub fn error_body(message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::{TcpListener, TcpStream};
     use std::thread;
 
@@ -317,6 +412,79 @@ mod tests {
         assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"), "{raw}");
         assert!(raw.contains("x-cache: hit\r\n") || raw.contains("X-Cache: hit\r\n"));
         assert!(raw.ends_with("{\"ok\":true}\n"), "{raw}");
+    }
+
+    #[test]
+    fn reads_a_response_and_stops_at_its_body() {
+        let raw =
+            b"HTTP/1.1 200 OK\r\nX-Cache: ram\r\ncontent-length: 12\r\n\r\n{\"ok\":true}\nnext";
+        let mut reader = &raw[..];
+        let response = read_response(&mut reader).unwrap();
+        assert_eq!(response.status, 200);
+        assert_eq!(response.header("x-cache"), Some("ram"));
+        assert_eq!(response.body, b"{\"ok\":true}\n");
+        assert_eq!(reader, b"next", "the reader stops at the end of the body");
+    }
+
+    #[test]
+    fn malformed_responses_are_errors_not_panics() {
+        let long_line = format!("HTTP/1.1 200 {}\r\n\r\n", "x".repeat(MAX_LINE + 1));
+        let oversize = format!(
+            "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n",
+            MAX_RESPONSE_BODY + 1
+        );
+        let many_headers = format!(
+            "HTTP/1.1 200 OK\r\n{}\r\n",
+            "a: b\r\n".repeat(MAX_HEADERS + 1)
+        );
+        let malformed = |e: &ReadError| matches!(e, ReadError::Malformed(_));
+        type Case<'a> = (&'a str, &'a [u8], fn(&ReadError) -> bool);
+        let cases: [Case; 12] = [
+            ("empty input", b"", |e| matches!(e, ReadError::Closed)),
+            (
+                "garbage status line",
+                b"TOTALLY NOT HTTP\r\n\r\n",
+                malformed,
+            ),
+            ("no status code", b"HTTP/1.1\r\n\r\n", malformed),
+            ("non-numeric status", b"HTTP/1.1 OK 200\r\n\r\n", malformed),
+            (
+                "HTTP/2",
+                b"HTTP/2 200 OK\r\ncontent-length: 0\r\n\r\n",
+                malformed,
+            ),
+            (
+                "header without a colon",
+                b"HTTP/1.1 200 OK\r\nbad header\r\n\r\n",
+                malformed,
+            ),
+            (
+                "non-numeric content-length",
+                b"HTTP/1.1 200 OK\r\ncontent-length: hat\r\n\r\n",
+                malformed,
+            ),
+            (
+                "content-length past usize",
+                b"HTTP/1.1 200 OK\r\ncontent-length: 99999999999999999999999\r\n\r\n",
+                malformed,
+            ),
+            ("content-length past the bound", oversize.as_bytes(), |e| {
+                matches!(e, ReadError::BodyTooLarge)
+            }),
+            (
+                "truncated body",
+                b"HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nshort",
+                malformed,
+            ),
+            ("line over MAX_LINE", long_line.as_bytes(), malformed),
+            ("too many headers", many_headers.as_bytes(), malformed),
+        ];
+        for (what, raw, expected) in cases {
+            match read_response(&mut &raw[..]) {
+                Err(e) => assert!(expected(&e), "{what}: unexpected error {e:?}"),
+                Ok(r) => panic!("{what}: parsed as {r:?}"),
+            }
+        }
     }
 
     #[test]

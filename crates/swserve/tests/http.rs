@@ -5,7 +5,7 @@
 //! under concurrency, 429 shedding (not hangs) past the queue depth,
 //! and graceful drain.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
@@ -43,37 +43,21 @@ fn call(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
     );
     stream.write_all(head.as_bytes()).unwrap();
     stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    parse_response(&raw)
-}
-
-fn parse_response(raw: &[u8]) -> Response {
-    let text = std::str::from_utf8(raw).expect("UTF-8 response");
-    let (head, rest) = text.split_once("\r\n\r\n").expect("header terminator");
-    let mut lines = head.lines();
-    let status_line = lines.next().expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|line| line.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    let length: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.parse().expect("numeric content-length"))
-        .expect("content-length present");
-    assert_eq!(rest.len(), length, "body length matches content-length");
+    let mut reader = BufReader::new(&stream);
+    let response = swserve::http::read_response(&mut reader).expect("well-formed response");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("read to close");
+    assert!(rest.is_empty(), "body length matches content-length");
+    assert!(
+        response.header("content-length").is_some(),
+        "content-length present"
+    );
+    let body = String::from_utf8(response.body).expect("UTF-8 response");
     // Responses end with a cosmetic newline counted in content-length.
     Response {
-        status,
-        headers,
-        body: rest.strip_suffix('\n').unwrap_or(rest).to_string(),
+        status: response.status,
+        headers: response.headers,
+        body: body.strip_suffix('\n').unwrap_or(&body).to_string(),
     }
 }
 
