@@ -41,8 +41,11 @@ cargo test --offline -q -p swphys --features proptest
 echo "==> perfbench tests (its own workspace; a magnum API break fails here)"
 cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
 
-echo "==> bigfft bench smoke (composite-padded grid, bitwise identity asserted in JSON)"
-./target/release/parbench --bigfft --grids 24x20,32x32 --evals 2 --threads 1,2 \
+echo "==> bigfft bench smoke (composite-padded grids, bitwise identity asserted in JSON)"
+# 23x9 pads to 45x20: an odd padded width (a one-column strip 0) and an
+# odd row count (an Ms*mz row with no packing partner). --min-cells 0
+# turns the FFT clamp off, so these small grids really fan out at 2 threads.
+./target/release/parbench --bigfft --grids 24x20,32x32,23x9 --evals 2 --threads 1,2 --min-cells 0 \
     --out target/BENCH_fft_smoke.json
 grep -q '"bitwise_identical_to_serial":true' target/BENCH_fft_smoke.json
 grep -q '"thread_scaling"' target/BENCH_fft_smoke.json

@@ -12,18 +12,22 @@
 //!   Defaults: a 256×256 mesh, 50 steps, thread counts `1,2,4`.
 //!
 //! * `parbench --bigfft [--grids WxH,...] [--threads LIST] [--evals N]
-//!   [--out PATH]` times one Newell demag field evaluation per (possibly
-//!   non-square, non-power-of-two) grid under the good-size padding
-//!   planner at each thread count, asserts the field is bitwise
-//!   identical across thread counts, and reports ns/cell/eval, cells/sec
-//!   and the speedup over the serial run in a per-grid `thread_scaling`
-//!   table. The report records the machine's hardware thread count
-//!   (`cpus`), since scaling numbers are meaningless without it; rows
-//!   with more threads than `cpus` omit `speedup_vs_serial`. The runs
-//!   use the default FFT clamp, so sub-threshold pads (e.g. 256² →
-//!   512²) deliberately report ~1.0x: the clamp keeps them serial
-//!   instead of letting fan-out overhead make them slower.
-//!   Defaults: grids `256x256,320x320,960x384,1500x700` (the last is a
+//!   [--min-cells N] [--out PATH]` times one Newell demag field
+//!   evaluation per (possibly non-square, non-power-of-two) grid under
+//!   the good-size padding planner at each thread count, asserts the
+//!   field is bitwise identical across thread counts, and reports
+//!   ns/cell/eval, cells/sec and the speedup over the serial run in a
+//!   per-grid `thread_scaling` table. The report records the
+//!   machine's hardware thread count (`cpus`), since scaling numbers
+//!   are meaningless without it; rows with more threads than `cpus`
+//!   omit `speedup_vs_serial`. The runs use the default FFT clamp, so
+//!   sub-threshold pads deliberately report ~1.0x: the clamp keeps them
+//!   serial instead of letting fan-out overhead make them slower.
+//!   `--min-cells N` replaces the clamp's cells-per-thread threshold
+//!   (`0` turns it off), which is how the threshold is measured.
+//!   Defaults: grids
+//!   `256x256,320x320,477x171,640x320,960x384,1500x700` (477×171 is the
+//!   paper MAJ3 box, 640×320 the `film_newell` film, the last a
 //!   1.05M-cell film), threads `1,2,4`, auto eval count, output
 //!   `BENCH_fft.json`.
 //!
@@ -104,7 +108,8 @@ use std::time::Instant;
 use bench::httpc::Client;
 use bench::{write_bench_json, write_report};
 
-use magnum::field::demag::{DemagMethod, NewellDemag};
+use magnum::fft::MIN_FFT_CELLS_PER_THREAD;
+use magnum::field::demag::{DemagMethod, NewellDemag, PadPolicy};
 use magnum::field::FieldTerm;
 use magnum::par::{effective_threads, WorkerTeam, MIN_CELLS_PER_THREAD};
 use magnum::prelude::*;
@@ -172,10 +177,18 @@ fn eval_demag(
 }
 
 /// Benchmarks one `WxH` grid for `--bigfft`: the good-size planned
-/// padding per thread count. Rows with more threads than the machine's
-/// `cpus` carry no `speedup_vs_serial`: oversubscribed threads
-/// time-share cores, so that ratio would not measure scaling.
-fn bigfft_grid_report(nx: usize, ny: usize, threads: &[usize], evals: usize, cpus: usize) -> Json {
+/// padding per thread count, under the FFT clamp `min_cells` (`None`:
+/// the default). Rows with more threads than the machine's `cpus` carry
+/// no `speedup_vs_serial`: oversubscribed threads time-share cores, so
+/// that ratio would not measure scaling.
+fn bigfft_grid_report(
+    nx: usize,
+    ny: usize,
+    threads: &[usize],
+    evals: usize,
+    min_cells: Option<usize>,
+    cpus: usize,
+) -> Json {
     let cell = 5e-9;
     let mesh = Mesh::new(nx, ny, [cell, cell, 1e-9]).unwrap();
     let material = Material::fecob();
@@ -188,7 +201,8 @@ fn bigfft_grid_report(nx: usize, ny: usize, threads: &[usize], evals: usize, cpu
     let mut scaling = Vec::new();
     for &t in threads {
         let team = WorkerTeam::new(t);
-        let demag = NewellDemag::new_with_team(&mesh, &material, &team);
+        let demag =
+            NewellDemag::with_options(&mesh, &material, &team, PadPolicy::GoodSize, min_cells);
         padded = demag.padded_dims();
         let mut scratch = demag.make_scratch();
         let mut h = Field3::zeros(n);
@@ -247,9 +261,19 @@ fn bigfft_grid_report(nx: usize, ny: usize, threads: &[usize], evals: usize, cpu
     ])
 }
 
-fn bigfft_main(grids: Vec<(usize, usize)>, threads: Vec<usize>, evals: usize, out: String) {
+fn bigfft_main(
+    grids: Vec<(usize, usize)>,
+    threads: Vec<usize>,
+    evals: usize,
+    min_cells: Option<usize>,
+    out: String,
+) {
     let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
-    println!("bigfft benchmark: good-size planned Newell demag eval ({cpus} hardware thread(s))");
+    let clamp = min_cells.unwrap_or(MIN_FFT_CELLS_PER_THREAD);
+    println!(
+        "bigfft benchmark: good-size planned Newell demag eval ({cpus} hardware thread(s), \
+         clamp {clamp} cells/thread)"
+    );
     let mut reports = Vec::new();
     for &(nx, ny) in &grids {
         let evals = if evals > 0 {
@@ -257,7 +281,7 @@ fn bigfft_main(grids: Vec<(usize, usize)>, threads: Vec<usize>, evals: usize, ou
         } else {
             ((1 << 22) / (nx * ny)).clamp(2, 20)
         };
-        reports.push(bigfft_grid_report(nx, ny, &threads, evals, cpus));
+        reports.push(bigfft_grid_report(nx, ny, &threads, evals, min_cells, cpus));
     }
     // Thread-scaling numbers only mean something next to the machine's
     // real core count, so the report records it alongside the grids.
@@ -265,6 +289,7 @@ fn bigfft_main(grids: Vec<(usize, usize)>, threads: Vec<usize>, evals: usize, ou
         ("benchmark", Json::str("bigfft_demag_field_eval")),
         ("unit", Json::str("ns_per_eval")),
         ("cpus", Json::Num(cpus as f64)),
+        ("min_cells_per_thread", Json::Num(clamp as f64)),
         ("grids", Json::Arr(reports)),
     ]);
     write_report(&out, &report);
@@ -1489,7 +1514,7 @@ fn main() {
 
     if args.iter().any(|a| a == "--bigfft") {
         let grids: Vec<(usize, usize)> = value_of("--grids")
-            .unwrap_or_else(|| "256x256,320x320,960x384,1500x700".to_string())
+            .unwrap_or_else(|| "256x256,320x320,477x171,640x320,960x384,1500x700".to_string())
             .split(',')
             .map(|s| {
                 let (w, h) = s
@@ -1505,13 +1530,15 @@ fn main() {
         let evals: usize = value_of("--evals")
             .map(|v| v.parse().expect("--evals needs an integer"))
             .unwrap_or(0);
+        let min_cells: Option<usize> =
+            value_of("--min-cells").map(|v| v.parse().expect("--min-cells needs an integer"));
         let out = value_of("--out").unwrap_or_else(|| "BENCH_fft.json".to_string());
         // The serial run is the bitwise baseline, so make
         // sure 1 is in the sweep and leads it.
         let mut threads = threads;
         threads.retain(|&t| t != 1);
         threads.insert(0, 1);
-        bigfft_main(grids, threads, evals, out);
+        bigfft_main(grids, threads, evals, min_cells, out);
         return;
     }
 

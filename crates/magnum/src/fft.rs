@@ -57,8 +57,11 @@
 //! (re/im channels) and unpacks the two spectra via conjugate symmetry;
 //! [`fft_real`] transforms a single even-length real sequence through a
 //! half-length complex FFT (odd lengths take a plain complex transform).
-//! The Newell demag path uses the same packing in 2-D to turn six full
-//! transforms of `mx/my/mz` into four.
+//! The Newell demag path uses the same packing to turn six full 2-D
+//! transforms of `mx/my/mz` into three transforms' worth: `mx + i·my`
+//! share one complex grid, and pairs of `mz` rows share one row
+//! transform whose half spectra alone go through the columns. All of
+//! them unpack with one formula, `split_real_pair`.
 //!
 //! The convenience free functions ([`fft_in_place`], [`fft2_in_place`])
 //! build a throwaway plan per call and run serially — fine for tests and
@@ -75,14 +78,20 @@ use crate::par::{chunk_bounds, effective_threads, SendPtr, WorkerTeam};
 /// worker thread before the pass fans out.
 ///
 /// FFT passes are heavier per cell than the LLG axpy sweeps, but their
-/// parallel regions are also much shorter-lived (a row or column pass
-/// per region), so the break-even point
-/// sits far above [`crate::par::MIN_CELLS_PER_THREAD`]: BENCH_fft.json
-/// showed the 512²-padded 256×256 demag eval *losing* ~10% at 2 and 4
-/// threads. 2¹⁸ complex cells per thread keeps every pass of a 512²
-/// (and 640²) padded grid serial while the million-cell film paddings
-/// (1920×768 and up) still use the full team.
-pub const MIN_FFT_CELLS_PER_THREAD: usize = 1 << 18;
+/// parallel regions are also much shorter-lived (one region per row or
+/// column pass), so the break-even point sits above
+/// [`crate::par::MIN_CELLS_PER_THREAD`]. Measured with the strip
+/// pipeline on a shared 2-vCPU host (`parbench --bigfft --min-cells 0`,
+/// 1 against 2 threads, five interleaved runs; DESIGN.md §4.5): a
+/// 48×40 pad loses ~2× to the rendezvous, 256² and 320² pads gain a
+/// median 1.3× with runs below 1.0×, and from a 400² pad up 2 threads
+/// gain a median 1.9×. 2¹⁶ cells per thread keeps the 256²/320² pads
+/// (128² and 160² meshes) serial and fans out every pass from a 400²
+/// pad up — including both row passes of the 960×360 pad of the
+/// paper's MAJ3 box (164 160 cells), which the former 2¹⁸ left serial.
+/// Each thread then gets at least ~0.5 ms of a pass, against a
+/// rendezvous of tens of µs.
+pub const MIN_FFT_CELLS_PER_THREAD: usize = 1 << 16;
 
 thread_local! {
     /// Hot-path scratch allocations observed on this thread — bumped by
@@ -1317,11 +1326,8 @@ pub fn fft_real(signal: &[f64]) -> Vec<Complex64> {
     let step = -2.0 * std::f64::consts::PI / n as f64;
     for k in 0..half {
         let kc = if k == 0 { 0 } else { half - k };
-        let z1 = packed[k];
-        let z2 = packed[kc];
         // Spectra of the even (E) and odd (O) sub-sequences.
-        let e = Complex64::new(0.5 * (z1.re + z2.re), 0.5 * (z1.im - z2.im));
-        let o = Complex64::new(0.5 * (z1.im + z2.im), 0.5 * (z2.re - z1.re));
+        let (e, o) = split_real_pair(packed[k], packed[kc]);
         let x = e + Complex64::cis(step * k as f64) * o;
         spectrum[k] = x;
         if k == 0 {
@@ -1355,13 +1361,25 @@ pub fn fft_real_pair(a: &[f64], b: &[f64]) -> (Vec<Complex64>, Vec<Complex64>) {
     let mut fb = vec![Complex64::ZERO; n];
     for k in 0..n {
         let kc = if k == 0 { 0 } else { n - k };
-        let z1 = packed[k];
-        let z2 = packed[kc];
-        // A[k] = (Z[k] + conj(Z[−k]))/2, B[k] = −i(Z[k] − conj(Z[−k]))/2.
-        fa[k] = Complex64::new(0.5 * (z1.re + z2.re), 0.5 * (z1.im - z2.im));
-        fb[k] = Complex64::new(0.5 * (z1.im + z2.im), 0.5 * (z2.re - z1.re));
+        (fa[k], fb[k]) = split_real_pair(packed[k], packed[kc]);
     }
     (fa, fb)
+}
+
+/// Unpacks bin `k` of the two spectra carried by one complex transform
+/// `Z` of `a + i·b` (`a`, `b` real), given `z = Z(k)` and `zc = Z(−k)`:
+/// `A(k) = (Z(k) + Z̄(−k))/2` and `B(k) = −i·(Z(k) − Z̄(−k))/2`.
+///
+/// The one copy of this formula: [`fft_real_pair`], [`fft_real`]'s
+/// even/odd split and the Newell demag's packed channels (`Ms·mx + i·Ms·my`
+/// in the kernel multiply, pairs of `Ms·mz` rows in the row pass) all call
+/// it, so they share its operation order bit for bit.
+#[inline(always)]
+pub(crate) fn split_real_pair(z: Complex64, zc: Complex64) -> (Complex64, Complex64) {
+    (
+        Complex64::new(0.5 * (z.re + zc.re), 0.5 * (z.im - zc.im)),
+        Complex64::new(0.5 * (z.im + zc.im), 0.5 * (zc.re - z.re)),
+    )
 }
 
 /// Bluestein scratch of one lane worker: the lane being transformed,

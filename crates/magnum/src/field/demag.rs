@@ -33,24 +33,42 @@
 //!
 //! Storing the spectra as `Vec<f64>` halves the kernel memory and turns
 //! the spectral multiply into real×complex products. Each evaluation then
-//! costs four 2-D transforms instead of six: `Ms·mx` and `Ms·my` are
-//! packed into one complex grid (re/im channels), convolved per
-//! conjugate-pair of bins, and the two output fields come back out of a
-//! single inverse transform's re/im channels; `Ms·mz` rides alone through
-//! the second pair of transforms (its kernel multiply is a plain real
-//! scaling per bin).
+//! costs three complex 2-D transforms' worth of work instead of six:
+//!
+//! * `Ms·mx` and `Ms·my` are packed into one complex grid (re/im
+//!   channels), convolved per conjugate pair of bins, and the two output
+//!   fields come back out of a single inverse transform's re/im channels.
+//! * `Ms·mz` is real, so only the half spectrum `kx = 0..=px/2` of each
+//!   row is kept: two rows are packed into one complex row transform and
+//!   split into their half spectra (`fft::split_real_pair`),
+//!   the column transforms and the kernel multiply (a plain real scaling
+//!   per bin) run on the half spectrum's columns only, and each pair is
+//!   repacked as `Ĥa + i·Ĥb` for one inverse row transform whose re/im
+//!   channels are the two rows of `hz`. That is one transform's worth
+//!   in each direction where a complex channel costs two, and the `z`
+//!   plane and the `Kzz` table are half width.
+//!
+//! The half-spectrum `Ms·mz` channel changed `hz` in its last bits
+//! against the complex channel it replaced (max deviation 6.5e-16 of the
+//! peak on the reference grids, `half_spectrum_z_channel_matches_the_complex_definition`);
+//! `hx`/`hy` are bitwise unchanged.
 //!
 //! ## Strip-fused pipeline
 //!
 //! One evaluation is three passes over [`LANES`]-wide lane buffers (see
-//! [`crate::fft`] and DESIGN.md §4.5):
+//! [`crate::fft`] and DESIGN.md §4.5), each split into units:
 //!
-//! 1. **Forward rows, fused with the load.** Each group of [`LANES`] mesh
+//! 1. **Forward rows, fused with the load.** Each unit of `2·LANES` mesh
 //!    rows is loaded as `Ms·m` straight into a worker's lane buffer
-//!    (zero in vacuum cells), row-transformed with input window `nx` —
-//!    the padding columns `nx..px` are never written or read — and
-//!    stored in the `xy`/`z` planes. The planes hold only the `ny`
-//!    populated rows: the padded rows `ny..py` are never materialized.
+//!    (zero in vacuum cells) and row-transformed with input window
+//!    `nx` — the padding columns `nx..px` are never written or read:
+//!    `Ms·mx + i·Ms·my` as two groups of [`LANES`] rows, `Ms·mz` as one
+//!    group of packed row pairs (rows `r0 + l` and `r0 + LANES + l` of a
+//!    full unit; an odd row count leaves one row with a zero partner).
+//!    The results are stored in the `xy` plane (`ny × px`) and, split
+//!    into half spectra, the `z` plane (`ny × (px/2 + 1)`). The planes
+//!    hold only the `ny` populated rows: the padded rows `ny..py` are
+//!    never materialized.
 //! 2. **Column strips.** For each strip of [`LANES`] columns a worker
 //!    gathers rows `0..ny` into its lane buffer, runs the forward column
 //!    FFT with input window `ny` (its first stage skips the digits that
@@ -60,14 +78,17 @@
 //!    channel pairs strip `A = [c, c + LANES)` with its mirror
 //!    `B = {px − c − l}` so every conjugate bin pair meets in one
 //!    worker; the self-paired columns `0` and `px/2` share strip 0. The
-//!    kernel spectra are stored in this strip order and built by the
-//!    same passes.
-//! 3. **Inverse rows, fused with the unload.** Each row group is inverted
-//!    in lanes with output window `nx` and added into `h` at the magnetic
-//!    cells.
+//!    `z` channel runs strip 0 and the `A` strips — exactly its half
+//!    spectrum's columns `0..=px/2` — and skips the mirrors. The kernel
+//!    spectra are stored in this strip order (`Kzz` for the `z` strips
+//!    only) and built by the same passes.
+//! 3. **Inverse rows, fused with the unload.** Each row unit is inverted
+//!    in lanes with output window `nx` — the `z` pairs first repacked
+//!    into full row spectra from the half spectra and their conjugates —
+//!    and added into `h` at the magnetic cells.
 //!
 //! Each lane does exactly the scalar FFT's arithmetic, and work is split
-//! across the caller's [`WorkerTeam`] by row group and strip only, so
+//! across the caller's [`WorkerTeam`] by row unit and strip only, so
 //! results are bitwise identical at any thread count and at any batch
 //! size, and identical to a serial [`FieldTerm::accumulate_par`] call
 //! with fresh scratch. The multiply keeps the role rule of
@@ -84,13 +105,8 @@
 //! [`NewellDemag::with_options`]): small padded grids run the whole
 //! convolution inline on the calling thread, where rendezvous overhead
 //! would otherwise exceed the parallel win. The per-system
-//! [`DemagScratch`] arena (the two `ny × px` channel planes and the
-//! per-thread lane buffers) makes steady-state evaluations
-//! allocation-free.
-//!
-//! Left out on purpose: an r2c transform for the `Ms·mz` channel, whose
-//! imaginary half is zero, would cut about a quarter of the FFT work,
-//! but it changes the arithmetic — and every trajectory bit.
+//! `DemagScratch` arena (the two channel planes and the per-thread
+//! lane buffers) makes steady-state evaluations allocation-free.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -99,7 +115,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use super::{FieldTerm, FusedTerm};
 use crate::fft::{
     for_each_lane_block, gather_rows, gather_strip, good_size, scatter_rows, scatter_strip,
-    Direction, Fft2Plan, Fft2Scratch, LaneBufs, Strip, LANES, MIN_FFT_CELLS_PER_THREAD,
+    split_real_pair, Direction, Fft2Plan, Fft2Scratch, LaneBufs, Strip, LANES,
+    MIN_FFT_CELLS_PER_THREAD,
 };
 use crate::field3::Field3;
 use crate::material::Material;
@@ -200,7 +217,9 @@ impl FieldTerm for ThinFilmDemag {
 /// (see [`DemagMethod::NewellFft`] and the module docs for the pipeline).
 ///
 /// The real spectral kernels are precomputed once at construction; each
-/// field evaluation costs four parallel 2-D FFTs on the zero-padded grid.
+/// field evaluation costs three complex 2-D FFTs' worth of work on the
+/// zero-padded grid (a complex `xy` channel and a half-spectrum `z`
+/// channel).
 pub struct NewellDemag {
     nx: usize,
     ny: usize,
@@ -224,21 +243,22 @@ struct DemagScratch {
     /// Row-transformed `Ms·mx + i·Ms·my`, `ny × px`; after the column
     /// strips it holds the row spectra of `hx + i·hy`.
     xy: Vec<Complex64>,
-    /// The same for `Ms·mz` (imaginary channel zero on input).
+    /// The half row spectra (`kx = 0..=px/2`) of `Ms·mz`, `ny ×
+    /// (px/2 + 1)`; after the column strips those of `hz`.
     z: Vec<Complex64>,
     /// Per-thread lane buffers of the row groups and column strips.
     fft: Fft2Scratch,
 }
 
 impl DemagScratch {
-    fn new(plane: usize) -> Self {
+    fn new(demag: &NewellDemag) -> Self {
         // Constructing scratch is itself a hot-path allocation: legal at
         // system build or on a cold call without scratch, counted so the
         // allocation-free-stepping test catches any per-eval construction.
         crate::fft::note_hot_alloc();
         DemagScratch {
-            xy: vec![Complex64::ZERO; plane],
-            z: vec![Complex64::ZERO; plane],
+            xy: vec![Complex64::ZERO; demag.ny * demag.px],
+            z: vec![Complex64::ZERO; demag.ny * half_width(demag.px)],
             fft: Fft2Scratch::new(),
         }
     }
@@ -248,6 +268,8 @@ impl DemagScratch {
 /// they are applied (`Kxx`, `Kyy`, `Kzz`, `Kxy`), each in **strip
 /// order**: bin `(kx, ky)` of the column in lane `l` of strip `t` (see
 /// [`paired_strip`]) at `(t·py + ky)·LANES + l`, zero in dead lanes.
+/// `Kzz` is kept only for the strips of the half spectrum the `Ms·mz`
+/// channel transforms: strip [`z_strip`]`(u)` at index `u`.
 ///
 /// Instances are immutable and shared via [`Arc`] through a process-wide
 /// cache, so a batch of simulations over the same geometry (the `swrun`
@@ -265,6 +287,158 @@ struct KernelSpectra {
 /// padded columns (see [`paired_strip`]).
 fn paired_strip_count(px: usize) -> usize {
     1 + 2 * ((px - 1) / 2).div_ceil(LANES)
+}
+
+/// Columns `0..=px/2` of a real row's spectrum: the half that conjugate
+/// symmetry does not determine.
+fn half_width(px: usize) -> usize {
+    px / 2 + 1
+}
+
+/// Column work units of a convolution: strip 0, then one per pair of
+/// mirror strips — also the number of strips of the half spectrum.
+fn unit_count(px: usize) -> usize {
+    paired_strip_count(px).div_ceil(2)
+}
+
+/// The strip of work unit `u` that lies in the half spectrum `0..=px/2`:
+/// strip 0 (columns 0 and `px/2`), else the ascending strip `2u − 1`.
+fn z_strip(u: usize) -> usize {
+    if u == 0 {
+        0
+    } else {
+        2 * u - 1
+    }
+}
+
+/// The `Ms·mz` rows of row unit `g` (rows `2g·LANES..`, at most
+/// `2·LANES`) as packed pairs: lane `l < half` carries row `a(l)` in
+/// its real channel and, for `l < paired`, row `b(l)` in its imaginary
+/// channel (zero otherwise). A full unit pairs `r0 + l` with
+/// `r0 + LANES + l`; an odd row count leaves one row with a zero partner.
+#[derive(Debug, Clone, Copy)]
+struct RowPairs {
+    r0: usize,
+    half: usize,
+    paired: usize,
+}
+
+impl RowPairs {
+    fn new(g: usize, ny: usize) -> Self {
+        let r0 = g * 2 * LANES;
+        let rows = (2 * LANES).min(ny - r0);
+        let half = rows.div_ceil(2);
+        RowPairs {
+            r0,
+            half,
+            paired: rows - half,
+        }
+    }
+
+    /// Mesh row in the real channel of lane `l`.
+    fn a(self, l: usize) -> usize {
+        self.r0 + l
+    }
+
+    /// Mesh row in the imaginary channel of lane `l < paired`.
+    fn b(self, l: usize) -> usize {
+        self.r0 + self.half + l
+    }
+
+    /// The unit's rows as `LANES`-row groups `(first row, live rows)`,
+    /// the `xy` channel's lane transforms.
+    fn groups(self) -> impl Iterator<Item = (usize, usize)> {
+        let end = self.r0 + self.half + self.paired;
+        (self.r0..end)
+            .step_by(LANES)
+            .map(move |r| (r, LANES.min(end - r)))
+    }
+}
+
+/// Splits the packed row transforms in lanes `0..p.half` into the half
+/// spectra `kx = 0..=px/2` of their two real rows ([`split_real_pair`])
+/// and stores them as rows `p.a(l)`, `p.b(l)` of the `ny × (px/2 + 1)`
+/// plane `dst`.
+///
+/// # Safety
+///
+/// `dst` must be valid for writes of the unit's rows, with no other
+/// thread touching them; `re`/`im` must hold `px·LANES` values.
+unsafe fn scatter_half_spectra(
+    re: &[f64],
+    im: &[f64],
+    dst: *mut Complex64,
+    px: usize,
+    p: RowPairs,
+) {
+    debug_assert!(re.len() == px * LANES && im.len() == px * LANES);
+    let hw = half_width(px);
+    for k in 0..hw {
+        let (z, zc) = (k * LANES, (px - k) % px * LANES);
+        let mut a = [Complex64::ZERO; LANES];
+        let mut b = [Complex64::ZERO; LANES];
+        for l in 0..LANES {
+            (a[l], b[l]) = split_real_pair(
+                Complex64::new(re[z + l], im[z + l]),
+                Complex64::new(re[zc + l], im[zc + l]),
+            );
+        }
+        for (l, a) in a.iter().enumerate().take(p.half) {
+            *dst.add(p.a(l) * hw + k) = *a;
+        }
+        for (l, b) in b.iter().enumerate().take(p.paired) {
+            *dst.add(p.b(l) * hw + k) = *b;
+        }
+    }
+}
+
+/// The inverse of [`scatter_half_spectra`]'s split: loads the half
+/// spectra `Ha`, `Hb` of rows `p.a(l)`, `p.b(l)` of `src` and packs them
+/// into the full row spectrum `W = Ha + i·Hb` of lane `l`, with
+/// `W(px − k) = H̄a(k) + i·H̄b(k)` (zeros in dead lanes and for a missing
+/// `b` row). At the self-conjugate bins `k = 0` and `2k = px` only the
+/// real parts are taken: there a real row's spectrum is real, the
+/// imaginary parts are rounding residue, and packing them would leak
+/// each row's residue into its partner's output.
+///
+/// # Safety
+///
+/// `src` must be valid for reads of the unit's rows, with no concurrent
+/// writer; `re`/`im` must hold `px·LANES` values.
+unsafe fn gather_half_spectra(
+    src: *const Complex64,
+    px: usize,
+    p: RowPairs,
+    re: &mut [f64],
+    im: &mut [f64],
+) {
+    debug_assert!(re.len() == px * LANES && im.len() == px * LANES);
+    let hw = half_width(px);
+    for k in 0..hw {
+        let mut ha = [Complex64::ZERO; LANES];
+        let mut hb = [Complex64::ZERO; LANES];
+        for (l, h) in ha.iter_mut().enumerate().take(p.half) {
+            *h = *src.add(p.a(l) * hw + k);
+        }
+        for (l, h) in hb.iter_mut().enumerate().take(p.paired) {
+            *h = *src.add(p.b(l) * hw + k);
+        }
+        let w = k * LANES;
+        if k == 0 || 2 * k == px {
+            for l in 0..LANES {
+                re[w + l] = ha[l].re;
+                im[w + l] = hb[l].re;
+            }
+        } else {
+            let wc = (px - k) * LANES;
+            for l in 0..LANES {
+                re[w + l] = ha[l].re - hb[l].im;
+                im[w + l] = ha[l].im + hb[l].re;
+                re[wc + l] = ha[l].re + hb[l].im;
+                im[wc + l] = hb[l].re - ha[l].im;
+            }
+        }
+    }
 }
 
 /// Column strip `t` of the conjugate-paired schedule over `px` padded
@@ -419,65 +593,81 @@ impl NewellDemag {
     }
 
     /// Runs one convolution on the SoA planes and adds the field into
-    /// `h`:
+    /// `h`, one row unit ([`RowPairs`], `2·LANES` rows) and one column
+    /// unit ([`NewellDemag::strip_unit`]) at a time:
     ///
-    /// 1. Row pass, fused with the load: each row group's lanes
-    ///    `0..nx` are filled with `Ms·m` straight from the planes (zeros
-    ///    in vacuum cells), transformed with input window `nx`, and
-    ///    stored as rows of the `xy`/`z` planes.
-    /// 2. Column strips ([`NewellDemag::strip_unit`]): forward column
-    ///    FFT (input window `ny`), kernel multiply and inverse column FFT
-    ///    (output window `ny`) of each strip in a worker's lane buffers.
-    /// 3. Inverse row pass, fused with the unload: each row group is
-    ///    inverted in lanes (output window `nx`) and added into `h` at the
-    ///    magnetic cells.
+    /// 1. Row pass, fused with the load: the unit's rows are loaded as
+    ///    `Ms·m` straight from the planes (zeros in vacuum cells) and
+    ///    transformed with input window `nx` — `Ms·mx + i·Ms·my` as two
+    ///    `LANES`-row groups, `Ms·mz` as one group of packed row pairs
+    ///    whose transforms split into half spectra. Stored as rows of the
+    ///    `xy`/`z` planes.
+    /// 2. Column strips: forward column FFT (input window `ny`), kernel
+    ///    multiply and inverse column FFT (output window `ny`) of each
+    ///    strip in a worker's lane buffers.
+    /// 3. Inverse row pass, fused with the unload: each unit is inverted
+    ///    in lanes (output window `nx`), the `z` pairs repacked first, and
+    ///    added into `h` at the magnetic cells.
     ///
     /// Every lane runs the arithmetic of [`crate::fft::FftPlan::process`]
-    /// on its line, and the passes are split by row group and strip
+    /// on its line, and the passes are split by row unit and column unit
     /// only, so the field is bitwise independent of the team size.
     fn convolve(&self, m: &Field3, h: &mut Field3, team: &WorkerTeam, s: &mut DemagScratch) {
-        let (nx, ny, px, py) = (self.nx, self.ny, self.px, self.py);
+        let (nx, ny, px) = (self.nx, self.ny, self.px);
         let (ms, mask) = (self.ms, &self.mask);
         let (mx, my, mz) = (m.xs(), m.ys(), m.zs());
         let row = self.plan.row_plan();
         s.fft.ensure(&self.plan, team.threads());
         let xy = SendPtr::new(s.xy.as_mut_ptr());
         let z = SendPtr::new(s.z.as_mut_ptr());
-        let groups = ny.div_ceil(LANES);
+        let row_units = ny.div_ceil(2 * LANES);
         let nb_rows = self.plan.pass_blocks(ny * px, team);
+        // `Ms·src` of mesh row `r` into lane `l` (vacuum cells stay zero).
+        let load = |dst: &mut [f64], l: usize, src: &[f64], r: usize| {
+            for ix in 0..nx {
+                let i = r * nx + ix;
+                if mask[i] {
+                    dst[ix * LANES + l] = ms * src[i];
+                }
+            }
+        };
 
-        for_each_lane_block(team, groups, nb_rows, &mut s.fft, |g0, g1, w| {
+        for_each_lane_block(team, row_units, nb_rows, &mut s.fft, |g0, g1, w| {
             let (re, im) = (&mut w.re[..px * LANES], &mut w.im[..px * LANES]);
+            // Columns `nx..px` are zero padding, whose values the
+            // windowed transform never uses.
+            let clear = |re: &mut [f64], im: &mut [f64]| {
+                re[..nx * LANES].fill(0.0);
+                im[..nx * LANES].fill(0.0);
+            };
             for g in g0..g1 {
-                let r0 = g * LANES;
-                let live = LANES.min(ny - r0);
-                for (plane, a, b) in [(xy, mx, Some(my)), (z, mz, None)] {
-                    // Columns `nx..px` are zero padding, whose values
-                    // the windowed transform never uses.
-                    re[..nx * LANES].fill(0.0);
-                    im[..nx * LANES].fill(0.0);
+                let p = RowPairs::new(g, ny);
+                for (r0, live) in p.groups() {
+                    clear(re, im);
                     for l in 0..live {
-                        for ix in 0..nx {
-                            let i = (r0 + l) * nx + ix;
-                            if mask[i] {
-                                re[ix * LANES + l] = ms * a[i];
-                                if let Some(b) = b {
-                                    im[ix * LANES + l] = ms * b[i];
-                                }
-                            }
-                        }
+                        load(re, l, mx, r0 + l);
+                        load(im, l, my, r0 + l);
                     }
                     row.process_lanes(re, im, live, Direction::Forward, nx, &mut w.fallback);
-                    // Safety: row groups are disjoint across blocks and
+                    // Safety: row units are disjoint across blocks and
                     // lie within the plane's `ny` rows.
-                    unsafe { scatter_rows(re, im, plane.get(), px, r0, live) };
+                    unsafe { scatter_rows(re, im, xy.get(), px, r0, live) };
                 }
+                clear(re, im);
+                for l in 0..p.half {
+                    load(re, l, mz, p.a(l));
+                    if l < p.paired {
+                        load(im, l, mz, p.b(l));
+                    }
+                }
+                row.process_lanes(re, im, p.half, Direction::Forward, nx, &mut w.fallback);
+                // Safety: as above, for the half-width plane.
+                unsafe { scatter_half_spectra(re, im, z.get(), px, p) };
             }
         });
 
-        let units = paired_strip_count(px).div_ceil(2);
-        let nb_cols = self.plan.pass_blocks(px * py, team);
-        for_each_lane_block(team, units, nb_cols, &mut s.fft, |u0, u1, w| {
+        let nb_cols = self.plan.pass_blocks(px * self.py, team);
+        for_each_lane_block(team, unit_count(px), nb_cols, &mut s.fft, |u0, u1, w| {
             for u in u0..u1 {
                 // Safety: unit `u` owns strips 2u−1 and 2u (strip 0 for
                 // u = 0), disjoint column sets of both planes.
@@ -488,29 +678,37 @@ impl NewellDemag {
         let out = h.ptrs();
         let (hx, hy, hz) = out.planes();
         let (hx, hy, hz) = (SendPtr::new(hx), SendPtr::new(hy), SendPtr::new(hz));
-        for_each_lane_block(team, groups, nb_rows, &mut s.fft, |g0, g1, w| {
+        // Adds lane `l` of `src` into mesh row `r` of `dst` at the
+        // magnetic cells.
+        let unload = |src: &[f64], l: usize, dst: SendPtr<f64>, r: usize| {
+            for ix in 0..nx {
+                let i = r * nx + ix;
+                if mask[i] {
+                    // Safety: mesh rows are disjoint across blocks.
+                    unsafe { *dst.add(i) += src[ix * LANES + l] };
+                }
+            }
+        };
+        for_each_lane_block(team, row_units, nb_rows, &mut s.fft, |g0, g1, w| {
             let (re, im) = (&mut w.re[..px * LANES], &mut w.im[..px * LANES]);
             for g in g0..g1 {
-                let r0 = g * LANES;
-                let live = LANES.min(ny - r0);
-                for (plane, a, b) in [(xy, hx, Some(hy)), (z, hz, None)] {
-                    // Safety: row groups are disjoint across blocks.
-                    unsafe { gather_rows(plane.get(), px, r0, live, re, im) };
+                let p = RowPairs::new(g, ny);
+                for (r0, live) in p.groups() {
+                    // Safety: row units are disjoint across blocks.
+                    unsafe { gather_rows(xy.get(), px, r0, live, re, im) };
                     row.process_lanes(re, im, live, Direction::Inverse, nx, &mut w.fallback);
                     for l in 0..live {
-                        for ix in 0..nx {
-                            let i = (r0 + l) * nx + ix;
-                            if !mask[i] {
-                                continue;
-                            }
-                            // Safety: mesh rows are disjoint across blocks.
-                            unsafe {
-                                *a.add(i) += re[ix * LANES + l];
-                                if let Some(b) = b {
-                                    *b.add(i) += im[ix * LANES + l];
-                                }
-                            }
-                        }
+                        unload(re, l, hx, r0 + l);
+                        unload(im, l, hy, r0 + l);
+                    }
+                }
+                // Safety: as above.
+                unsafe { gather_half_spectra(z.get(), px, p, re, im) };
+                row.process_lanes(re, im, p.half, Direction::Inverse, nx, &mut w.fallback);
+                for l in 0..p.half {
+                    unload(re, l, hz, p.a(l));
+                    if l < p.paired {
+                        unload(im, l, hz, p.b(l));
                     }
                 }
             }
@@ -519,15 +717,18 @@ impl NewellDemag {
 
     /// Column work unit `u` of a convolution: strip 0 (the self-paired
     /// columns) for `u = 0`, else the strip pair `A = 2u − 1`,
-    /// `B = 2u`. The `z` channel runs each strip alone — forward, scale
-    /// by `K̂zz`, inverse — while the `xy` channel transforms `A` and
-    /// `B` together so every conjugate bin pair sits in the same pair of
-    /// lane buffers for [`NewellDemag::multiply_pair_strips`].
+    /// `B = 2u`. The `z` channel holds only the half spectrum, so it runs
+    /// strip [`z_strip`]`(u)` alone — forward, scale by `K̂zz`, inverse;
+    /// the mirror strip `B` is what conjugate symmetry determines. The
+    /// `xy` channel transforms `A` and `B` together so every conjugate
+    /// bin pair sits in the same pair of lane buffers for
+    /// [`NewellDemag::multiply_pair_strips`].
     ///
     /// # Safety
     ///
-    /// `xy` and `z` must point to the scratch planes (`ny × px`), and no
-    /// other thread may touch this unit's columns during the call.
+    /// `xy` and `z` must point to the scratch planes (`ny × px` and
+    /// `ny × (px/2 + 1)`), and no other thread may touch this unit's
+    /// columns during the call.
     unsafe fn strip_unit(
         &self,
         u: usize,
@@ -547,19 +748,20 @@ impl NewellDemag {
         } = w;
         let (re, im) = (&mut re[..n], &mut im[..n]);
         let (re2, im2) = (&mut re2[..n], &mut im2[..n]);
-        let strips: &[usize] = if u == 0 { &[0] } else { &[2 * u - 1, 2 * u] };
-        let kzz = &self.spectra.kzz;
-        for &t in strips {
-            let s = paired_strip(px, t);
-            gather_strip(z.get(), px, s, ny, re, im);
-            col.process_lanes(re, im, s.live, Direction::Forward, ny, fallback);
-            for ((r, i), &k) in re.iter_mut().zip(im.iter_mut()).zip(&kzz[t * n..][..n]) {
-                *r *= k;
-                *i *= k;
-            }
-            col.process_lanes(re, im, s.live, Direction::Inverse, ny, fallback);
-            scatter_strip(re, im, z.get(), px, s, ny);
+        let s = paired_strip(px, z_strip(u));
+        let hw = half_width(px);
+        gather_strip(z.get(), hw, s, ny, re, im);
+        col.process_lanes(re, im, s.live, Direction::Forward, ny, fallback);
+        for ((r, i), &k) in re
+            .iter_mut()
+            .zip(im.iter_mut())
+            .zip(&self.spectra.kzz[u * n..][..n])
+        {
+            *r *= k;
+            *i *= k;
         }
+        col.process_lanes(re, im, s.live, Direction::Inverse, ny, fallback);
+        scatter_strip(re, im, z.get(), hw, s, ny);
         if u == 0 {
             let s = paired_strip(px, 0);
             gather_strip(xy.get(), px, s, ny, re, im);
@@ -697,11 +899,10 @@ fn pair_lanes(
 /// returns the new values of bins 1 and 2 given their packed values
 /// `z1`, `z2` and their `[Kxx, Kyy, Kxy]` kernel values.
 ///
-/// With `Z = M̂x + i·M̂y` and real fields, `M̂x(k) = (Z(k) + Z̄(−k))/2`
-/// and `M̂y(k) = −i·(Z(k) − Z̄(−k))/2`; at `−k` both spectra are the
-/// conjugates. After the kernel multiply the result is repacked as
-/// `Ĥx + i·Ĥy`, whose inverse transform carries `hx`/`hy` in its
-/// re/im channels.
+/// With `Z = M̂x + i·M̂y` and real fields, [`split_real_pair`] gives
+/// `M̂x(k)` and `M̂y(k)`; at `−k` both spectra are the conjugates. After
+/// the kernel multiply the result is repacked as `Ĥx + i·Ĥy`, whose
+/// inverse transform carries `hx`/`hy` in its re/im channels.
 #[inline(always)]
 fn pair_fields(
     z1: Complex64,
@@ -709,8 +910,7 @@ fn pair_fields(
     [kxx1, kyy1, kxy1]: [f64; 3],
     [kxx2, kyy2, kxy2]: [f64; 3],
 ) -> (Complex64, Complex64) {
-    let mx = Complex64::new(0.5 * (z1.re + z2.re), 0.5 * (z1.im - z2.im));
-    let my = Complex64::new(0.5 * (z1.im + z2.im), 0.5 * (z2.re - z1.re));
+    let (mx, my) = split_real_pair(z1, z2);
     let hx = mx.scale(kxx1) + my.scale(kxy1);
     let hy = mx.scale(kxy1) + my.scale(kyy1);
     let h1 = Complex64::new(hx.re - hy.im, hx.im + hy.re);
@@ -811,10 +1011,11 @@ impl NewellQuadrant {
 /// same passes the convolution uses: for each kernel the real-space
 /// plane (filled from a [`NewellQuadrant`], `Kxy` Nyquist lines zeroed —
 /// see module docs) runs the lane row pass over all `py` rows and the
-/// forward column FFT of every [`paired_strip`], whose real parts are
-/// stored. Also returns each kernel's `[max |Re|, max |Im|]` over its
-/// spectrum, the evidence that dropping the imaginary parts is exact.
-/// Order: `[Kxx, Kyy, Kzz, Kxy]`. Bitwise identical for any team.
+/// forward column FFT of every [`paired_strip`] (for `Kzz` only the
+/// half-spectrum strips [`z_strip`]), whose real parts are stored. Also
+/// returns each kernel's `[max |Re|, max |Im|]` over its stored strips,
+/// the evidence that dropping the imaginary parts is exact. Order:
+/// `[Kxx, Kyy, Kzz, Kxy]`. Bitwise identical for any team.
 fn kernel_spectra(
     cell: [f64; 3],
     plan: &Fft2Plan,
@@ -828,9 +1029,18 @@ fn kernel_spectra(
     let mut rs = Fft2Scratch::new();
     rs.ensure(plan, team.threads());
     let mut peaks = [[0.0; 2]; 4];
-    let mut tables: [Vec<f64>; 4] = std::array::from_fn(|_| vec![0.0; strips * n]);
+    // Table entry `e` of kernel `k` holds strip `strip_of(e)`.
+    let layout = |k: usize| -> (usize, fn(usize) -> usize) {
+        if k == 2 {
+            (unit_count(px), z_strip)
+        } else {
+            (strips, |t| t)
+        }
+    };
+    let mut tables: [Vec<f64>; 4] = std::array::from_fn(|k| vec![0.0; layout(k).0 * n]);
     let mut strip_peaks = vec![[0.0f64; 2]; strips];
     for (k, table) in tables.iter_mut().enumerate() {
+        let (entries, strip_of) = layout(k);
         team.for_each_chunk(&mut plane, |start, chunk| {
             for (o, v) in chunk.iter_mut().enumerate() {
                 let (jy, jx) = ((start + o) / px, (start + o) % px);
@@ -843,22 +1053,22 @@ fn kernel_spectra(
         let sp = SendPtr::new(strip_peaks.as_mut_ptr());
         let col = plan.col_plan();
         let nb = plan.pass_blocks(px * py, team);
-        for_each_lane_block(team, strips, nb, &mut rs, |t0, t1, w| {
+        for_each_lane_block(team, entries, nb, &mut rs, |e0, e1, w| {
             let (re, im) = (&mut w.re[..n], &mut w.im[..n]);
-            for t in t0..t1 {
-                let s = paired_strip(px, t);
-                // Safety: the plane is only read here; strip `t` owns
+            for e in e0..e1 {
+                let s = paired_strip(px, strip_of(e));
+                // Safety: the plane is only read here; entry `e` owns
                 // its slice of the table and its peak slot.
                 unsafe {
                     gather_strip(base.get(), px, s, py, re, im);
                     col.process_lanes(re, im, s.live, Direction::Forward, py, &mut w.fallback);
-                    std::slice::from_raw_parts_mut(out.add(t * n), n).copy_from_slice(re);
+                    std::slice::from_raw_parts_mut(out.add(e * n), n).copy_from_slice(re);
                     let max = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-                    *sp.add(t) = [max(re), max(im)];
+                    *sp.add(e) = [max(re), max(im)];
                 }
             }
         });
-        peaks[k] = strip_peaks
+        peaks[k] = strip_peaks[..entries]
             .iter()
             .fold([0.0f64; 2], |a, p| [a[0].max(p[0]), a[1].max(p[1])]);
     }
@@ -883,7 +1093,7 @@ impl FieldTerm for NewellDemag {
     }
 
     fn make_scratch(&self) -> Option<Box<dyn Any + Send + Sync>> {
-        Some(Box::new(DemagScratch::new(self.ny * self.px)))
+        Some(Box::new(DemagScratch::new(self)))
     }
 
     fn accumulate_par(
@@ -899,7 +1109,7 @@ impl FieldTerm for NewellDemag {
             None => {
                 // No caller-provided scratch: allocate one for this call.
                 // Hot paths always pass the system-owned scratch.
-                let mut s = DemagScratch::new(self.ny * self.px);
+                let mut s = DemagScratch::new(self);
                 self.convolve(m, h, team, &mut s);
             }
         }
@@ -1182,21 +1392,37 @@ mod tests {
         }
     }
 
+    /// How [`row_major_reference`] defines the `Ms·mz` channel.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum ZChannel {
+        /// Packed row pairs and half spectra — the strip pipeline's.
+        HalfSpectrum,
+        /// A full complex grid with a zero imaginary channel, the
+        /// definition before the half-spectrum channel.
+        Complex,
+    }
+
     /// The convolution as the scalar, row-major pipeline defines it:
     /// `FftPlan::process` on the populated rows, then on every column;
     /// conjugate pairs multiplied in row-major visiting order (the first
     /// bin of a pair to be reached takes the first role); columns then
-    /// populated rows inverted. Returns `[hx, hy, hz]` per cell.
+    /// populated rows inverted. With [`ZChannel::HalfSpectrum`] the
+    /// `Ms·mz` rows are packed in pairs (rows `r0 + l` and `r0 + h + l`
+    /// of each `2·LANES`-row unit, `h` = half its rows rounded up), split
+    /// into half spectra, column-transformed on columns `0..=px/2` only
+    /// and repacked for the inverse rows. Returns `[hx, hy, hz]` per cell.
     fn row_major_reference(
         mesh: &Mesh,
         mat: &Material,
         m: &[Vec3],
         policy: PadPolicy,
+        z_channel: ZChannel,
     ) -> Vec<Vec3> {
         let (nx, ny) = (mesh.nx(), mesh.ny());
         let (px, py) = (policy.pad(nx), policy.pad(ny));
         let cell = mesh.cell_size();
         let ms = mat.saturation_magnetization();
+        let mask = mesh.mask();
         let (row, col) = (FftPlan::new(px), FftPlan::new(py));
         let kernel = |k: usize| -> Vec<f64> {
             let mut plane: Vec<Complex64> = (0..px * py)
@@ -1206,8 +1432,20 @@ mod tests {
             plane.iter().map(|z| z.re).collect()
         };
         let [kxx, kyy, kzz, kxy] = [0, 1, 2, 3].map(kernel);
-        let transform = |grid: &mut [Complex64], direction: Direction| {
+        // Column transforms of columns `0..w` of a `w`-wide grid.
+        let columns = |grid: &mut [Complex64], w: usize, direction: Direction| {
             let mut line = vec![Complex64::ZERO; py];
+            for kx in 0..w {
+                for (ky, z) in line.iter_mut().enumerate() {
+                    *z = grid[ky * w + kx];
+                }
+                col.process(&mut line, direction);
+                for (ky, z) in line.iter().enumerate() {
+                    grid[ky * w + kx] = *z;
+                }
+            }
+        };
+        let transform = |grid: &mut [Complex64], direction: Direction| {
             let rows = |grid: &mut [Complex64]| {
                 for r in grid[..ny * px].chunks_mut(px) {
                     row.process(r, direction);
@@ -1216,35 +1454,21 @@ mod tests {
             if direction == Direction::Forward {
                 rows(grid);
             }
-            for kx in 0..px {
-                for (ky, z) in line.iter_mut().enumerate() {
-                    *z = grid[ky * px + kx];
-                }
-                col.process(&mut line, direction);
-                for (ky, z) in line.iter().enumerate() {
-                    grid[ky * px + kx] = *z;
-                }
-            }
+            columns(grid, px, direction);
             if direction == Direction::Inverse {
                 rows(grid);
             }
         };
         let mut xy = vec![Complex64::ZERO; px * py];
-        let mut z = vec![Complex64::ZERO; px * py];
         for iy in 0..ny {
             for ix in 0..nx {
                 let i = iy * nx + ix;
-                if mesh.mask()[i] {
+                if mask[i] {
                     xy[iy * px + ix] = Complex64::new(ms * m[i].x, ms * m[i].y);
-                    z[iy * px + ix] = Complex64::new(ms * m[i].z, 0.0);
                 }
             }
         }
         transform(&mut xy, Direction::Forward);
-        transform(&mut z, Direction::Forward);
-        for (zb, k) in z.iter_mut().zip(&kzz) {
-            *zb = zb.scale(*k);
-        }
         let mut done = vec![false; px * py];
         for ky in 0..py {
             for kx in 0..px {
@@ -1268,14 +1492,94 @@ mod tests {
             }
         }
         transform(&mut xy, Direction::Inverse);
-        transform(&mut z, Direction::Inverse);
+
+        let mut hz = vec![0.0; nx * ny];
+        let mz = |i: usize| if mask[i] { ms * m[i].z } else { 0.0 };
+        match z_channel {
+            ZChannel::Complex => {
+                let mut z = vec![Complex64::ZERO; px * py];
+                for iy in 0..ny {
+                    for ix in 0..nx {
+                        z[iy * px + ix] = Complex64::new(mz(iy * nx + ix), 0.0);
+                    }
+                }
+                transform(&mut z, Direction::Forward);
+                for (zb, k) in z.iter_mut().zip(&kzz) {
+                    *zb = zb.scale(*k);
+                }
+                transform(&mut z, Direction::Inverse);
+                for iy in 0..ny {
+                    for ix in 0..nx {
+                        hz[iy * nx + ix] = z[iy * px + ix].re;
+                    }
+                }
+            }
+            ZChannel::HalfSpectrum => {
+                let hw = px / 2 + 1;
+                // Row pairs `(a, Some(b))`, or `(a, None)` for a row with
+                // a zero partner.
+                let mut pairs = Vec::new();
+                for r0 in (0..ny).step_by(2 * LANES) {
+                    let rows = (2 * LANES).min(ny - r0);
+                    let h = rows.div_ceil(2);
+                    for l in 0..h {
+                        pairs.push((r0 + l, (l < rows - h).then_some(r0 + h + l)));
+                    }
+                }
+                let mut z = vec![Complex64::ZERO; hw * py];
+                let mut line = vec![Complex64::ZERO; px];
+                for &(a, b) in &pairs {
+                    line.fill(Complex64::ZERO);
+                    for (ix, z) in line[..nx].iter_mut().enumerate() {
+                        let zb = b.map_or(0.0, |b| mz(b * nx + ix));
+                        *z = Complex64::new(mz(a * nx + ix), zb);
+                    }
+                    row.process(&mut line, Direction::Forward);
+                    for k in 0..hw {
+                        let (ha, hb) = split_real_pair(line[k], line[(px - k) % px]);
+                        z[a * hw + k] = ha;
+                        if let Some(b) = b {
+                            z[b * hw + k] = hb;
+                        }
+                    }
+                }
+                columns(&mut z, hw, Direction::Forward);
+                for ky in 0..py {
+                    for k in 0..hw {
+                        z[ky * hw + k] = z[ky * hw + k].scale(kzz[ky * px + k]);
+                    }
+                }
+                columns(&mut z, hw, Direction::Inverse);
+                for &(a, b) in &pairs {
+                    for k in 0..hw {
+                        let ha = z[a * hw + k];
+                        let hb = b.map_or(Complex64::ZERO, |b| z[b * hw + k]);
+                        // W = Ha + i·Hb; the self-conjugate bins take the
+                        // real parts only.
+                        if k == 0 || 2 * k == px {
+                            line[k] = Complex64::new(ha.re, hb.re);
+                        } else {
+                            line[k] = Complex64::new(ha.re - hb.im, ha.im + hb.re);
+                            line[px - k] = Complex64::new(ha.re + hb.im, hb.re - ha.im);
+                        }
+                    }
+                    row.process(&mut line, Direction::Inverse);
+                    for ix in 0..nx {
+                        hz[a * nx + ix] = line[ix].re;
+                        if let Some(b) = b {
+                            hz[b * nx + ix] = line[ix].im;
+                        }
+                    }
+                }
+            }
+        }
         (0..nx * ny)
             .map(|i| {
                 let (iy, ix) = (i / nx, i % nx);
                 let p = iy * px + ix;
-                if mesh.mask()[i] {
+                if mask[i] {
                     // Accumulated into a zeroed field, as `accumulate_aos` does.
-                    Vec3::ZERO + Vec3::new(xy[p].re, xy[p].im, z[p].re)
+                    Vec3::ZERO + Vec3::new(xy[p].re, xy[p].im, hz[i])
                 } else {
                     Vec3::ZERO
                 }
@@ -1283,17 +1587,26 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn field_is_bitwise_the_row_major_reference() {
-        // The strip pipeline against the scalar row-major definition,
-        // bit for bit: even (24×10 pads to 48×20), odd (8×8 to 15×15) and
-        // Bluestein (6×3 to 11×5) grids, a masked mesh, a tilted state
-        // and a uniform out-of-plane one (an all-zero in-plane channel).
-        for (nx, ny, policy) in [
+    /// The test grids of the reference comparisons: even (24×10 pads to
+    /// 48×20), odd (8×8 to 15×15), odd row counts below and above
+    /// `2·LANES` (9×7 to 20×16 leaves row 3 unpaired; 10×17 to 20×36
+    /// leaves row 16 alone in its unit; 7×19 to 16×40 a partial second
+    /// unit), `ny < 2·LANES` with even rows (24×10) and Bluestein
+    /// (6×3 to 11×5, 5×17 to 9×33 with a lone row). Each has a masked
+    /// cell; the states are a tilted one and a uniform out-of-plane one
+    /// (an all-zero in-plane channel).
+    fn reference_cases() -> Vec<(Mesh, Material, PadPolicy, Vec<Vec<Vec3>>)> {
+        [
             (24usize, 10usize, PadPolicy::GoodSize),
             (8, 8, PadPolicy::GoodSize),
+            (9, 7, PadPolicy::GoodSize),
+            (10, 17, PadPolicy::GoodSize),
+            (7, 19, PadPolicy::GoodSize),
             (6, 3, PadPolicy::Exact),
-        ] {
+            (5, 17, PadPolicy::Exact),
+        ]
+        .into_iter()
+        .map(|(nx, ny, policy)| {
             let (mut mesh, mat) = film_setup(nx, ny);
             mesh.set_magnetic(nx / 2, ny / 2, false);
             let n = mesh.cell_count();
@@ -1302,18 +1615,74 @@ mod tests {
                     Vec3::new((0.3 * i as f64).sin(), (0.7 * i as f64).cos(), 0.5).normalized()
                 })
                 .collect();
-            for m in [vec![Vec3::Z; n], noisy] {
-                let demag =
-                    NewellDemag::with_options(&mesh, &mat, &WorkerTeam::new(3), policy, Some(0));
-                let mut h = vec![Vec3::ZERO; n];
-                accumulate_aos(&demag, &m, 0.0, &mut h);
-                let want = row_major_reference(&mesh, &mat, &m, policy);
-                let bits = |v: &[Vec3]| -> Vec<[u64; 3]> {
-                    v.iter()
-                        .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
-                        .collect()
-                };
-                assert_eq!(bits(&h), bits(&want), "{nx}×{ny} {policy:?}");
+            (mesh, mat, policy, vec![vec![Vec3::Z; n], noisy])
+        })
+        .collect()
+    }
+
+    fn strip_pipeline_field(
+        mesh: &Mesh,
+        mat: &Material,
+        m: &[Vec3],
+        policy: PadPolicy,
+    ) -> Vec<Vec3> {
+        let demag = NewellDemag::with_options(mesh, mat, &WorkerTeam::new(3), policy, Some(0));
+        let mut h = vec![Vec3::ZERO; m.len()];
+        accumulate_aos(&demag, m, 0.0, &mut h);
+        h
+    }
+
+    fn bits(v: &[Vec3]) -> Vec<[u64; 3]> {
+        v.iter()
+            .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn field_is_bitwise_the_row_major_reference() {
+        // The strip pipeline against the scalar row-major definition,
+        // bit for bit, half-spectrum `Ms·mz` channel included.
+        for (mesh, mat, policy, states) in reference_cases() {
+            for m in states {
+                let h = strip_pipeline_field(&mesh, &mat, &m, policy);
+                let want = row_major_reference(&mesh, &mat, &m, policy, ZChannel::HalfSpectrum);
+                assert_eq!(
+                    bits(&h),
+                    bits(&want),
+                    "{}×{} {policy:?}",
+                    mesh.nx(),
+                    mesh.ny()
+                );
+            }
+        }
+    }
+
+    /// Bound on `max |Δhz| / max |hz|` between the half-spectrum and the
+    /// complex `Ms·mz` channel.
+    const HALF_SPECTRUM_HZ_TOL: f64 = 1e-13;
+
+    #[test]
+    fn half_spectrum_z_channel_matches_the_complex_definition() {
+        // The half-spectrum channel changes only `hz`, and only by
+        // rounding: `hx`/`hy` stay the complex-channel pipeline's bit for
+        // bit, `hz` agrees to HALF_SPECTRUM_HZ_TOL of its peak.
+        for (mesh, mat, policy, states) in reference_cases() {
+            for m in states {
+                let h = strip_pipeline_field(&mesh, &mat, &m, policy);
+                let old = row_major_reference(&mesh, &mat, &m, policy, ZChannel::Complex);
+                let what = format!("{}×{} {policy:?}", mesh.nx(), mesh.ny());
+                let inplane = |v: &[Vec3]| bits(v).iter().map(|b| [b[0], b[1]]).collect::<Vec<_>>();
+                assert_eq!(inplane(&h), inplane(&old), "hx/hy changed at {what}");
+                let peak = old.iter().fold(0.0f64, |p, v| p.max(v.z.abs()));
+                let dev = h
+                    .iter()
+                    .zip(&old)
+                    .fold(0.0f64, |d, (a, b)| d.max((a.z - b.z).abs()));
+                assert!(
+                    dev <= HALF_SPECTRUM_HZ_TOL * peak,
+                    "hz deviates by {:e} of its peak at {what}",
+                    dev / peak
+                );
             }
         }
     }
@@ -1323,7 +1692,9 @@ mod tests {
         // Every strip-order entry must be the real part of the matching
         // bin of the plain 2-D transform of the full-grid kernel plane —
         // bitwise, on an even, an odd and a Bluestein (11 is prime)
-        // padded grid, with partial and self-paired strips.
+        // padded grid, with partial and self-paired strips. `Kzz` holds
+        // exactly the half spectrum's columns `0..=px/2`, the others
+        // every column.
         for (px, py) in [(40usize, 12usize), (15, 9), (11, 5)] {
             let cell = [5e-9, 5e-9, 1e-9];
             let plan = Fft2Plan::new(px, py);
@@ -1338,12 +1709,18 @@ mod tests {
                     .map(|i| Complex64::new(full_grid_kernel(k, i % px, i / px, px, py, cell), 0.0))
                     .collect();
                 plan.process(&mut plane, &WorkerTeam::new(1), Direction::Forward);
+                let (entries, columns): (Vec<usize>, usize) = if k == 2 {
+                    ((0..unit_count(px)).map(z_strip).collect(), half_width(px))
+                } else {
+                    ((0..paired_strip_count(px)).collect(), px)
+                };
+                assert_eq!(table.len(), entries.len() * n, "kernel {k} table size");
                 let mut seen = vec![false; px];
-                for t in 0..paired_strip_count(px) {
+                for (e, &t) in entries.iter().enumerate() {
                     let s = paired_strip(px, t);
                     for l in 0..LANES {
                         for ky in 0..py {
-                            let v = table[t * n + ky * LANES + l];
+                            let v = table[e * n + ky * LANES + l];
                             if l >= s.live {
                                 assert_eq!(v.to_bits(), 0, "dead lane {l} of strip {t}");
                                 continue;
@@ -1361,7 +1738,12 @@ mod tests {
                         }
                     }
                 }
-                assert!(seen.iter().all(|&c| c), "{px}: some column is in no strip");
+                let covered: Vec<usize> = (0..px).filter(|&c| seen[c]).collect();
+                assert_eq!(
+                    covered,
+                    (0..columns).collect::<Vec<_>>(),
+                    "kernel {k} at {px}: wrong column set"
+                );
             }
         }
     }
@@ -1505,9 +1887,17 @@ mod tests {
 
     #[test]
     fn parallel_field_is_bitwise_identical_to_fallback() {
+        // The clamp is off, so every pass really splits across the team;
+        // 7 rows leave one `Ms·mz` row without a packing partner.
         let (mut mesh, mat) = film_setup(11, 7);
         mesh.set_magnetic(4, 3, false);
-        let demag = NewellDemag::new(&mesh, &mat);
+        let demag = NewellDemag::with_options(
+            &mesh,
+            &mat,
+            &WorkerTeam::new(1),
+            PadPolicy::GoodSize,
+            Some(0),
+        );
         let n = mesh.cell_count();
         let m: Vec<Vec3> = (0..n)
             .map(|i| {

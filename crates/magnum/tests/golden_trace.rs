@@ -17,15 +17,21 @@
 //!
 //! The two Newell traces (`golden_newell_rk4.txt`, the good-size padded
 //! grid, and `golden_newell_exact_rk4.txt`, Bluestein rows and columns)
-//! were recorded from the transpose-based spectral pipeline that
-//! preceded the strip-fused one, and are matched **bit for bit** at
-//! every thread count: the FFT rewrite promised identical arithmetic per
-//! element, so any drift at all is a regression. Re-record them (only
-//! after a deliberate arithmetic change) with
+//! were recorded from the strip pipeline with the half-spectrum `Ms·mz`
+//! channel and are matched **bit for bit** at every thread count: any
+//! drift at all is a regression. Re-record them (only after a deliberate
+//! arithmetic change) with
 //!
 //! ```text
 //! MAGNUM_GOLDEN_WRITE=1 cargo test -p magnum --test golden_trace newell
 //! ```
+//!
+//! Their `_complexz` twins are the same scenarios recorded before that
+//! change, when `Ms·mz` ran through full complex transforms (the
+//! transpose-based pipeline and the strip pipeline agreed bit for bit on
+//! them). The half-spectrum channel changes `hz` only by rounding, so the
+//! current trajectories must stay within [`REL_TOL`] of them. They are
+//! never re-recorded.
 
 use magnum::field::demag::{DemagMethod, PadPolicy};
 use magnum::geometry::Polygon;
@@ -181,6 +187,14 @@ fn check_against_reference(name: &str, trace: &str) {
         std::fs::write(&path, trace).unwrap();
         return;
     }
+    assert_within_tolerance(name, trace);
+}
+
+/// Every recorded value of `trace` within [`REL_TOL`] (relative, with an
+/// absolute floor of `REL_TOL`) of the reference `name`, which is only
+/// read.
+fn assert_within_tolerance(name: &str, trace: &str) {
+    let path = data_path(name);
     let reference = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden trace {}: {e}", path.display()));
     let got = parse_values(trace);
@@ -218,11 +232,11 @@ fn check_exact(name: &str, trace: &str) {
 }
 
 /// Bitwise golden: the serial trace equals the recorded one exactly,
-/// and 2 and 4 threads equal the serial trace.
+/// and 2, 4 and 7 threads equal the serial trace.
 fn golden_exact(name: &str, run: impl Fn(usize) -> String) {
     let serial = run(1);
     check_exact(name, &serial);
-    for threads in [2, 4] {
+    for threads in [2, 4, 7] {
         assert_eq!(
             serial,
             run(threads),
@@ -288,4 +302,16 @@ fn newell_exact_padding_rk4_matches_golden_trace_bitwise() {
     golden_exact("newell_exact_rk4", |threads| {
         record_trace(newell_triangle_sim(threads, PadPolicy::Exact), 25, 5)
     });
+}
+
+#[test]
+fn newell_rk4_stays_within_tolerance_of_the_complex_z_trace() {
+    let trace = record_trace(newell_triangle_sim(1, PadPolicy::GoodSize), 25, 5);
+    assert_within_tolerance("newell_rk4_complexz", &trace);
+}
+
+#[test]
+fn newell_exact_padding_rk4_stays_within_tolerance_of_the_complex_z_trace() {
+    let trace = record_trace(newell_triangle_sim(1, PadPolicy::Exact), 25, 5);
+    assert_within_tolerance("newell_exact_rk4_complexz", &trace);
 }

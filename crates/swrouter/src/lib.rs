@@ -31,7 +31,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use swjson::Json;
-use swserve::http::{error_body, read_request, write_json, ReadError, Request, Response};
+use swserve::http::{
+    error_body, read_request, reason_phrase, write_json, ReadError, Request, Response,
+};
 use swserve::{content_key, eval, jobs, netlist};
 
 use proxy::{serialize_request, Backend};
@@ -540,15 +542,7 @@ fn relay(
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nx-shard: {shard}\r\n",
         response.status,
-        match response.status {
-            200 => "OK",
-            202 => "Accepted",
-            400 => "Bad Request",
-            404 => "Not Found",
-            429 => "Too Many Requests",
-            503 => "Service Unavailable",
-            _ => "Response",
-        },
+        reason_phrase(response.status),
         response.body.len(),
     );
     for name in ["x-cache", "retry-after"] {

@@ -270,3 +270,54 @@ fn jobs_submit_through_the_router_and_poll_on_the_same_shard() {
     runner_a.join().unwrap();
     runner_b.join().unwrap();
 }
+
+/// A stand-in shard: `GET /healthz` answers 200, every other request
+/// `status`, each written by swserve's own response writer.
+fn fixed_status_shard(status: u16) -> SocketAddr {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().unwrap();
+    thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { return };
+            thread::spawn(move || {
+                while let Ok(request) = swserve::http::read_request(&stream) {
+                    let (code, body) = if request.path == "/healthz" {
+                        (200, r#"{"status":"ok"}"#.to_string())
+                    } else {
+                        (status, swserve::http::error_body("stand-in shard"))
+                    };
+                    if swserve::http::write_json(&mut stream, code, &[], &body, true).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn relayed_statuses_keep_their_reason_phrases() {
+    for (status, phrase) in [(405, "Method Not Allowed"), (413, "Payload Too Large")] {
+        let shard = fixed_status_shard(status);
+        let (router, runner) = boot_router(&[shard]);
+        let mut stream = TcpStream::connect(router.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let body = r#"{"gate":"maj3","inputs":[0,1,1]}"#;
+        let head = format!(
+            "POST /v1/gate/eval HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(body.as_bytes()).unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("read to close");
+        let status_line = raw.lines().next().unwrap_or_default();
+        assert_eq!(status_line, format!("HTTP/1.1 {status} {phrase}"));
+        assert!(raw.contains("x-shard: 0"), "relayed, not answered locally");
+        drain(router.addr());
+        runner.join().unwrap();
+    }
+}

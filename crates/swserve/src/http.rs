@@ -264,7 +264,10 @@ pub fn read_response(reader: &mut impl BufRead) -> Result<Response, ReadError> {
     })
 }
 
-fn reason(status: u16) -> &'static str {
+/// The reason phrase of `status` for a response's status line
+/// (`"Response"` for a code this service never sends). The one table:
+/// the router relays shard statuses with it too.
+pub fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
@@ -295,7 +298,7 @@ pub fn write_json(
 ) -> std::io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
-        reason(status),
+        reason_phrase(status),
         body.len() + 1
     );
     for (name, value) in extra {
