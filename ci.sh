@@ -18,6 +18,9 @@ cargo clippy --workspace --offline --all-targets -- -D warnings
 echo "==> criterion benches compile (opt-in feature, warnings are errors)"
 cargo clippy --offline -p bench --benches --features criterion -- -D warnings
 
+echo "==> rustdoc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline
 

@@ -48,13 +48,15 @@
 //!   regression the clamp exists to prevent.
 //!
 //! * `parbench --batch [--ks LIST] [--steps N] [--out PATH]` benchmarks
-//!   the batched K-way advance: for each K it times K independent serial
-//!   runs of the triangle-gate workload (each member with its own drive
-//!   phase) against one `BatchedSimulation` advancing all K in lockstep,
-//!   asserts every member's final state is bitwise identical to its
-//!   independent run, and requires the batch at the largest K to be at
-//!   least 1.5x faster. The two arms alternate and each reports its best
-//!   of three runs. Writes `BENCH_batch.json`, with the machine's
+//!   the batched K-way advance on two workloads: the 48×24 triangle
+//!   (each member with its own drive phase) and the `--fast` XOR gate
+//!   mesh (each member its own input pattern). For each K it times K
+//!   independent serial runs against one `BatchedSimulation` advancing
+//!   all K in lockstep, asserts every member's final state is bitwise
+//!   identical to its independent run, and requires the triangle's batch
+//!   at the largest K to be at least 1.5x faster. The two arms alternate
+//!   and each reports its best of three runs. Writes `BENCH_batch.json`
+//!   (one row per workload and K, tagged `workload`), with the machine's
 //!   hardware thread count (`cpus`). Defaults: Ks `1,4,8`, 2000 steps.
 //!
 //! * `parbench --netlist [--patterns N] [--out PATH]` benchmarks the
@@ -511,39 +513,53 @@ fn build_gate_sim(phase: f64) -> Simulation {
         .unwrap()
 }
 
-/// `--batch`: K independent serial runs vs one batched K-way advance on
-/// the triangle-gate workload, with bitwise parity checked per member.
-/// Both arms build their members before their timers start; the two
-/// arms alternate, and each reports its best of three.
-/// Writes `BENCH_batch.json` and fails unless the largest K is at least
-/// 1.5x faster batched.
-fn batch_main(ks: Vec<usize>, steps: usize, out: String) {
+/// Member `s` of the `--fast` XOR gate workload: the gate simulation
+/// `repro table2 --fast --mumag` runs for input pattern `s mod 4` (no
+/// drive trims, so nothing is calibrated), at one thread. Its guides are
+/// a few cells wide, so most magnetic cells sit on a guide edge.
+fn build_xor_gate_sim(s: usize) -> Simulation {
+    use swgates::encoding::{all_patterns, Bit};
+    let backend = swgates::mumag::MumagBackend::fast()
+        .with_threads(1)
+        .without_phase_trim();
+    let layout = swgates::layout::TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9)
+        .expect("the --fast XOR layout is valid");
+    let patterns: Vec<[Bit; 2]> = all_patterns::<2>();
+    backend
+        .xor_simulation(&layout, patterns[s % patterns.len()])
+        .expect("the --fast XOR gate builds")
+}
+
+/// The rows of one `--batch` workload: for each K, K independent serial
+/// runs against one `BatchedSimulation` of the same members (`build(s)`
+/// makes member `s`), with bitwise parity asserted per member. Both arms
+/// build their members before their timers start; the two arms
+/// alternate, and each reports its best of three. Returns the rows and
+/// the speedup at the largest K.
+fn batch_rows(
+    workload: &str,
+    ks: &[usize],
+    steps: usize,
+    build: impl Fn(usize) -> Simulation,
+) -> (Vec<Json>, f64) {
     const REPS: usize = 3;
-    println!(
-        "batch benchmark: K-way lockstep advance vs K independent serial runs, {steps} RK4 steps, \
-         best of 3 alternating"
-    );
+    println!("  workload {workload}:");
     let kmax = ks.iter().copied().max().unwrap_or(1);
     let mut speedup_at_kmax = f64::INFINITY;
     let mut rows = Vec::new();
     // Warm-up so page faults and lazy allocation hit neither timer.
     {
-        let mut sim = build_gate_sim(0.0);
+        let mut sim = build(0);
         for _ in 0..steps.min(100) {
             sim.step().unwrap();
         }
     }
-    for &k in &ks {
-        // One drive phase per member, like the patterns of a logic sweep.
-        let phases: Vec<f64> = (0..k)
-            .map(|s| s as f64 * std::f64::consts::PI / 4.0)
-            .collect();
-
+    for &k in ks {
         // The arms alternate, best of REPS each: a single short run is
         // at the mercy of timer and scheduler noise on a shared host.
         let (mut t_independent, mut t_batch) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..REPS {
-            let mut solo: Vec<Simulation> = phases.iter().map(|&p| build_gate_sim(p)).collect();
+            let mut solo: Vec<Simulation> = (0..k).map(&build).collect();
             let start = Instant::now();
             for sim in &mut solo {
                 for _ in 0..steps {
@@ -556,7 +572,7 @@ fn batch_main(ks: Vec<usize>, steps: usize, out: String) {
                 .map(|sim| sim.magnetization().to_vec())
                 .collect();
 
-            let sims: Vec<Simulation> = phases.iter().map(|&p| build_gate_sim(p)).collect();
+            let sims: Vec<Simulation> = (0..k).map(&build).collect();
             let mut batch =
                 BatchedSimulation::new(sims).expect("members are structurally identical");
             let start = Instant::now();
@@ -569,7 +585,7 @@ fn batch_main(ks: Vec<usize>, steps: usize, out: String) {
             for (s, sim) in members.iter().enumerate() {
                 assert!(
                     sim.magnetization().to_vec() == independent[s],
-                    "K={k}: member {s} diverged bitwise from its independent run"
+                    "{workload}, K={k}: member {s} diverged bitwise from its independent run"
                 );
             }
         }
@@ -578,10 +594,11 @@ fn batch_main(ks: Vec<usize>, steps: usize, out: String) {
             speedup_at_kmax = speedup;
         }
         println!(
-            "  K={k}: independent {t_independent:7.3} s, batched {t_batch:7.3} s, \
+            "    K={k}: independent {t_independent:7.3} s, batched {t_batch:7.3} s, \
              speedup {speedup:5.2}x, bitwise-identical: yes"
         );
         rows.push(Json::obj([
+            ("workload", Json::str(workload)),
             ("k", Json::Num(k as f64)),
             ("steps", Json::Num(steps as f64)),
             ("independent_s", Json::Num(t_independent)),
@@ -590,17 +607,36 @@ fn batch_main(ks: Vec<usize>, steps: usize, out: String) {
             ("bitwise_identical_to_independent", Json::Bool(true)),
         ]));
     }
+    (rows, speedup_at_kmax)
+}
+
+/// `--batch`: K independent serial runs vs one batched K-way advance on
+/// two workloads — the 48 × 24 triangle (each member with its own drive
+/// phase) and the `--fast` XOR gate mesh (each member its own input
+/// pattern) — with bitwise parity checked per member (see
+/// [`batch_rows`]). Writes `BENCH_batch.json` and fails unless the
+/// triangle's largest K is at least 1.5x faster batched.
+fn batch_main(ks: Vec<usize>, steps: usize, out: String) {
+    println!(
+        "batch benchmark: K-way lockstep advance vs K independent serial runs, {steps} RK4 steps, \
+         best of 3 alternating"
+    );
+    let (mut rows, speedup_at_kmax) = batch_rows("triangle_48x24", &ks, steps, |s| {
+        build_gate_sim(s as f64 * std::f64::consts::PI / 4.0)
+    });
+    rows.extend(batch_rows("xor_gate_fast", &ks, steps, build_xor_gate_sim).0);
     write_bench_json(
         &out,
         "batched_llg_advance",
         "speedup_vs_independent",
-        "K independent serial runs of the triangle-gate workload",
+        "K independent serial runs of the same workload (48x24 triangle; --fast XOR gate mesh)",
         rows,
     );
+    let kmax = ks.iter().copied().max().unwrap_or(1);
     assert!(
         speedup_at_kmax >= 1.5,
         "K={kmax} batch ran only {speedup_at_kmax:.2}x faster than {kmax} independent serial \
-         runs (the acceptance floor is 1.5x)"
+         runs of the triangle (the acceptance floor is 1.5x)"
     );
 }
 

@@ -194,6 +194,30 @@ fn trims_from_transfer(transfer: &[(Complex64, Complex64)], targets: &[f64]) -> 
         .collect()
 }
 
+/// The drives of one input pattern: each input's logic phase plus its
+/// trim's phase offset, at its trim's amplitude scale.
+fn trimmed_drives(inputs: &[Bit], trims: &[DriveTrim]) -> Vec<DriveSpec> {
+    inputs
+        .iter()
+        .zip(trims)
+        .map(|(bit, trim)| DriveSpec {
+            amplitude_scale: trim.amplitude_scale,
+            phase: bit.phase() + trim.phase_offset,
+        })
+        .collect()
+}
+
+/// The drives of a calibration run: input `active` at full amplitude
+/// and phase 0, the other `n_inputs − 1` antennas silenced.
+fn solo_drives(n_inputs: usize, active: usize) -> Vec<DriveSpec> {
+    (0..n_inputs)
+        .map(|i| DriveSpec {
+            amplitude_scale: if i == active { 1.0 } else { 0.0 },
+            phase: 0.0,
+        })
+        .collect()
+}
+
 /// Arrival-amplitude targets for the MAJ3 inputs.
 ///
 /// The stage-1 inputs (I1, I2) are weighted 0.7 relative to I3 so the
@@ -475,16 +499,8 @@ impl MumagBackend {
         inputs: [Bit; 3],
     ) -> Result<GateRun, SwGateError> {
         let trims = self.maj3_trims(layout)?;
-        let plan = self.plan_maj3(layout)?;
-        let drives: Vec<DriveSpec> = inputs
-            .iter()
-            .zip(trims.iter())
-            .map(|(bit, trim)| DriveSpec {
-                amplitude_scale: trim.amplitude_scale,
-                phase: bit.phase() + trim.phase_offset,
-            })
-            .collect();
-        self.execute(plan, &drives, layout.wavelength())
+        let drives = trimmed_drives(&inputs, &trims);
+        self.execute(self.plan_maj3(layout)?, &drives, layout.wavelength())
     }
 
     /// Runs the triangle MAJ3 gate for several input patterns at once,
@@ -510,14 +526,7 @@ impl MumagBackend {
         let prepared = patterns
             .iter()
             .map(|inputs| {
-                let drives: Vec<DriveSpec> = inputs
-                    .iter()
-                    .zip(trims.iter())
-                    .map(|(bit, trim)| DriveSpec {
-                        amplitude_scale: trim.amplitude_scale,
-                        phase: bit.phase() + trim.phase_offset,
-                    })
-                    .collect();
+                let drives = trimmed_drives(inputs, &trims);
                 self.prepare(self.plan_maj3(layout)?, &drives, layout.wavelength())
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -542,14 +551,7 @@ impl MumagBackend {
         let prepared = patterns
             .iter()
             .map(|inputs| {
-                let drives: Vec<DriveSpec> = inputs
-                    .iter()
-                    .zip(trims.iter())
-                    .map(|(bit, trim)| DriveSpec {
-                        amplitude_scale: trim.amplitude_scale,
-                        phase: bit.phase() + trim.phase_offset,
-                    })
-                    .collect();
+                let drives = trimmed_drives(inputs, &trims);
                 self.prepare(self.plan_xor(layout)?, &drives, layout.wavelength())
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -573,7 +575,9 @@ impl MumagBackend {
     /// Single-input transfer phasors of the MAJ3 gate: element `i` holds
     /// the `(O1, O2)` response with only input `i` driven (phase 0). In
     /// the linear spin-wave regime every pattern's output is the
-    /// sign-weighted superposition of these.
+    /// sign-weighted superposition of these. The three runs advance as
+    /// one K = 3 lockstep batch; each phasor is bitwise that of the solo
+    /// run.
     ///
     /// # Errors
     ///
@@ -582,9 +586,7 @@ impl MumagBackend {
         &self,
         layout: &TriangleMaj3Layout,
     ) -> Result<Vec<(Complex64, Complex64)>, SwGateError> {
-        self.transfer(GateKindTag::Maj3, layout.wavelength(), 3, || {
-            self.plan_maj3(layout)
-        })
+        self.transfer(layout.wavelength(), 3, || self.plan_maj3(layout))
     }
 
     /// Per-input drive trims that align all single-input arrival phases
@@ -629,16 +631,28 @@ impl MumagBackend {
         inputs: [Bit; 2],
     ) -> Result<GateRun, SwGateError> {
         let trims = self.xor_trims(layout)?;
-        let plan = self.plan_xor(layout)?;
-        let drives: Vec<DriveSpec> = inputs
-            .iter()
-            .zip(trims.iter())
-            .map(|(bit, trim)| DriveSpec {
-                amplitude_scale: trim.amplitude_scale,
-                phase: bit.phase() + trim.phase_offset,
-            })
-            .collect();
-        self.execute(plan, &drives, layout.wavelength())
+        let drives = trimmed_drives(&inputs, &trims);
+        self.execute(self.plan_xor(layout)?, &drives, layout.wavelength())
+    }
+
+    /// The XOR gate's simulation for one input pattern, built exactly as
+    /// [`MumagBackend::xor_run`] builds it (mesh, absorbers, trimmed and
+    /// compensated antennas, time step) but not advanced — for
+    /// benchmarks that time the solver on the gate mesh.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layout, calibration and solver failures as
+    /// [`SwGateError`].
+    pub fn xor_simulation(
+        &self,
+        layout: &TriangleXorLayout,
+        inputs: [Bit; 2],
+    ) -> Result<Simulation, SwGateError> {
+        let trims = self.xor_trims(layout)?;
+        let drives = trimmed_drives(&inputs, &trims);
+        let prepared = self.prepare(self.plan_xor(layout)?, &drives, layout.wavelength())?;
+        Ok(prepared.sim)
     }
 
     /// Raw complex output amplitudes `(O1, O2)` of the XOR gate.
@@ -655,8 +669,8 @@ impl MumagBackend {
         Ok((run.o1, run.o2))
     }
 
-    /// Single-input transfer phasors of the XOR gate (see
-    /// [`MumagBackend::maj3_transfer`]).
+    /// Single-input transfer phasors of the XOR gate, its two runs one
+    /// K = 2 lockstep batch (see [`MumagBackend::maj3_transfer`]).
     ///
     /// # Errors
     ///
@@ -665,9 +679,7 @@ impl MumagBackend {
         &self,
         layout: &TriangleXorLayout,
     ) -> Result<Vec<(Complex64, Complex64)>, SwGateError> {
-        self.transfer(GateKindTag::Xor, layout.wavelength(), 2, || {
-            self.plan_xor(layout)
-        })
+        self.transfer(layout.wavelength(), 2, || self.plan_xor(layout))
     }
 
     /// Per-input drive trims for the XOR gate (cached; see
@@ -698,12 +710,15 @@ impl MumagBackend {
         Ok(trims)
     }
 
-    /// Measures single-input transfer phasors by running the gate once
-    /// per input with the other antennas silenced. Calibration runs are
-    /// always performed at T = 0 so trims are noise-free.
+    /// Measures single-input transfer phasors: one run per input with the
+    /// other antennas silenced, all `n_inputs` runs advanced in lockstep
+    /// as one K = `n_inputs` batch through [`MumagBackend::measure_batch`].
+    /// A batch member is bitwise identical to its solo run, so the
+    /// phasors — and the trims derived from them — are those of running
+    /// the inputs one after another. Calibration runs are always
+    /// performed at T = 0 so trims are noise-free.
     fn transfer<F>(
         &self,
-        _kind: GateKindTag,
         wavelength: f64,
         n_inputs: usize,
         mut plan_builder: F,
@@ -719,18 +734,16 @@ impl MumagBackend {
             None
         };
         let backend = cold.as_ref().unwrap_or(self);
-        let mut transfer = Vec::with_capacity(n_inputs);
-        for active in 0..n_inputs {
-            let drives: Vec<DriveSpec> = (0..n_inputs)
-                .map(|i| DriveSpec {
-                    amplitude_scale: if i == active { 1.0 } else { 0.0 },
-                    phase: 0.0,
-                })
-                .collect();
-            let run = backend.execute(plan_builder()?, &drives, wavelength)?;
-            transfer.push((run.o1, run.o2));
-        }
-        Ok(transfer)
+        let prepared = (0..n_inputs)
+            .map(|active| {
+                backend.prepare(plan_builder()?, &solo_drives(n_inputs, active), wavelength)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(backend
+            .measure_batch(prepared)?
+            .into_iter()
+            .map(|run| (run.o1, run.o2))
+            .collect())
     }
 
     /// The rasterizable footprint and bounding box of the MAJ3 gate —
@@ -1544,6 +1557,57 @@ mod tests {
         let pl = b.plan_maj3(&large).unwrap();
         assert!(pl.bounds.2 - pl.bounds.0 > ps.bounds.2 - ps.bounds.0);
         assert!(pl.transit_distance > ps.transit_distance);
+    }
+
+    /// The phasors of `n_inputs` sequential solo runs, input `active`
+    /// driven and the others silenced — the calibration before it ran
+    /// as one batch.
+    fn sequential_transfer(
+        b: &MumagBackend,
+        n_inputs: usize,
+        wavelength: f64,
+        plan: impl Fn() -> GatePlan,
+    ) -> Vec<(Complex64, Complex64)> {
+        (0..n_inputs)
+            .map(|active| {
+                let run = b
+                    .execute(plan(), &solo_drives(n_inputs, active), wavelength)
+                    .unwrap();
+                (run.o1, run.o2)
+            })
+            .collect()
+    }
+
+    /// Every phasor component as bits, so signed zeros and the last ulp
+    /// count.
+    fn phasor_bits(t: &[(Complex64, Complex64)]) -> Vec<[u64; 4]> {
+        t.iter()
+            .map(|(o1, o2)| [o1.re, o1.im, o2.re, o2.im].map(f64::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn batched_calibration_equals_sequential_solo_runs() {
+        // The transfer advances its single-input runs as one lockstep
+        // batch (K = 2 for XOR, K = 3 for MAJ3); every phasor must be
+        // bitwise that of the solo run, so trims and the trim cache keep
+        // every bit.
+        let b = MumagBackend::fast()
+            .with_measure_periods(1)
+            .with_settle_factor(1.0);
+        let xor = TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9).unwrap();
+        let batched = b.xor_transfer(&xor).unwrap();
+        let solo = sequential_transfer(&b, 2, xor.wavelength(), || b.plan_xor(&xor).unwrap());
+        assert_eq!(phasor_bits(&batched), phasor_bits(&solo), "XOR transfer");
+        assert!(batched
+            .iter()
+            .all(|(o1, o2)| o1.abs() > 0.0 && o2.abs() > 0.0));
+        assert_ne!(phasor_bits(&batched[..1]), phasor_bits(&batched[1..]));
+
+        let maj3 = TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 1, 1).unwrap();
+        let batched = b.maj3_transfer(&maj3).unwrap();
+        let solo = sequential_transfer(&b, 3, maj3.wavelength(), || b.plan_maj3(&maj3).unwrap());
+        assert_eq!(phasor_bits(&batched), phasor_bits(&solo), "MAJ3 transfer");
     }
 
     // Full gate runs live in the workspace integration tests (they are

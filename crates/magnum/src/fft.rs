@@ -35,7 +35,7 @@
 //!
 //! ## Lanes and strips
 //!
-//! [`FftPlan::process_lanes`] runs [`LANES`] transforms at once on
+//! `FftPlan::process_lanes` runs [`LANES`] transforms at once on
 //! structure-of-arrays lanes, each lane bitwise equal to
 //! [`FftPlan::process`] on its line; the lane loops vectorize, with
 //! AVX-512 and AVX2 copies chosen at runtime. An inverse scales by 1/N
@@ -196,7 +196,7 @@ struct Bluestein {
 
 /// A reusable 1-D FFT plan for one fixed length: the digit-reversal
 /// permutation (as a swap list), the stage schedule and per-stage
-/// twiddle tables. Lengths that are not 5-smooth carry a [`Bluestein`]
+/// twiddle tables. Lengths that are not 5-smooth carry a `Bluestein`
 /// fallback instead of stages.
 #[derive(Debug, Clone)]
 pub struct FftPlan {
@@ -734,7 +734,7 @@ impl Bluestein {
     }
 }
 
-/// Transforms per lane batch: [`FftPlan::process_lanes`] runs this many
+/// Transforms per lane batch: `FftPlan::process_lanes` runs this many
 /// independent transforms in lockstep. Eight `f64` lanes are one
 /// AVX-512 or two AVX2 registers per operand (four lanes measured
 /// slower on the 640×320 film, sixteen slower still); the row and column
@@ -1414,7 +1414,7 @@ fn grow<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
     }
 }
 
-/// Per-thread lane scratch for a [`Fft2Plan`]: one [`LaneBufs`] per
+/// Per-thread lane scratch for a [`Fft2Plan`]: one `LaneBufs` per
 /// worker block, grown by [`Fft2Scratch::ensure`] and reused across
 /// executions, so a warm arena keeps the passes allocation-free.
 #[derive(Debug, Default)]
@@ -1707,7 +1707,7 @@ pub(crate) unsafe fn scatter_strip(
 /// A reusable 2-D FFT plan over a row-major `nx × ny` grid.
 ///
 /// Executes as a row pass then a column pass, both through the lane
-/// kernel ([`FftPlan::process_lanes`]): the row pass transforms
+/// kernel (`FftPlan::process_lanes`): the row pass transforms
 /// [`LANES`] rows at a time, the column pass gathers a strip of
 /// `LANES` columns into a worker's cache-resident lane buffer,
 /// transforms it and writes it back — no grid-sized transpose. Row

@@ -52,19 +52,30 @@
 //! operands are), and adding ±0 to it is the identity.
 //!
 //! Cells that no antenna covers take one branch-free body, `InteriorArm`,
-//! with K interleaved lanes per cell, whenever the op sequence is
-//! canonical and includes exchange (`sweep_arm`). Interior runs feed it
-//! the constant offsets `±1` and `±nx`; at K ≥ 2 every other cell feeds
-//! it its row of the stencil table, so at K ≥ 4 every such cell runs
-//! four members per AVX2 vector. The remaining cells — at K = 1 the
-//! stencil cells, at every K the antenna-covered cells and, for a
-//! non-canonical op sequence, every cell — take the one scalar body,
-//! `sweep_scalar`: `fused_field` + `torque` per lane `i·K + s`, its
-//! member loop inside the cell loop. The K = 1 sweep passes K as the
-//! literal 1, so that copy compiles with a constant stride from the same
-//! source. Both bodies evaluate the same expression sequence per (cell,
-//! member), so a member of a batch is bitwise identical to the same
-//! simulation stepped alone.
+//! with K interleaved lanes per cell, at every K, whenever the op
+//! sequence is canonical and includes exchange (`sweep_arm`). Interior
+//! runs feed it the constant offsets `±1` and `±nx`; every other cell
+//! feeds it its row of the stencil table. On AVX2 hosts the arm runs
+//! four lanes per vector through one 4-wide body, generic over how it
+//! addresses its lanes (`LaneAddr`) and compiled once per addressing:
+//!
+//! * contiguous — four consecutive cells of a K = 1 interior run, or
+//!   four members of one cell at K ≥ 4 (one 256-bit load per operand);
+//! * pairs — two list cells × two members at K = 2 (two 128-bit loads);
+//! * gathered — any four (cell, member) lanes in walk order: K = 1
+//!   stencil stretches and K = 3 (four scalar loads per operand,
+//!   scattered stores).
+//!
+//! Fewer than four lanes left at the end of a stretch, and the members
+//! beyond the last multiple of four at K = 5..7, take the arm's scalar
+//! lane body. The remaining cells — the antenna-covered cells and, for a
+//! non-canonical op sequence or one without exchange, every cell — take
+//! the one scalar body, `sweep_scalar`: `fused_field` + `torque` per lane
+//! `i·K + s`, its member loop inside the cell loop. The K = 1 sweep
+//! passes K as the literal 1, so that copy compiles with a constant
+//! stride from the same source. Every body evaluates the same expression
+//! sequence per (cell, member), so a member of a batch is bitwise
+//! identical to the same simulation stepped alone.
 
 use crate::excitation::Antenna;
 use crate::field::{FieldTerm, FusedTerm};
@@ -166,31 +177,130 @@ struct Segment {
 /// constant-offset loop only pays off once it amortizes its setup.
 const MIN_RUN: usize = 8;
 
-/// One plane's exchange accumulation for four consecutive lanes whose
-/// `[left, right, down, up]` neighbours start at lanes `nb`:
+/// Where [`InteriorArm::lanes4`] finds the four lanes of each operand:
+/// slot 0 is the lanes themselves — their stage input, pre-pass field,
+/// thermal field and output — and slots 1..=4 their `[left, right,
+/// down, up]` neighbours' stage input. One implementation per way of
+/// packing lanes into a vector; the body is compiled once per
+/// implementation from the same arithmetic.
+#[cfg(target_arch = "x86_64")]
+trait LaneAddr: Copy {
+    /// The four lanes of slot `slot` in plane `p`, lane 0 lowest.
+    ///
+    /// # Safety
+    ///
+    /// Every lane of the slot must be in bounds for `p`; the host must
+    /// support AVX2.
+    unsafe fn load(&self, p: *const f64, slot: usize) -> std::arch::x86_64::__m256d;
+
+    /// Writes `v` to the four slot-0 lanes of plane `p`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`LaneAddr::load`], and no other thread may access those
+    /// lanes.
+    unsafe fn store(&self, p: *mut f64, v: std::arch::x86_64::__m256d);
+}
+
+/// Four consecutive lanes per slot, starting at `self.0[slot]`: four
+/// members of one cell (K ≥ 4) or four consecutive cells of a K = 1
+/// interior run. One 256-bit load or store per operand.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Contiguous([usize; 5]);
+
+#[cfg(target_arch = "x86_64")]
+impl LaneAddr for Contiguous {
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load(&self, p: *const f64, slot: usize) -> std::arch::x86_64::__m256d {
+        std::arch::x86_64::_mm256_loadu_pd(p.add(self.0[slot]))
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store(&self, p: *mut f64, v: std::arch::x86_64::__m256d) {
+        std::arch::x86_64::_mm256_storeu_pd(p.add(self.0[0]), v)
+    }
+}
+
+/// Two list cells × two members (K = 2): lanes 0–1 are the lane pair
+/// starting at `lo[slot]`, lanes 2–3 the pair at `hi[slot]`. Two 128-bit
+/// loads or stores per operand.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Pairs {
+    lo: [usize; 5],
+    hi: [usize; 5],
+}
+
+#[cfg(target_arch = "x86_64")]
+impl LaneAddr for Pairs {
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load(&self, p: *const f64, slot: usize) -> std::arch::x86_64::__m256d {
+        std::arch::x86_64::_mm256_loadu2_m128d(p.add(self.hi[slot]), p.add(self.lo[slot]))
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store(&self, p: *mut f64, v: std::arch::x86_64::__m256d) {
+        std::arch::x86_64::_mm256_storeu2_m128d(p.add(self.hi[0]), p.add(self.lo[0]), v)
+    }
+}
+
+/// Any four lanes: lane `t` of slot `slot` is `self.0[slot][t]`. Four
+/// scalar loads per operand and four scalar stores per output plane.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Gathered([[usize; 4]; 5]);
+
+#[cfg(target_arch = "x86_64")]
+impl LaneAddr for Gathered {
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load(&self, p: *const f64, slot: usize) -> std::arch::x86_64::__m256d {
+        let [l0, l1, l2, l3] = self.0[slot];
+        std::arch::x86_64::_mm256_set_pd(*p.add(l3), *p.add(l2), *p.add(l1), *p.add(l0))
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store(&self, p: *mut f64, v: std::arch::x86_64::__m256d) {
+        use std::arch::x86_64::*;
+        let [l0, l1, l2, l3] = self.0[0];
+        let (lo, hi) = (_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
+        _mm_storel_pd(p.add(l0), lo);
+        _mm_storeh_pd(p.add(l1), lo);
+        _mm_storel_pd(p.add(l2), hi);
+        _mm_storeh_pd(p.add(l3), hi);
+    }
+}
+
+/// One plane's exchange accumulation for the four lanes `at` addresses:
 /// `(((0 + (m[nb0]-m)·cx) + (m[nb1]-m)·cx) + (m[nb2]-m)·cy) +
 /// (m[nb3]-m)·cy`, the exact summation order of the scalar arm.
 ///
 /// # Safety
 ///
-/// Each `nb[d]` plus three lanes must be in bounds for `mp`, and the
-/// host must support AVX2.
+/// Every neighbour lane of `at` must be in bounds for `mp`, and the host
+/// must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn exchange4(
+unsafe fn exchange4<L: LaneAddr>(
     mp: *const f64,
-    nb: [usize; 4],
+    at: L,
     mi: std::arch::x86_64::__m256d,
     cx: std::arch::x86_64::__m256d,
     cy: std::arch::x86_64::__m256d,
     zero: std::arch::x86_64::__m256d,
 ) -> std::arch::x86_64::__m256d {
     use std::arch::x86_64::*;
-    let t0 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(nb[0])), mi), cx);
-    let t1 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(nb[1])), mi), cx);
-    let t2 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(nb[2])), mi), cy);
-    let t3 = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(mp.add(nb[3])), mi), cy);
+    let t0 = _mm256_mul_pd(_mm256_sub_pd(at.load(mp, 1), mi), cx);
+    let t1 = _mm256_mul_pd(_mm256_sub_pd(at.load(mp, 2), mi), cx);
+    let t2 = _mm256_mul_pd(_mm256_sub_pd(at.load(mp, 3), mi), cy);
+    let t3 = _mm256_mul_pd(_mm256_sub_pd(at.load(mp, 4), mi), cy);
     _mm256_add_pd(
         _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(zero, t0), t1), t2),
         t3,
@@ -290,24 +400,26 @@ impl InteriorArm {
         *outz.add(fi) = (mxhz + mxmxhz * alpha) * prefactor;
     }
 
-    /// [`InteriorArm::lane`] on the four consecutive lanes `fi..fi + 4`
-    /// with AVX2 intrinsics — the auto-vectorizer leaves the scalar body
-    /// 1-wide, so the 4-wide form is written out. Every intrinsic is a
-    /// lanewise correctly-rounded IEEE operation applied in the scalar
-    /// body's exact expression order (no FMA contraction), so each lane
-    /// is bitwise the scalar body's result.
+    /// [`InteriorArm::lane`] on the four lanes `at` addresses, with AVX2
+    /// intrinsics — the auto-vectorizer leaves the scalar body 1-wide, so
+    /// the 4-wide form is written out. Every intrinsic is a lanewise
+    /// correctly-rounded IEEE operation applied in the scalar body's exact
+    /// expression order (no FMA contraction), so each lane is bitwise the
+    /// scalar body's result whichever way the lanes are addressed; only
+    /// the loads and stores differ between [`LaneAddr`] types. `av`/`pv`
+    /// hold each lane's damping and prefactor.
     ///
     /// # Safety
     ///
-    /// As for [`InteriorArm::lane`], for all four lanes `fi + t` with
-    /// neighbour lanes `nb[d] + t`; the host must support AVX2.
+    /// As for [`InteriorArm::lane`], for each of the four lanes of `at`
+    /// with its four neighbour lanes; the four lanes must be distinct, and
+    /// the host must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn lanes4(
+    unsafe fn lanes4<L: LaneAddr>(
         &self,
-        fi: usize,
-        nb: [usize; 4],
+        at: L,
         av: std::arch::x86_64::__m256d,
         pv: std::arch::x86_64::__m256d,
     ) {
@@ -317,19 +429,15 @@ impl InteriorArm {
         let cx = _mm256_set1_pd(self.coeff_x);
         let cy = _mm256_set1_pd(self.coeff_y);
         let zero = _mm256_setzero_pd();
-        let mix = _mm256_loadu_pd(mxp.add(fi));
-        let miy = _mm256_loadu_pd(myp.add(fi));
-        let miz = _mm256_loadu_pd(mzp.add(fi));
-        let accx = exchange4(mxp, nb, mix, cx, cy, zero);
-        let accy = exchange4(myp, nb, miy, cx, cy, zero);
-        let accz = exchange4(mzp, nb, miz, cx, cy, zero);
+        let mix = at.load(mxp, 0);
+        let miy = at.load(myp, 0);
+        let miz = at.load(mzp, 0);
+        let accx = exchange4(mxp, at, mix, cx, cy, zero);
+        let accy = exchange4(myp, at, miy, cx, cy, zero);
+        let accz = exchange4(mzp, at, miz, cx, cy, zero);
         // h = base + acc (or 0 + acc), as the scalar body's `h += acc`.
         let (bx, by, bz) = match self.base {
-            Some([bx, by, bz]) => (
-                _mm256_loadu_pd(bx.add(fi)),
-                _mm256_loadu_pd(by.add(fi)),
-                _mm256_loadu_pd(bz.add(fi)),
-            ),
+            Some([bx, by, bz]) => (at.load(bx, 0), at.load(by, 0), at.load(bz, 0)),
             None => (zero, zero, zero),
         };
         let mut hx = _mm256_add_pd(bx, accx);
@@ -362,9 +470,9 @@ impl InteriorArm {
             hz = _mm256_add_pd(hz, _mm256_set1_pd(z.z));
         }
         if let Some([tx, ty, tz]) = self.thermal {
-            hx = _mm256_add_pd(hx, _mm256_loadu_pd(tx.add(fi)));
-            hy = _mm256_add_pd(hy, _mm256_loadu_pd(ty.add(fi)));
-            hz = _mm256_add_pd(hz, _mm256_loadu_pd(tz.add(fi)));
+            hx = _mm256_add_pd(hx, at.load(tx, 0));
+            hy = _mm256_add_pd(hy, at.load(ty, 0));
+            hz = _mm256_add_pd(hz, at.load(tz, 0));
         }
         let mxhx = _mm256_sub_pd(_mm256_mul_pd(miy, hz), _mm256_mul_pd(miz, hy));
         let mxhy = _mm256_sub_pd(_mm256_mul_pd(miz, hx), _mm256_mul_pd(mix, hz));
@@ -372,23 +480,31 @@ impl InteriorArm {
         let mxmxhx = _mm256_sub_pd(_mm256_mul_pd(miy, mxhz), _mm256_mul_pd(miz, mxhy));
         let mxmxhy = _mm256_sub_pd(_mm256_mul_pd(miz, mxhx), _mm256_mul_pd(mix, mxhz));
         let mxmxhz = _mm256_sub_pd(_mm256_mul_pd(mix, mxhy), _mm256_mul_pd(miy, mxhx));
-        _mm256_storeu_pd(
-            outx.add(fi),
+        at.store(
+            outx,
             _mm256_mul_pd(_mm256_add_pd(mxhx, _mm256_mul_pd(mxmxhx, av)), pv),
         );
-        _mm256_storeu_pd(
-            outy.add(fi),
+        at.store(
+            outy,
             _mm256_mul_pd(_mm256_add_pd(mxhy, _mm256_mul_pd(mxmxhy, av)), pv),
         );
-        _mm256_storeu_pd(
-            outz.add(fi),
+        at.store(
+            outz,
             _mm256_mul_pd(_mm256_add_pd(mxhz, _mm256_mul_pd(mxmxhz, av)), pv),
         );
     }
 
-    /// The walk for this host: the AVX2 forms when `avx2` is set —
-    /// [`InteriorArm::interior1_avx2`] for a K = 1 interior run,
-    /// [`InteriorArm::walk_avx2`] otherwise — else [`InteriorArm::walk`].
+    /// The walk for this host: with `avx2` set, the AVX2 form for the
+    /// batch width and neighbour source —
+    ///
+    /// * K = 1 interior run: [`InteriorArm::interior1_avx2`], four
+    ///   consecutive cells per vector;
+    /// * K = 2: [`InteriorArm::pairs_avx2`], two cells × two members;
+    /// * K = 1 stencil stretch and K = 3: [`InteriorArm::gather_avx2`],
+    ///   any four (cell, member) lanes;
+    /// * K ≥ 4: [`InteriorArm::walk_avx2`], four members of one cell —
+    ///
+    /// else the portable [`InteriorArm::walk`].
     ///
     /// # Safety
     ///
@@ -406,10 +522,12 @@ impl InteriorArm {
     ) {
         #[cfg(target_arch = "x86_64")]
         if avx2 {
-            return match st {
-                Stencil::Interior { shift, nx } if self.kk == 1 => {
+            return match (st, self.kk) {
+                (Stencil::Interior { shift, nx }, 1) => {
                     self.interior1_avx2(ci_lo + shift, ci_hi + shift, nx, ap, pp)
                 }
+                (_, 1 | 3) => self.gather_avx2(ci_lo, ci_hi, st, ap, pp),
+                (_, 2) => self.pairs_avx2(ci_lo, ci_hi, st, ap, pp),
                 _ => self.walk_avx2(ci_lo, ci_hi, st, ap, pp),
             };
         }
@@ -417,9 +535,9 @@ impl InteriorArm {
     }
 
     /// The branch-free walk over list cells `ci_lo..ci_hi`, one lane at
-    /// a time — the portable form of [`InteriorArm::walk_avx2`]. `st`
-    /// gives each flat cell and its `[left, right, down, up]` neighbour
-    /// cells; member `s` of neighbour `j` is lane `j·K + s`.
+    /// a time — the portable form of the AVX2 walks. `st` gives each flat
+    /// cell and its `[left, right, down, up]` neighbour cells; member `s`
+    /// of neighbour `j` is lane `j·K + s`.
     ///
     /// # Safety
     ///
@@ -439,9 +557,9 @@ impl InteriorArm {
         }
     }
 
-    /// [`InteriorArm::walk`] four lanes at a time: four members of one
-    /// cell per vector, the members beyond the last multiple of four on
-    /// the scalar body (at K = 1 that is every cell).
+    /// [`InteriorArm::walk`] at K ≥ 4, four lanes at a time: four members
+    /// of one cell per vector, the members beyond the last multiple of
+    /// four on the scalar body.
     ///
     /// # Safety
     ///
@@ -466,12 +584,105 @@ impl InteriorArm {
             let (f0, n0) = (i * kk, nb.map(|j| j * kk));
             let mut s = 0;
             while s + 4 <= kk {
-                self.lanes4(f0 + s, n0.map(|j| j + s), av, pv);
+                let [n1, n2, n3, n4] = n0.map(|j| j + s);
+                self.lanes4(Contiguous([f0 + s, n1, n2, n3, n4]), av, pv);
                 s += 4;
             }
             for s in s..kk {
                 self.lane(f0 + s, n0.map(|j| j + s), alpha, prefactor);
             }
+        }
+    }
+
+    /// [`InteriorArm::walk`] at K = 2, two cells × two members per vector:
+    /// each operand is the two lanes of one cell (or of its neighbour)
+    /// beside the two of the next cell. An odd last cell runs its two
+    /// members on the scalar body.
+    ///
+    /// # Safety
+    ///
+    /// As for [`InteriorArm::walk`], with K = 2; the host must support
+    /// AVX2 (checked at runtime by the dispatching caller).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn pairs_avx2(
+        &self,
+        ci_lo: usize,
+        ci_hi: usize,
+        st: Stencil,
+        ap: *const f64,
+        pp: *const f64,
+    ) {
+        use std::arch::x86_64::*;
+        let lanes = |(i, nb): (usize, [usize; 4])| [i, nb[0], nb[1], nb[2], nb[3]].map(|j| 2 * j);
+        let mut ci = ci_lo;
+        while ci + 2 <= ci_hi {
+            let (c0, c1) = (st.cell(ci), st.cell(ci + 1));
+            let (i0, i1) = (c0.0, c1.0);
+            let (a0, a1) = (*ap.add(i0), *ap.add(i1));
+            let (p0, p1) = (*pp.add(i0), *pp.add(i1));
+            self.lanes4(
+                Pairs {
+                    lo: lanes(c0),
+                    hi: lanes(c1),
+                },
+                _mm256_set_pd(a1, a1, a0, a0),
+                _mm256_set_pd(p1, p1, p0, p0),
+            );
+            ci += 2;
+        }
+        if ci < ci_hi {
+            let (i, nb) = st.cell(ci);
+            for s in 0..2 {
+                self.lane(2 * i + s, nb.map(|j| 2 * j + s), *ap.add(i), *pp.add(i));
+            }
+        }
+    }
+
+    /// [`InteriorArm::walk`] with the stretch's (cell, member) lanes taken
+    /// four at a time in walk order, whatever cells they belong to — K = 1
+    /// stencil stretches and K = 3, where no four lanes of one vector sit
+    /// at one stride. Fewer than four lanes left at the end run on the
+    /// scalar body.
+    ///
+    /// # Safety
+    ///
+    /// As for [`InteriorArm::walk`]; the host must support AVX2 (checked
+    /// at runtime by the dispatching caller).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gather_avx2(
+        &self,
+        ci_lo: usize,
+        ci_hi: usize,
+        st: Stencil,
+        ap: *const f64,
+        pp: *const f64,
+    ) {
+        use std::arch::x86_64::*;
+        let kk = self.kk;
+        let mut at = [[0usize; 4]; 5];
+        let (mut a, mut p) = ([0.0; 4], [0.0; 4]);
+        let mut t = 0;
+        for ci in ci_lo..ci_hi {
+            let (i, nb) = st.cell(ci);
+            for s in 0..kk {
+                at[0][t] = i * kk + s;
+                for d in 0..4 {
+                    at[d + 1][t] = nb[d] * kk + s;
+                }
+                (a[t], p[t]) = (*ap.add(i), *pp.add(i));
+                t += 1;
+                if t == 4 {
+                    let (av, pv) = (_mm256_loadu_pd(a.as_ptr()), _mm256_loadu_pd(p.as_ptr()));
+                    self.lanes4(Gathered(at), av, pv);
+                    t = 0;
+                }
+            }
+        }
+        for u in 0..t {
+            let nb = [at[1][u], at[2][u], at[3][u], at[4][u]];
+            self.lane(at[0][u], nb, a[u], p[u]);
         }
     }
 
@@ -503,8 +714,7 @@ impl InteriorArm {
         let mut i = i_lo;
         while i + 4 <= i_hi {
             self.lanes4(
-                i,
-                nbrs(i),
+                Contiguous([i, i - 1, i + 1, i - nx, i + nx]),
                 _mm256_loadu_pd(ap.add(i)),
                 _mm256_loadu_pd(pp.add(i)),
             );
@@ -1022,18 +1232,17 @@ impl LlgSystem {
         self.sweep_block(b, sw, 1, avx2);
     }
 
-    /// One block's share of a sweep at batch width `kk`: the segment walk
-    /// handing [`LlgSystem::sweep_arm`] what the branch-free arm serves —
-    /// interior runs at every K, stencil stretches at K ≥ 2 — and the
-    /// rest to [`LlgSystem::sweep_scalar`].
+    /// One block's share of a sweep at batch width `kk`: every segment
+    /// goes to [`LlgSystem::sweep_arm`] when the branch-free arm serves
+    /// the op sequence, else to [`LlgSystem::sweep_scalar`].
     #[inline(always)]
     fn sweep_block(&self, b: usize, sw: &Sweep, kk: usize, avx2: bool) {
         let block = self.kernel.blocks[b];
         let arm = self.arm(sw);
         for seg in &self.kernel.segs[block.segs.0..block.segs.1] {
             match arm {
-                Some(arm) if seg.interior || kk > 1 => self.sweep_arm(*seg, &arm, sw, kk, avx2),
-                _ => self.sweep_scalar(seg.ci0 as usize, seg.ci1 as usize, sw, kk),
+                Some(arm) => self.sweep_arm(*seg, &arm, sw, kk, avx2),
+                None => self.sweep_scalar(seg.ci0 as usize, seg.ci1 as usize, sw, kk),
             }
         }
     }
@@ -1052,8 +1261,8 @@ impl LlgSystem {
     /// The general sweep body at every K: each member of list cells
     /// `ci0..ci1` through [`LlgSystem::fused_field`] and
     /// [`LlgSystem::torque`], the stencil table and the ops loop serving
-    /// boundary and vacuum-adjacent cells, antenna-covered cells and
-    /// arbitrary op sequences. `kk` is the batch width.
+    /// antenna-covered cells and op sequences the branch-free arm does
+    /// not (non-canonical, or without exchange). `kk` is the batch width.
     #[inline(always)]
     fn sweep_scalar(&self, ci0: usize, ci1: usize, sw: &Sweep, kk: usize) {
         let inp = &sw.input;
@@ -1098,7 +1307,7 @@ impl LlgSystem {
     /// One segment through the branch-free arm. An interior run's cells
     /// have all four neighbours and consecutive flat indices, so their
     /// neighbours are the constant offsets `±1` and `±nx` and need no
-    /// table; a stencil stretch (K ≥ 2 only) reads each cell's row of the
+    /// table; a stencil stretch reads each cell's row of the
     /// self-substituted stencil table. Either way there are no presence
     /// checks and no bounds checks, and each lane evaluates the exact
     /// expression sequence of [`LlgSystem::fused_field`] +
@@ -1108,7 +1317,7 @@ impl LlgSystem {
     /// The segment is split at antenna coverage (a CSR range check once
     /// per cell, not once per member): covered cells — antennas touch a
     /// few columns — take [`LlgSystem::sweep_scalar`]. The rest runs the
-    /// arm, four lanes per AVX2 vector when `avx2` is set.
+    /// arm, four lanes per AVX2 vector at every K when `avx2` is set.
     #[inline(always)]
     fn sweep_arm(&self, seg: Segment, arm: &InteriorArm, sw: &Sweep, kk: usize, avx2: bool) {
         let (ci0, ci1) = (seg.ci0 as usize, seg.ci1 as usize);
@@ -1637,9 +1846,11 @@ mod tests {
     /// A gate-like mesh of narrow guides: one- and two-cell-wide strips
     /// (two of them along mesh edges), an isolated cell and one 12 × 5
     /// patch, so most magnetic cells lack a neighbour and take the
-    /// stencil table, with one interior run for contrast. An antenna
-    /// covers the left ends of the horizontal guides; as on the gates
-    /// there is no Zeeman term. Every fourth magnetic cell points along
+    /// stencil table, with one interior run for contrast. One antenna
+    /// covers the left ends of the horizontal guides, a second the single
+    /// column 12 across them, so it splits their stencil stretches into
+    /// lengths 7 and 11 — neither a whole number of 4-lane groups; as on
+    /// the gates there is no Zeeman term. Every fourth magnetic cell points along
     /// ±z with signed-zero x and y, and a row's zero signs differ from
     /// the rows beside it, so exchange differences of exactly ±0 reach
     /// the accumulator.
@@ -1672,6 +1883,15 @@ mod tests {
             Vec3::X,
             Drive::logic_cw(3e3, 10e9, 0.1),
         );
+        let column = Antenna::over_rect(
+            &mesh,
+            60e-9,
+            0.0,
+            65e-9,
+            25e-9,
+            Vec3::Y,
+            Drive::logic_cw(2e3, 10e9, 0.7),
+        );
         let n = mesh.cell_count();
         let m = (0..n)
             .map(|i| {
@@ -1695,7 +1915,7 @@ mod tests {
                 Box::new(UniaxialAnisotropy::new(&mesh, &material)),
                 Box::new(ThinFilmDemag::new(&mesh, &material)),
             ],
-            antennas: vec![antenna],
+            antennas: vec![antenna, column],
             alpha: (0..n).map(|i| 0.004 + 1e-5 * i as f64).collect(),
             gamma: material.gamma(),
             mask: mesh.mask().to_vec(),
@@ -1704,6 +1924,53 @@ mod tests {
         }
         .build();
         (sys, m)
+    }
+
+    /// The stretches [`LlgSystem::sweep_arm`] hands the arm: each
+    /// segment's list range split at antenna-covered cells, as
+    /// `(ci0, ci1, interior, ends_at_covered_cell)`.
+    fn uncovered_stretches(sys: &LlgSystem) -> Vec<(usize, usize, bool, bool)> {
+        let k = &sys.kernel;
+        let covered = |ci: usize| k.ant_off[ci + 1] > k.ant_off[ci];
+        let mut out = Vec::new();
+        for seg in &k.segs {
+            let (ci0, ci1) = (seg.ci0 as usize, seg.ci1 as usize);
+            let mut start = ci0;
+            for ci in ci0..=ci1 {
+                let cut = ci < ci1 && covered(ci);
+                if ci == ci1 || cut {
+                    if ci > start {
+                        out.push((start, ci, seg.interior, cut));
+                    }
+                    start = ci + 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// Asserts that `sys` has stencil stretches that leave the AVX2 walks
+    /// a scalar tail: one cut short by an antenna-covered cell after one
+    /// or more whole 4-lane groups at K = 1 and K = 3 (a length that is
+    /// not a multiple of 4), and one of odd length at K = 2 (pairs plus
+    /// one cell).
+    fn assert_stretches_leave_tails(sys: &LlgSystem, what: &str) {
+        let stencil: Vec<_> = uncovered_stretches(sys)
+            .into_iter()
+            .filter(|s| !s.2)
+            .collect();
+        assert!(
+            stencil
+                .iter()
+                .any(|&(a, b, _, cut)| cut && b - a > 4 && (b - a) % 4 != 0),
+            "{what}: no stencil stretch split mid-group by a covered cell"
+        );
+        assert!(
+            stencil
+                .iter()
+                .any(|&(a, b, ..)| b - a > 2 && (b - a) % 2 == 1),
+            "{what}: no odd stencil stretch for the K = 2 tail"
+        );
     }
 
     #[test]
@@ -1984,7 +2251,11 @@ mod tests {
         // without a thermal plane — on the masked multi-term mesh, on
         // narrow guides, where most cells take their neighbours from the
         // stencil table, and on a non-canonical term order with a Newell
-        // pre-pass, where every cell takes the scalar body.
+        // pre-pass, where every cell takes the scalar body. On the narrow
+        // guides the K = 1 references run their stencil stretches through
+        // the gathered 4-lane body, K = 2 through pairs and K = 3 through
+        // gathers, each stretch ending in a scalar tail somewhere.
+        assert_stretches_leave_tails(&narrow_guide_system(1).0, "narrow");
         type Fixture = fn(usize) -> (LlgSystem, Vec<Vec3>);
         let fixtures: [(&str, Fixture); 3] = [
             ("masked", masked_multiterm_system),
@@ -2118,8 +2389,10 @@ mod tests {
         // base field, a thermal plane and an antenna over part of the
         // interior runs and of the stencil stretches — goes through both,
         // and every output bit must agree; each member must also be its
-        // own K = 1 stage. At K ≥ 2 the stencil stretches run the arm too
-        // (the stencil walk), so both neighbour sources are covered.
+        // own K = 1 stage. Both neighbour sources run the arm at every K,
+        // through each lane addressing: contiguous (K = 1 interior runs,
+        // K ≥ 4), pairs (K = 2) and gathered (K = 1 stencil stretches,
+        // K = 3), with the scalar lane body on each stretch's tail.
         #[cfg(target_arch = "x86_64")]
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
@@ -2147,6 +2420,8 @@ mod tests {
             assert!(in_segments(false, true), "{name}: covered stencil cells");
             if name == "masked" {
                 assert!(in_segments(true, true), "{name}: covered interior cells");
+            } else {
+                assert_stretches_leave_tails(&sys, name);
             }
             let member = |s: usize| -> (Vec<Vec3>, Vec<Vec3>, Vec<Vec3>, Vec<Vec3>) {
                 let state = member_state(&m, s);

@@ -2,7 +2,7 @@
 //! and a minimal HTTP/1.1 client just big enough to relay swserve's
 //! JSON responses byte for byte.
 //!
-//! Each backend gets one [`Pool`]: a small stack of idle `TcpStream`s
+//! Each [`Backend`] keeps one connection pool: a small stack of idle `TcpStream`s
 //! that previous requests left open. A forward checks out an idle
 //! connection when one exists (the common case under keep-alive load),
 //! otherwise dials fresh; connections whose response said

@@ -4,7 +4,7 @@
 //! A [`Batch`] is a named list of [`JobSpec`]s. [`Batch::run`] consults
 //! the manifest (if one is configured and resume is enabled), skips jobs
 //! whose outputs are already recorded, fans the remainder out over a
-//! [`JobPool`](crate::pool::JobPool), logs every completion as a JSON
+//! [`JobPool`], logs every completion as a JSON
 //! line, and returns per-job [`Outcome`]s in input order plus the
 //! aggregate [`BatchMetrics`].
 

@@ -102,8 +102,8 @@ pub enum Begin {
     Leader(LeaderToken),
 }
 
-/// The leader's obligation: exactly one of [`LeaderToken::complete`] or
-/// [`LeaderToken::abandon`] must resolve the flight. Dropping the token
+/// The leader's obligation: exactly one of [`ResultCache::complete`] or
+/// [`ResultCache::abandon`] must resolve the flight. Dropping the token
 /// unresolved (a panicking handler) wakes followers with
 /// [`FlightError::Aborted`] so nobody hangs.
 pub struct LeaderToken {

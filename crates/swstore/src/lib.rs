@@ -1,6 +1,6 @@
 //! swstore — a std-only, disk-backed, content-addressed result store.
 //!
-//! The serving tier's RAM cache ([`swserve`]'s `ResultCache`) answers in
+//! The serving tier's RAM cache (`swserve`'s `ResultCache`) answers in
 //! nanoseconds but evaporates on every restart; the evaluations it holds
 //! took microseconds (analytic) to minutes (micromagnetic) to produce.
 //! This crate is the durable second level: a directory of append-only
@@ -9,7 +9,7 @@
 //! lookup, not a format conversion.
 //!
 //! Design, in one breath: writes append CRC-framed records to an active
-//! segment (see [`format`]); opening a store replays every segment into
+//! segment (see [`format`](mod@format)); opening a store replays every segment into
 //! a compact in-memory index (key → segment/offset/length), truncating
 //! any torn tail the last crash left behind; reads seek straight to the
 //! body and re-verify its CRC; capacity is bounded by total on-disk
