@@ -44,6 +44,15 @@ cargo test --offline -q -p swphys --features proptest
 echo "==> perfbench tests (its own workspace; a magnum API break fails here)"
 cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
 
+echo "==> micromagnetic Table II smoke (fast XOR truth table end to end, then a full resume)"
+# repro exits non-zero unless XOR decodes at both outputs. The second run
+# must skip all four pattern jobs through their manifest ids.
+./target/release/repro table2 --fast --mumag --jobs 2 --fresh \
+    --manifest target/ci-table2.manifest.jsonl
+./target/release/repro table2 --fast --mumag --jobs 2 \
+    --manifest target/ci-table2.manifest.jsonl 2> target/ci-table2-resume.log
+grep -q 'resuming — 4/4' target/ci-table2-resume.log
+
 echo "==> bigfft bench smoke (composite-padded grids, bitwise identity asserted in JSON)"
 # 23x9 pads to 45x20: an odd padded width (a one-column strip 0) and an
 # odd row count (an Ms*mz row with no packing partner). --min-cells 0

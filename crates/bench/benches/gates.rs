@@ -81,7 +81,7 @@ fn bench_mumag_building_blocks(c: &mut Criterion) {
     });
     c.bench_function("mumag/maj3 geometry build", |b| {
         let layout = TriangleMaj3Layout::paper();
-        b.iter(|| backend.maj3_geometry(black_box(&layout)).expect("valid"))
+        b.iter(|| backend.geometry(black_box(&layout)).expect("valid"))
     });
 
     // One short end-to-end LLG segment: the per-pattern cost driver.

@@ -85,7 +85,7 @@ fn bench_fig34(c: &mut Criterion) {
     let backend = MumagBackend::new(swphys::film::PerpendicularFilm::fecob(1e-9), 55e-9 / 4.0);
     c.bench_function("fig3/maj3 geometry rasterize", |b| {
         let (shape, bounds) = backend
-            .maj3_geometry(&TriangleMaj3Layout::paper())
+            .geometry(&TriangleMaj3Layout::paper())
             .expect("valid layout");
         let nx = ((bounds.2 - bounds.0) / backend.cell()).ceil() as usize + 1;
         let ny = ((bounds.3 - bounds.1) / backend.cell()).ceil() as usize + 1;
@@ -114,7 +114,7 @@ fn bench_fig34(c: &mut Criterion) {
     });
     c.bench_function("fig4/xor geometry rasterize", |b| {
         let (shape, bounds) = backend
-            .xor_geometry(&TriangleXorLayout::paper())
+            .geometry(&TriangleXorLayout::paper())
             .expect("valid layout");
         b.iter(|| {
             let nx = ((bounds.2 - bounds.0) / backend.cell()).ceil() as usize + 1;
@@ -133,12 +133,11 @@ fn bench_fig34(c: &mut Criterion) {
 /// `repro fig5`.
 fn bench_fig5_setup(c: &mut Criterion) {
     let backend = MumagBackend::fast();
-    let layout =
-        TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 4, 1).expect("valid layout");
+    let layout = TriangleMaj3Layout::fast();
     let mut group = c.benchmark_group("fig5");
     group.sample_size(10);
     group.bench_function("mini maj3 plan + geometry", |b| {
-        b.iter(|| black_box(backend.maj3_geometry(&layout).expect("valid")))
+        b.iter(|| black_box(backend.geometry(&layout).expect("valid")))
     });
     group.finish();
 }

@@ -1,15 +1,7 @@
 //! `parbench` — wall-clock scaling of magnum's intra-simulation threading,
 //! plus the `swserve` loadtest and smoke probe.
 //!
-//! Seven modes:
-//!
-//! * Default: `parbench [--size N] [--steps N] [--threads LIST]` runs the
-//!   same deterministic LLG workload (an N×N film with exchange,
-//!   anisotropy, local demag and an antenna) at each thread count and
-//!   reports wall time, speedup over the serial run (omitted for thread
-//!   counts above the machine's CPUs), and whether the final
-//!   magnetization is bitwise identical to the serial trajectory.
-//!   Defaults: a 256×256 mesh, 50 steps, thread counts `1,2,4`.
+//! Six modes; without a mode flag it prints the mode list and exits 2:
 //!
 //! * `parbench --bigfft [--grids WxH,...] [--threads LIST] [--evals N]
 //!   [--min-cells N] [--out PATH]` times one Newell demag field
@@ -118,42 +110,6 @@ use magnum::prelude::*;
 use magnum::solver::IntegratorKind;
 use swperf::cmos::CmosNode;
 use swrun::json::Json;
-
-fn build(size: usize, threads: usize) -> Simulation {
-    let cell = 5e-9;
-    let mesh = Mesh::new(size, size, [cell, cell, 1e-9]).unwrap();
-    let h = size as f64 * cell;
-    let antenna = Antenna::over_rect(
-        &mesh,
-        0.0,
-        0.0,
-        2.0 * cell,
-        h,
-        Vec3::X,
-        Drive::logic_cw(3e3, 9e9, 0.0),
-    );
-    Simulation::builder(mesh, Material::fecob())
-        .uniform_magnetization(Vec3::Z)
-        .demag(DemagMethod::ThinFilmLocal)
-        .absorbing_frame(AbsorbingFrame::new(8, 0.5))
-        .antenna(antenna)
-        .integrator(IntegratorKind::RungeKutta4)
-        .threads(threads)
-        // This mode measures raw thread scaling, so the small-grid serial
-        // clamp must not silently rewrite the thread count.
-        .min_cells_per_thread(0)
-        .build()
-        .unwrap()
-}
-
-fn run(size: usize, steps: usize, threads: usize) -> (f64, Vec<Vec3>) {
-    let mut sim = build(size, threads);
-    let start = Instant::now();
-    for _ in 0..steps {
-        sim.step().unwrap();
-    }
-    (start.elapsed().as_secs_f64(), sim.magnetization().to_vec())
-}
 
 /// A deterministic non-uniform test magnetization: tilted unit vectors
 /// with spatially varying in-plane components.
@@ -522,11 +478,10 @@ fn build_xor_gate_sim(s: usize) -> Simulation {
     let backend = swgates::mumag::MumagBackend::fast()
         .with_threads(1)
         .without_phase_trim();
-    let layout = swgates::layout::TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9)
-        .expect("the --fast XOR layout is valid");
+    let layout = swgates::layout::TriangleXorLayout::fast();
     let patterns: Vec<[Bit; 2]> = all_patterns::<2>();
     backend
-        .xor_simulation(&layout, patterns[s % patterns.len()])
+        .simulation(&layout, patterns[s % patterns.len()])
         .expect("the --fast XOR gate builds")
 }
 
@@ -1595,38 +1550,9 @@ fn main() {
         return;
     }
 
-    let size: usize = value_of("--size")
-        .map(|v| v.parse().expect("--size needs an integer"))
-        .unwrap_or(256);
-    let steps: usize = value_of("--steps")
-        .map(|v| v.parse().expect("--steps needs an integer"))
-        .unwrap_or(50);
-
-    let cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
-    println!(
-        "mesh {size}x{size}, {steps} RK4 steps (exchange + anisotropy + local demag + antenna), \
-         {cpus} hardware thread(s)"
+    eprintln!(
+        "parbench needs a mode: --bigfft, --rhs, --batch, --netlist, --serve or --probe ADDR \
+         (the module docs list each mode's options)"
     );
-    // Warm-up run so page faults and lazy allocation don't skew t(1).
-    run(size, steps.min(5), 1);
-    let (t_serial, m_serial) = run(size, steps, 1);
-    println!("threads  1: {:8.3} s  (baseline)", t_serial);
-    for &n in threads.iter().filter(|&&n| n != 1) {
-        let (t, m) = run(size, steps, n);
-        let identical = m == m_serial;
-        // No speedup is reported for more threads than the machine has.
-        let speedup = if n <= cpus {
-            format!("{:.2}x", t_serial / t)
-        } else {
-            "n/a (threads > cpus)".into()
-        };
-        println!(
-            "threads {n:2}: {t:8.3} s  speedup {speedup}  bitwise-identical: {}",
-            if identical { "yes" } else { "NO" },
-        );
-        assert!(
-            identical,
-            "parallel run diverged from serial at {n} threads"
-        );
-    }
+    std::process::exit(2);
 }

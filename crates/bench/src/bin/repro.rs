@@ -80,7 +80,7 @@ use swgates::encoding::Bit;
 use swgates::prelude::*;
 use swperf::compare::Comparison;
 use swrun::batch::RunOptions;
-use swrun::gates::{maj3_patterns, xor_patterns, xor_sweep, SweepPoint};
+use swrun::gates::{patterns, xor_sweep, SweepPoint};
 use swrun::RunError;
 
 /// Batch-runner settings shared by the micromagnetic experiments.
@@ -263,19 +263,19 @@ fn all() -> Result<(), SwGateError> {
     fig4()
 }
 
-fn maj3_layout(fast: bool) -> Result<TriangleMaj3Layout, SwGateError> {
+fn maj3_layout(fast: bool) -> TriangleMaj3Layout {
     if fast {
-        TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 4, 1)
+        TriangleMaj3Layout::fast()
     } else {
-        Ok(TriangleMaj3Layout::paper())
+        TriangleMaj3Layout::paper()
     }
 }
 
-fn xor_layout(fast: bool) -> Result<TriangleXorLayout, SwGateError> {
+fn xor_layout(fast: bool) -> TriangleXorLayout {
     if fast {
-        TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9)
+        TriangleXorLayout::fast()
     } else {
-        Ok(TriangleXorLayout::paper())
+        TriangleXorLayout::paper()
     }
 }
 
@@ -284,13 +284,12 @@ fn table1(fast: bool, mumag: bool, batch: &BatchArgs) -> Result<(), SwGateError>
     println!("=== Table I — fan-in of 3 fan-out of 2 Majority gate ===");
     println!("paper reference values (O1 ≈ O2): 000/111 -> 1.0; I1-minority -> 0.083,");
     println!("I2-minority -> 0.16, I3-minority -> 0.164\n");
-    let layout = maj3_layout(fast && mumag)?;
+    let layout = maj3_layout(fast && mumag);
     let gate = Maj3Gate::new(layout);
     let table = if mumag {
         let backend = MumagBackend::fast().with_threads(batch.threads);
         eprintln!("running 3 calibration + 8 pattern LLG simulations ...");
-        let report =
-            maj3_patterns(&backend, &layout, &batch.options("table1")).map_err(batch_err)?;
+        let report = patterns(&backend, &layout, &batch.options("table1")).map_err(batch_err)?;
         if let Some(error) = report.first_error() {
             eprintln!("warning: a pattern failed: {error}");
         }
@@ -319,13 +318,12 @@ fn table1(fast: bool, mumag: bool, batch: &BatchArgs) -> Result<(), SwGateError>
 fn table2(fast: bool, mumag: bool, batch: &BatchArgs) -> Result<(), SwGateError> {
     println!("=== Table II — fan-in of 2 fan-out of 2 XOR gate ===");
     println!("paper reference values: 00 -> 0.99/1, 01/10 -> ≈0, 11 -> 1\n");
-    let layout = xor_layout(fast && mumag)?;
+    let layout = xor_layout(fast && mumag);
     let gate = XorGate::new(layout);
     let table = if mumag {
         let backend = MumagBackend::fast().with_threads(batch.threads);
         eprintln!("running 2 calibration + 4 pattern LLG simulations ...");
-        let report =
-            xor_patterns(&backend, &layout, &batch.options("table2")).map_err(batch_err)?;
+        let report = patterns(&backend, &layout, &batch.options("table2")).map_err(batch_err)?;
         if let Some(error) = report.first_error() {
             eprintln!("warning: a pattern failed: {error}");
         }
@@ -394,7 +392,7 @@ fn fig1() {
 fn fig2() -> Result<(), SwGateError> {
     println!("=== Fig. 2 — constructive / destructive interference ===\n");
     let backend = AnalyticBackend::ideal();
-    let layout = xor_layout(false)?;
+    let layout = xor_layout(false);
     let (same, _) = backend.xor_outputs(&layout, [Bit::Zero, Bit::Zero]);
     let (opposite, _) = backend.xor_outputs(&layout, [Bit::Zero, Bit::One]);
     println!(
@@ -430,8 +428,8 @@ fn render_geometry(kind: &str) -> Result<(), SwGateError> {
     let backend = MumagBackend::new(swphys::film::PerpendicularFilm::fecob(1e-9), 55e-9 / 2.0);
     let cell = backend.cell();
     let (shape, bounds) = match kind {
-        "maj3" => backend.maj3_geometry(&TriangleMaj3Layout::paper())?,
-        _ => backend.xor_geometry(&TriangleXorLayout::paper())?,
+        "maj3" => backend.geometry(&TriangleMaj3Layout::paper())?,
+        _ => backend.geometry(&TriangleXorLayout::paper())?,
     };
     let (x0, y0, x1, y1) = bounds;
     let nx = ((x1 - x0) / cell).ceil() as usize + 1;
@@ -491,12 +489,12 @@ fn fig4() -> Result<(), SwGateError> {
 fn fig5(fast: bool, batch: &BatchArgs) -> Result<(), SwGateError> {
     println!("=== Fig. 5 — MAJ3 micromagnetic simulations (m_x maps) ===\n");
     let backend = MumagBackend::fast().with_threads(batch.threads);
-    let layout = maj3_layout(fast)?;
+    let layout = maj3_layout(fast);
     if !fast {
         eprintln!("full-size gate: this runs 3 + 8 LLG simulations and may take a while;");
         eprintln!("pass --fast for the scaled-down gate.");
     }
-    let report = maj3_patterns(&backend, &layout, &batch.options("fig5")).map_err(batch_err)?;
+    let report = patterns(&backend, &layout, &batch.options("fig5")).map_err(batch_err)?;
     for (i, outcome) in report.patterns.iter().enumerate() {
         let pattern = outcome.pattern;
         let (o1, o2) = outcome
@@ -531,7 +529,7 @@ fn fig5(fast: bool, batch: &BatchArgs) -> Result<(), SwGateError> {
 /// §IV-D — thermal-noise robustness (micromagnetic, scaled-down XOR).
 fn thermal(batch: &BatchArgs) -> Result<(), SwGateError> {
     println!("=== §IV-D — gate operation at finite temperature ===\n");
-    let layout = xor_layout(true)?;
+    let layout = xor_layout(true);
     let gate = XorGate::new(layout);
     let temperatures = [0.0, 100.0, 300.0];
     let points: Vec<SweepPoint> = temperatures
@@ -578,7 +576,7 @@ fn thermal(batch: &BatchArgs) -> Result<(), SwGateError> {
 /// §IV-D — variability: edge roughness on the gate geometry.
 fn variability(batch: &BatchArgs) -> Result<(), SwGateError> {
     println!("=== §IV-D — gate operation with edge roughness ===\n");
-    let layout = xor_layout(true)?;
+    let layout = xor_layout(true);
     let gate = XorGate::new(layout);
     let roughnesses = [0.0, 1.0, 2.0, 3.0];
     let points: Vec<SweepPoint> = roughnesses
@@ -623,7 +621,7 @@ fn variability(batch: &BatchArgs) -> Result<(), SwGateError> {
 /// scattering phases and losses.
 fn ablation() -> Result<(), SwGateError> {
     println!("=== ablation — drive trimming / lattice compensation on MAJ3(1,1,0) ===\n");
-    let layout = maj3_layout(true)?;
+    let layout = maj3_layout(true);
     let configs: [(&str, MumagBackend); 3] = [
         ("full (trims + compensation)", MumagBackend::fast()),
         (
@@ -636,10 +634,10 @@ fn ablation() -> Result<(), SwGateError> {
         ),
     ];
     for (name, backend) in configs {
-        let (r, _) = backend.maj3_outputs(&layout, [Bit::Zero; 3])?;
+        let (r, _) = backend.outputs(&layout, [Bit::Zero; 3])?;
         // I3-minority: I1 = I2 = 1 outvote I3 = 0; the output must carry
         // phase π (logic 1) with a suppressed amplitude.
-        let (o, _) = backend.maj3_outputs(&layout, [Bit::One, Bit::One, Bit::Zero])?;
+        let (o, _) = backend.outputs(&layout, [Bit::One, Bit::One, Bit::Zero])?;
         let relphase = (o * r.conj()).arg();
         let decoded = if relphase.abs() > std::f64::consts::FRAC_PI_2 {
             1

@@ -70,7 +70,7 @@ impl GateBackend for MumagBackend {
         layout: &TriangleMaj3Layout,
         inputs: [Bit; 3],
     ) -> Result<(Complex64, Complex64), SwGateError> {
-        self.maj3_outputs(layout, inputs)
+        self.outputs(layout, inputs)
     }
 
     fn xor(
@@ -78,7 +78,7 @@ impl GateBackend for MumagBackend {
         layout: &TriangleXorLayout,
         inputs: [Bit; 2],
     ) -> Result<(Complex64, Complex64), SwGateError> {
-        self.xor_outputs(layout, inputs)
+        self.outputs(layout, inputs)
     }
 }
 

@@ -123,6 +123,13 @@ impl TriangleMaj3Layout {
         }
     }
 
+    /// The shrunken instance the `--fast` micromagnetic runs use:
+    /// λ = 55 nm, w = 50 nm, d1 = 2λ, d2 = 3λ, d3 = 4λ, d4 = λ.
+    pub fn fast() -> Self {
+        TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 4, 1)
+            .expect("the fast MAJ3 layout is valid")
+    }
+
     /// Builds a layout from explicit dimensions, validating the §III-A
     /// design rules.
     ///
@@ -286,6 +293,12 @@ impl TriangleXorLayout {
             d1: 330e-9,
             d2: 40e-9,
         }
+    }
+
+    /// The shrunken instance the `--fast` micromagnetic runs use:
+    /// λ = 55 nm, w = 50 nm, d1 = 110 nm, d2 = 40 nm.
+    pub fn fast() -> Self {
+        TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9).expect("the fast XOR layout is valid")
     }
 
     /// Builds an XOR layout: d1 must be an integer multiple of λ; d2 (the

@@ -8,6 +8,21 @@
 //! and reads amplitude and phase at both outputs with single-bin DFT
 //! probes — the in-silico equivalent of the paper's §IV-B experiments.
 //!
+//! ## One procedure for both gates
+//!
+//! The XOR is the MAJ3 triangle with the third input removed (§III-B),
+//! and both are validated by the same steps: calibrate
+//! ([`MumagBackend::trims`], from the single-input
+//! [`MumagBackend::transfer`] phasors), drive and settle
+//! ([`MumagBackend::run`], or [`MumagBackend::run_batch`] for several
+//! patterns in one lockstep solve), and read two phasors
+//! ([`MumagBackend::outputs`]). Each step is written once, generic over
+//! the sealed [`TriangleLayout<N>`] trait that [`TriangleMaj3Layout`]
+//! (N = 3) and [`TriangleXorLayout`] (N = 2) implement; the trait
+//! carries the only facts that differ per gate — the simulation plan
+//! (with the wavelength it is tuned to), the trim-cache key, the
+//! amplitude targets and the job-id prefix.
+//!
 //! ## Numerical fidelity details
 //!
 //! * **Discrete dispersion.** With the thin-film local demag term the
@@ -47,6 +62,8 @@ use swphys::film::PerpendicularFilm;
 use crate::encoding::Bit;
 use crate::layout::{TriangleMaj3Layout, TriangleXorLayout};
 use crate::SwGateError;
+
+use sealed::GatePlan;
 
 /// A gate's rasterizable footprint with its `(x0, y0, x1, y1)` bounding
 /// box in metres.
@@ -115,47 +132,64 @@ struct DriveSpec {
     phase: f64,
 }
 
-/// Which gate a cached calibration belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum GateKindTag {
-    Maj3,
-    Xor,
-}
-
-/// Cache key identifying a gate instance by its exact dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Cache key of a drive calibration: the gate, its exact dimensions and
+/// the bits of every backend setting a calibration run reads (see
+/// [`MumagBackend::trims`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct TrimKey {
-    kind: GateKindTag,
+    gate: &'static str,
     dims: [u64; 6],
+    backend: Vec<u64>,
 }
 
-impl TrimKey {
-    fn maj3(layout: &TriangleMaj3Layout) -> Self {
-        TrimKey {
-            kind: GateKindTag::Maj3,
-            dims: [
-                layout.wavelength().to_bits(),
-                layout.width().to_bits(),
-                layout.d1().to_bits(),
-                layout.d2().to_bits(),
-                layout.d3().to_bits(),
-                layout.d4().to_bits(),
-            ],
-        }
+/// A triangle gate layout the micromagnetic backend runs: the MAJ3
+/// (`N` = 3 inputs) or the XOR (`N` = 2). Every step of the §IV
+/// procedure — calibrate, drive, settle, read two phasors — is one
+/// generic [`MumagBackend`] method over this trait; the implementations
+/// carry the only facts that differ per gate (the simulation plan with
+/// its wavelength, the trim-cache key, the amplitude targets and the
+/// job-id prefix). The trait is sealed: only the two layouts implement
+/// it.
+pub trait TriangleLayout<const N: usize>: sealed::Gate<N> + Send + Sync {
+    /// Prefix of the gate's job ids and batch names (`"maj3"`, `"xor"`).
+    const PREFIX: &'static str;
+}
+
+impl TriangleLayout<3> for TriangleMaj3Layout {
+    const PREFIX: &'static str = "maj3";
+}
+
+impl TriangleLayout<2> for TriangleXorLayout {
+    const PREFIX: &'static str = "xor";
+}
+
+mod sealed {
+    use super::{AbsorberPlan, AntennaPlan, MumagBackend, ShapeSet, SwGateError};
+
+    /// The per-gate facts behind [`super::TriangleLayout`].
+    pub trait Gate<const N: usize> {
+        /// Per-input arrival-amplitude targets of the calibration.
+        const AMPLITUDE_TARGETS: [f64; N];
+
+        /// The layout's exact dimensions as bits, zero-padded.
+        fn dims(&self) -> [u64; 6];
+
+        /// The gate's simulation plan on `backend`'s mesh.
+        fn plan(&self, backend: &MumagBackend) -> Result<GatePlan, SwGateError>;
     }
 
-    fn xor(layout: &TriangleXorLayout) -> Self {
-        TrimKey {
-            kind: GateKindTag::Xor,
-            dims: [
-                layout.wavelength().to_bits(),
-                layout.width().to_bits(),
-                layout.d1().to_bits(),
-                layout.d2().to_bits(),
-                0,
-                0,
-            ],
-        }
+    /// A complete gate simulation plan. It is declared `pub` in this
+    /// private module because [`Gate::plan`] returns it: a type more
+    /// private than the trait would break the `private_interfaces` lint.
+    pub struct GatePlan {
+        pub(in crate::mumag) shapes: ShapeSet,
+        pub(in crate::mumag) antennas: Vec<AntennaPlan>,
+        pub(in crate::mumag) probes: [(f64, f64, f64, f64); 2],
+        pub(in crate::mumag) absorbers: Vec<AbsorberPlan>,
+        pub(in crate::mumag) bounds: (f64, f64, f64, f64),
+        pub(in crate::mumag) transit_distance: f64,
+        /// The design wavelength (m) the drive frequency is tuned to.
+        pub(in crate::mumag) wavelength: f64,
     }
 }
 
@@ -217,19 +251,6 @@ fn solo_drives(n_inputs: usize, active: usize) -> Vec<DriveSpec> {
         })
         .collect()
 }
-
-/// Arrival-amplitude targets for the MAJ3 inputs.
-///
-/// The stage-1 inputs (I1, I2) are weighted 0.7 relative to I3 so the
-/// combined trunk wave reaches the second crossings about 1.4× stronger
-/// than I3's split wave — the balance implied by the paper's own Table I,
-/// where the I3-minority residual is 0.164 = (1.4 − 1)/(1.4 + 1). This
-/// keeps the tie-break semantics of the majority (the pair outvotes the
-/// single input) with the same margin the published gate exhibits.
-const MAJ3_AMPLITUDE_TARGETS: [f64; 3] = [0.7, 0.7, 1.0];
-
-/// Arrival-amplitude targets for the XOR inputs (balanced).
-const XOR_AMPLITUDE_TARGETS: [f64; 2] = [1.0, 1.0];
 
 impl MumagBackend {
     /// Creates a backend for a film with the given square cell size
@@ -347,38 +368,19 @@ impl MumagBackend {
         }
     }
 
-    /// Shares `other`'s drive-trim cache with this backend, so a
-    /// calibration computed through either is visible to both.
-    ///
-    /// Clones of one backend already share a cache; this links two
-    /// *independently constructed* backends — e.g. a batch runner's
-    /// per-job variants that differ only in temperature or drive, which
-    /// all use the same T = 0 calibration.
-    pub fn with_trim_cache_from(mut self, other: &MumagBackend) -> Self {
-        self.trim_cache = Arc::clone(&other.trim_cache);
-        self
-    }
-
-    /// Computes (and caches) the MAJ3 drive trims now, so later
-    /// [`MumagBackend::maj3_run`] calls — possibly on clones in other
-    /// threads — find the calibration ready instead of racing to redo
-    /// the 3 single-input LLG simulations.
+    /// Computes (and caches) the gate's drive trims now, so later
+    /// [`MumagBackend::run`] calls — possibly on clones in other threads —
+    /// find the calibration ready instead of racing to redo the
+    /// single-input LLG simulations.
     ///
     /// # Errors
     ///
     /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn prewarm_maj3(&self, layout: &TriangleMaj3Layout) -> Result<(), SwGateError> {
-        self.maj3_trims(layout).map(|_| ())
-    }
-
-    /// Computes (and caches) the XOR drive trims now (see
-    /// [`MumagBackend::prewarm_maj3`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn prewarm_xor(&self, layout: &TriangleXorLayout) -> Result<(), SwGateError> {
-        self.xor_trims(layout).map(|_| ())
+    pub fn prewarm<const N: usize, L: TriangleLayout<N>>(
+        &self,
+        layout: &L,
+    ) -> Result<(), SwGateError> {
+        self.trims(layout).map(|_| ())
     }
 
     /// Number of gate layouts with a cached drive calibration.
@@ -488,155 +490,43 @@ impl MumagBackend {
         Ok(phi)
     }
 
-    /// Runs the triangle MAJ3 gate for one input pattern.
+    /// Runs the gate for one input pattern.
     ///
     /// # Errors
     ///
     /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn maj3_run(
+    pub fn run<const N: usize, L: TriangleLayout<N>>(
         &self,
-        layout: &TriangleMaj3Layout,
-        inputs: [Bit; 3],
+        layout: &L,
+        inputs: [Bit; N],
     ) -> Result<GateRun, SwGateError> {
-        let trims = self.maj3_trims(layout)?;
-        let drives = trimmed_drives(&inputs, &trims);
-        self.execute(self.plan_maj3(layout)?, &drives, layout.wavelength())
+        Ok(self.run_batch(layout, &[inputs])?.remove(0))
     }
 
-    /// Runs the triangle MAJ3 gate for several input patterns at once,
-    /// advancing all of them in lockstep through one batched LLG solve.
+    /// Runs the gate for several input patterns at once, advancing all
+    /// of them in lockstep through one batched LLG solve.
     ///
     /// Element `i` of the result is bitwise identical to
-    /// `self.maj3_run(layout, patterns[i])` — batching is purely a
-    /// throughput optimization (one shared geometry, K interleaved
-    /// magnetization lanes per cell; see DESIGN.md).
+    /// `self.run(layout, patterns[i])` — batching is purely a throughput
+    /// optimization (one shared geometry, K interleaved magnetization
+    /// lanes per cell; see DESIGN.md).
     ///
     /// # Errors
     ///
     /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn maj3_run_batch(
+    pub fn run_batch<const N: usize, L: TriangleLayout<N>>(
         &self,
-        layout: &TriangleMaj3Layout,
-        patterns: &[[Bit; 3]],
+        layout: &L,
+        patterns: &[[Bit; N]],
     ) -> Result<Vec<GateRun>, SwGateError> {
         if patterns.is_empty() {
             return Ok(Vec::new());
         }
-        let trims = self.maj3_trims(layout)?;
-        let prepared = patterns
-            .iter()
-            .map(|inputs| {
-                let drives = trimmed_drives(inputs, &trims);
-                self.prepare(self.plan_maj3(layout)?, &drives, layout.wavelength())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        self.measure_batch(prepared)
+        self.measure_batch(self.prepare_patterns(layout, patterns)?)
     }
 
-    /// Runs the triangle XOR gate for several input patterns at once
-    /// (see [`MumagBackend::maj3_run_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn xor_run_batch(
-        &self,
-        layout: &TriangleXorLayout,
-        patterns: &[[Bit; 2]],
-    ) -> Result<Vec<GateRun>, SwGateError> {
-        if patterns.is_empty() {
-            return Ok(Vec::new());
-        }
-        let trims = self.xor_trims(layout)?;
-        let prepared = patterns
-            .iter()
-            .map(|inputs| {
-                let drives = trimmed_drives(inputs, &trims);
-                self.prepare(self.plan_xor(layout)?, &drives, layout.wavelength())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        self.measure_batch(prepared)
-    }
-
-    /// Raw complex output amplitudes `(O1, O2)` of the MAJ3 gate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn maj3_outputs(
-        &self,
-        layout: &TriangleMaj3Layout,
-        inputs: [Bit; 3],
-    ) -> Result<(Complex64, Complex64), SwGateError> {
-        let run = self.maj3_run(layout, inputs)?;
-        Ok((run.o1, run.o2))
-    }
-
-    /// Single-input transfer phasors of the MAJ3 gate: element `i` holds
-    /// the `(O1, O2)` response with only input `i` driven (phase 0). In
-    /// the linear spin-wave regime every pattern's output is the
-    /// sign-weighted superposition of these. The three runs advance as
-    /// one K = 3 lockstep batch; each phasor is bitwise that of the solo
-    /// run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn maj3_transfer(
-        &self,
-        layout: &TriangleMaj3Layout,
-    ) -> Result<Vec<(Complex64, Complex64)>, SwGateError> {
-        self.transfer(layout.wavelength(), 3, || self.plan_maj3(layout))
-    }
-
-    /// Per-input drive trims that align all single-input arrival phases
-    /// at the outputs and balance the arrival amplitudes (the in-silico
-    /// equivalent of transducer trimming; junction scattering phases,
-    /// junction losses and residual lattice effects are calibrated
-    /// away). Cached per layout.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn maj3_trims(&self, layout: &TriangleMaj3Layout) -> Result<Vec<DriveTrim>, SwGateError> {
-        if !self.phase_trim {
-            return Ok(vec![DriveTrim::identity(); 3]);
-        }
-        let key = TrimKey::maj3(layout);
-        if let Some(trims) = self
-            .trim_cache
-            .lock()
-            .expect("trim cache poisoned")
-            .get(&key)
-        {
-            return Ok(trims.clone());
-        }
-        let transfer = self.maj3_transfer(layout)?;
-        let trims = trims_from_transfer(&transfer, &MAJ3_AMPLITUDE_TARGETS);
-        self.trim_cache
-            .lock()
-            .expect("trim cache poisoned")
-            .insert(key, trims.clone());
-        Ok(trims)
-    }
-
-    /// Runs the triangle XOR gate for one input pattern.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn xor_run(
-        &self,
-        layout: &TriangleXorLayout,
-        inputs: [Bit; 2],
-    ) -> Result<GateRun, SwGateError> {
-        let trims = self.xor_trims(layout)?;
-        let drives = trimmed_drives(&inputs, &trims);
-        self.execute(self.plan_xor(layout)?, &drives, layout.wavelength())
-    }
-
-    /// The XOR gate's simulation for one input pattern, built exactly as
-    /// [`MumagBackend::xor_run`] builds it (mesh, absorbers, trimmed and
+    /// The gate's simulation for one input pattern, built exactly as
+    /// [`MumagBackend::run`] builds it (mesh, absorbers, trimmed and
     /// compensated antennas, time step) but not advanced — for
     /// benchmarks that time the solver on the gate mesh.
     ///
@@ -644,88 +534,46 @@ impl MumagBackend {
     ///
     /// Propagates layout, calibration and solver failures as
     /// [`SwGateError`].
-    pub fn xor_simulation(
+    pub fn simulation<const N: usize, L: TriangleLayout<N>>(
         &self,
-        layout: &TriangleXorLayout,
-        inputs: [Bit; 2],
+        layout: &L,
+        inputs: [Bit; N],
     ) -> Result<Simulation, SwGateError> {
-        let trims = self.xor_trims(layout)?;
-        let drives = trimmed_drives(&inputs, &trims);
-        let prepared = self.prepare(self.plan_xor(layout)?, &drives, layout.wavelength())?;
-        Ok(prepared.sim)
+        Ok(self.prepare_patterns(layout, &[inputs])?.remove(0).sim)
     }
 
-    /// Raw complex output amplitudes `(O1, O2)` of the XOR gate.
+    /// Raw complex output amplitudes `(O1, O2)` of the gate.
     ///
     /// # Errors
     ///
     /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn xor_outputs(
+    pub fn outputs<const N: usize, L: TriangleLayout<N>>(
         &self,
-        layout: &TriangleXorLayout,
-        inputs: [Bit; 2],
+        layout: &L,
+        inputs: [Bit; N],
     ) -> Result<(Complex64, Complex64), SwGateError> {
-        let run = self.xor_run(layout, inputs)?;
+        let run = self.run(layout, inputs)?;
         Ok((run.o1, run.o2))
     }
 
-    /// Single-input transfer phasors of the XOR gate, its two runs one
-    /// K = 2 lockstep batch (see [`MumagBackend::maj3_transfer`]).
+    /// Single-input transfer phasors of the gate: element `i` holds the
+    /// `(O1, O2)` response with only input `i` driven (phase 0) and the
+    /// other antennas silenced. In the linear spin-wave regime every
+    /// pattern's output is the sign-weighted superposition of these.
+    ///
+    /// The `N` runs advance as one K = `N` lockstep batch; a batch
+    /// member is bitwise identical to its solo run, so the phasors — and
+    /// the trims derived from them — are those of running the inputs one
+    /// after another. Calibration runs are always performed at T = 0 so
+    /// trims are noise-free.
     ///
     /// # Errors
     ///
     /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn xor_transfer(
+    pub fn transfer<const N: usize, L: TriangleLayout<N>>(
         &self,
-        layout: &TriangleXorLayout,
+        layout: &L,
     ) -> Result<Vec<(Complex64, Complex64)>, SwGateError> {
-        self.transfer(layout.wavelength(), 2, || self.plan_xor(layout))
-    }
-
-    /// Per-input drive trims for the XOR gate (cached; see
-    /// [`MumagBackend::maj3_trims`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout and solver failures as [`SwGateError`].
-    pub fn xor_trims(&self, layout: &TriangleXorLayout) -> Result<Vec<DriveTrim>, SwGateError> {
-        if !self.phase_trim {
-            return Ok(vec![DriveTrim::identity(); 2]);
-        }
-        let key = TrimKey::xor(layout);
-        if let Some(trims) = self
-            .trim_cache
-            .lock()
-            .expect("trim cache poisoned")
-            .get(&key)
-        {
-            return Ok(trims.clone());
-        }
-        let transfer = self.xor_transfer(layout)?;
-        let trims = trims_from_transfer(&transfer, &XOR_AMPLITUDE_TARGETS);
-        self.trim_cache
-            .lock()
-            .expect("trim cache poisoned")
-            .insert(key, trims.clone());
-        Ok(trims)
-    }
-
-    /// Measures single-input transfer phasors: one run per input with the
-    /// other antennas silenced, all `n_inputs` runs advanced in lockstep
-    /// as one K = `n_inputs` batch through [`MumagBackend::measure_batch`].
-    /// A batch member is bitwise identical to its solo run, so the
-    /// phasors — and the trims derived from them — are those of running
-    /// the inputs one after another. Calibration runs are always
-    /// performed at T = 0 so trims are noise-free.
-    fn transfer<F>(
-        &self,
-        wavelength: f64,
-        n_inputs: usize,
-        mut plan_builder: F,
-    ) -> Result<Vec<(Complex64, Complex64)>, SwGateError>
-    where
-        F: FnMut() -> Result<GatePlan, SwGateError>,
-    {
         let cold = if self.temperature > 0.0 {
             let mut b = self.clone();
             b.temperature = 0.0;
@@ -734,10 +582,8 @@ impl MumagBackend {
             None
         };
         let backend = cold.as_ref().unwrap_or(self);
-        let prepared = (0..n_inputs)
-            .map(|active| {
-                backend.prepare(plan_builder()?, &solo_drives(n_inputs, active), wavelength)
-            })
+        let prepared = (0..N)
+            .map(|active| backend.prepare(layout.plan(self)?, &solo_drives(N, active)))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(backend
             .measure_batch(prepared)?
@@ -746,247 +592,178 @@ impl MumagBackend {
             .collect())
     }
 
-    /// The rasterizable footprint and bounding box of the MAJ3 gate —
-    /// the raw material of the paper's Fig. 3.
+    /// Per-input drive trims that align all single-input arrival phases
+    /// at the outputs and scale the arrival amplitudes to the gate's
+    /// targets (the in-silico equivalent of transducer trimming;
+    /// junction scattering phases, junction losses and residual lattice
+    /// effects are calibrated away).
+    ///
+    /// Cached in the trim cache clones share, keyed on the gate, its
+    /// exact dimensions and every setting a calibration run reads (film,
+    /// cell, drive amplitude, measure periods, samples per period, settle
+    /// factor, compensation, absorbers, guide width, edge roughness), so
+    /// a reconfigured clone calibrates afresh. Threads, temperature and
+    /// the thermal seed are not in the key: calibration runs at T = 0 and
+    /// is bitwise the same at any thread count.
     ///
     /// # Errors
     ///
-    /// Propagates layout failures as [`SwGateError`].
-    pub fn maj3_geometry(&self, layout: &TriangleMaj3Layout) -> Result<GateFootprint, SwGateError> {
-        let plan = self.plan_maj3(layout)?;
-        Ok((Box::new(plan.shapes), plan.bounds))
-    }
-
-    /// The rasterizable footprint and bounding box of the XOR gate —
-    /// the raw material of the paper's Fig. 4.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout failures as [`SwGateError`].
-    pub fn xor_geometry(&self, layout: &TriangleXorLayout) -> Result<GateFootprint, SwGateError> {
-        let plan = self.plan_xor(layout)?;
-        Ok((Box::new(plan.shapes), plan.bounds))
-    }
-
-    /// Builds the simulation plan for the MAJ3 gate: the
-    /// combine-then-split network documented in [`crate::layout`], laid
-    /// out with the trunk along +x.
-    ///
-    /// ```text
-    ///        A1──d1╲(45°)          C2L─[stub d4 ↑]─O1
-    ///  I1 feed d2    ╲         d1╱    ╲d1
-    ///                 J──d3──▶ S       S3──d2 feed── I3
-    ///        A2──d1╱(45°)      d1╲    ╱d1
-    ///  (I2 antenna at A2)         C2R─[stub d4 ↓]─O2
-    /// ```
-    fn plan_maj3(&self, layout: &TriangleMaj3Layout) -> Result<GatePlan, SwGateError> {
-        let lambda = layout.wavelength();
-        let w = self.effective_width(layout.width(), lambda);
-        let (d1, d2, d3, d4) = (layout.d1(), layout.d2(), layout.d3(), layout.d4());
-        let abs_len = self.absorber_lambdas * lambda;
-        let pad = 3.0 * self.cell + w;
-        let h1 = d1 / SQRT_2;
-
-        // Stations along the trunk axis (y = 0).
-        let j = (0.0, 0.0);
-        let s = (d3, 0.0);
-        let c2l = (s.0 + h1, h1); // upper second crossing
-        let c2r = (s.0 + h1, -h1); // lower second crossing
-        let s3 = (s.0 + 2.0 * h1, 0.0); // I3's splitter
-
-        // I1: elbow A1 up-left of J, horizontal feed to the left.
-        let a1 = (-h1, h1);
-        let i1_ant = (a1.0 - d2, a1.1);
-        let i1_end = (i1_ant.0 - abs_len, a1.1);
-        // I2: antenna directly on the lower diagonal at distance d1.
-        let a2 = (-h1, -h1);
-        let a2_ext = (a2.0 - abs_len / SQRT_2, a2.1 - abs_len / SQRT_2);
-        // I3: horizontal feed to the right of S3.
-        let i3_ant = (s3.0 + d2, 0.0);
-        let i3_end = (i3_ant.0 + abs_len, 0.0);
-        // Output stubs: up from C2L, down from C2R, probe at distance d4,
-        // absorber beyond.
-        let o1 = (c2l.0, c2l.1 + d4);
-        let o2 = (c2r.0, c2r.1 - d4);
-        let stub1_end = (o1.0, o1.1 + abs_len);
-        let stub2_end = (o2.0, o2.1 - abs_len);
-
-        let mut shapes = ShapeSet::new();
-        shapes.push(Bar::new(i1_end, a1, w)); // I1 feed
-        shapes.push(Bar::new(a1, j, w)); // I1 diagonal
-        shapes.push(Bar::new(a2_ext, j, w)); // I2 diagonal (with absorber tail)
-        shapes.push(Bar::new(j, s, w)); // trunk
-        shapes.push(Bar::new(s, c2l, w)); // fan-out arms
-        shapes.push(Bar::new(s, c2r, w));
-        shapes.push(Bar::new(s3, c2l, w)); // I3 split arms
-        shapes.push(Bar::new(s3, c2r, w));
-        shapes.push(Bar::new(s3, i3_end, w)); // I3 feed
-        shapes.push(Bar::new(c2l, stub1_end, w)); // output stubs
-        shapes.push(Bar::new(c2r, stub2_end, w));
-
-        let quarter = PI / 4.0;
-        let antennas = vec![
-            AntennaPlan {
-                rect: cross_section_x(i1_ant.0, i1_ant.1, w, self.cell),
-                nominal: i1_ant,
-                direction: (1.0, 0.0),
-                feed_angle: 0.0,
-                segments: vec![
-                    (d2, 0.0),
-                    (d1, quarter),
-                    (d3, 0.0),
-                    (d1, quarter),
-                    (d4, FRAC_PI_2),
-                ],
-            },
-            AntennaPlan {
-                rect: diagonal_cross_section(a2, w, self.cell),
-                nominal: a2,
-                direction: (1.0 / SQRT_2, 1.0 / SQRT_2),
-                feed_angle: quarter,
-                segments: vec![(d1, quarter), (d3, 0.0), (d1, quarter), (d4, FRAC_PI_2)],
-            },
-            AntennaPlan {
-                rect: cross_section_x(i3_ant.0, i3_ant.1, w, self.cell),
-                nominal: i3_ant,
-                direction: (-1.0, 0.0),
-                feed_angle: 0.0,
-                segments: vec![(d2, 0.0), (d1, quarter), (d4, FRAC_PI_2)],
-            },
-        ];
-
-        let probes = [
-            cross_section_y(o1.0, o1.1, w, self.cell),
-            cross_section_y(o2.0, o2.1, w, self.cell),
-        ];
-
-        let absorbers = vec![
-            AbsorberPlan::left(i1_end.0, i1_ant.0 - 2.0 * self.cell, a1.1, w),
-            AbsorberPlan::diag(a2_ext, a2, w, false),
-            AbsorberPlan::right(i3_ant.0 + 2.0 * self.cell, i3_end.0, 0.0, w),
-            AbsorberPlan::up(o1.0, o1.1 + 2.0 * self.cell, stub1_end.1, w),
-            AbsorberPlan::down(o2.0, stub2_end.1, o2.1 - 2.0 * self.cell, w),
-        ];
-
-        Ok(GatePlan {
-            shapes,
-            antennas,
-            probes,
-            absorbers,
-            bounds: (
-                i1_end.0.min(a2_ext.0) - pad,
-                (a2_ext.1).min(stub2_end.1) - pad,
-                i3_end.0 + pad,
-                (a1.1).max(stub1_end.1) + pad,
-            ),
-            transit_distance: layout.path_i1() + abs_len,
-        })
-    }
-
-    /// Builds the simulation plan for the XOR gate (Fig. 4): the MAJ3
-    /// network without I3/S3/C2 — two d1 input diagonals into J, a short
-    /// trunk, the fan-out splitter, and probes d1 + d2 down the arms.
-    fn plan_xor(&self, layout: &TriangleXorLayout) -> Result<GatePlan, SwGateError> {
-        let lambda = layout.wavelength();
-        let w = self.effective_width(layout.width(), lambda);
-        let (d1, d2) = (layout.d1(), layout.d2());
-        let trunk = layout.trunk();
-        let abs_len = self.absorber_lambdas * lambda;
-        let pad = 3.0 * self.cell + w;
-        let h1 = d1 / SQRT_2;
-
-        let j = (0.0, 0.0);
-        let s = (trunk, 0.0);
-        // Antennas on the two input diagonals at path distance d1.
-        let a1 = (-h1, h1);
-        let a1_ext = (a1.0 - abs_len / SQRT_2, a1.1 + abs_len / SQRT_2);
-        let a2 = (-h1, -h1);
-        let a2_ext = (a2.0 - abs_len / SQRT_2, a2.1 - abs_len / SQRT_2);
-        // Fan-out arms: probes at path distance d1 + d2 from S, absorber
-        // beyond.
-        let arm_probe = d1 + d2;
-        let p_up = (s.0 + arm_probe / SQRT_2, arm_probe / SQRT_2);
-        let p_dn = (s.0 + arm_probe / SQRT_2, -arm_probe / SQRT_2);
-        let arm_total = arm_probe + abs_len;
-        let e_up = (s.0 + arm_total / SQRT_2, arm_total / SQRT_2);
-        let e_dn = (s.0 + arm_total / SQRT_2, -arm_total / SQRT_2);
-
-        let mut shapes = ShapeSet::new();
-        shapes.push(Bar::new(a1_ext, j, w));
-        shapes.push(Bar::new(a2_ext, j, w));
-        shapes.push(Bar::new(j, s, w));
-        shapes.push(Bar::new(s, e_up, w));
-        shapes.push(Bar::new(s, e_dn, w));
-
-        let quarter = PI / 4.0;
-        let antennas = vec![
-            AntennaPlan {
-                rect: diagonal_cross_section(a1, w, self.cell),
-                nominal: a1,
-                direction: (1.0 / SQRT_2, -1.0 / SQRT_2),
-                feed_angle: quarter,
-                segments: vec![(d1, quarter), (trunk, 0.0), (d1 + d2, quarter)],
-            },
-            AntennaPlan {
-                rect: diagonal_cross_section(a2, w, self.cell),
-                nominal: a2,
-                direction: (1.0 / SQRT_2, 1.0 / SQRT_2),
-                feed_angle: quarter,
-                segments: vec![(d1, quarter), (trunk, 0.0), (d1 + d2, quarter)],
-            },
-        ];
-
-        let probes = [
-            diagonal_cross_section(p_up, w, self.cell),
-            diagonal_cross_section(p_dn, w, self.cell),
-        ];
-
-        let absorbers = vec![
-            AbsorberPlan::diag(a1_ext, a1, w, false),
-            AbsorberPlan::diag(a2_ext, a2, w, false),
-            AbsorberPlan::diag(p_up, e_up, w, true),
-            AbsorberPlan::diag(p_dn, e_dn, w, true),
-        ];
-
-        Ok(GatePlan {
-            shapes,
-            antennas,
-            probes,
-            absorbers,
-            bounds: (
-                a1_ext.0.min(a2_ext.0) - pad,
-                a2_ext.1.min(e_dn.1) - pad,
-                e_up.0.max(e_dn.0) + pad,
-                a1_ext.1.max(e_up.1) + pad,
-            ),
-            transit_distance: layout.path_length() + abs_len,
-        })
-    }
-
-    /// Rasterizes, wires and runs a gate plan.
-    fn execute(
+    /// Propagates layout and solver failures as [`SwGateError`].
+    pub fn trims<const N: usize, L: TriangleLayout<N>>(
         &self,
-        plan: GatePlan,
-        drives: &[DriveSpec],
-        wavelength: f64,
+        layout: &L,
+    ) -> Result<Vec<DriveTrim>, SwGateError> {
+        if !self.phase_trim {
+            return Ok(vec![DriveTrim::identity(); N]);
+        }
+        let key = self.trim_key(layout);
+        if let Some(trims) = self
+            .trim_cache
+            .lock()
+            .expect("trim cache poisoned")
+            .get(&key)
+        {
+            return Ok(trims.clone());
+        }
+        let trims = trims_from_transfer(&self.transfer(layout)?, &L::AMPLITUDE_TARGETS);
+        self.trim_cache
+            .lock()
+            .expect("trim cache poisoned")
+            .insert(key, trims.clone());
+        Ok(trims)
+    }
+
+    /// The rasterizable footprint and bounding box of the gate — the raw
+    /// material of the paper's Figs. 3 and 4.
+    ///
+    /// # Errors
+    ///
+    /// Propagates layout failures as [`SwGateError`].
+    pub fn geometry<const N: usize, L: TriangleLayout<N>>(
+        &self,
+        layout: &L,
+    ) -> Result<GateFootprint, SwGateError> {
+        let plan = layout.plan(self)?;
+        Ok((Box::new(plan.shapes), plan.bounds))
+    }
+
+    /// [`MumagBackend::trims`] of the XOR gate, kept under this name
+    /// because the perfbench `gate_batched` workload calls it.
+    ///
+    /// # Errors
+    ///
+    /// See [`MumagBackend::trims`].
+    pub fn xor_trims(&self, layout: &TriangleXorLayout) -> Result<Vec<DriveTrim>, SwGateError> {
+        self.trims(layout)
+    }
+
+    /// [`MumagBackend::geometry`] of the XOR gate, kept under this name
+    /// because the perfbench `gate_batched` workload calls it.
+    ///
+    /// # Errors
+    ///
+    /// See [`MumagBackend::geometry`].
+    pub fn xor_geometry(&self, layout: &TriangleXorLayout) -> Result<GateFootprint, SwGateError> {
+        self.geometry(layout)
+    }
+
+    /// [`MumagBackend::run_batch`] of the XOR gate, kept under this name
+    /// because the perfbench `gate_batched` workload calls it.
+    ///
+    /// # Errors
+    ///
+    /// See [`MumagBackend::run_batch`].
+    pub fn xor_run_batch(
+        &self,
+        layout: &TriangleXorLayout,
+        patterns: &[[Bit; 2]],
+    ) -> Result<Vec<GateRun>, SwGateError> {
+        self.run_batch(layout, patterns)
+    }
+
+    /// [`MumagBackend::run`] of the XOR gate, kept under this name
+    /// because the perfbench `gate_batched` workload calls it.
+    ///
+    /// # Errors
+    ///
+    /// See [`MumagBackend::run`].
+    pub fn xor_run(
+        &self,
+        layout: &TriangleXorLayout,
+        inputs: [Bit; 2],
     ) -> Result<GateRun, SwGateError> {
-        let prepared = self.prepare(plan, drives, wavelength)?;
-        Ok(self.measure_batch(vec![prepared])?.remove(0))
+        self.run(layout, inputs)
+    }
+
+    /// The trim-cache key of `layout` on this backend (see
+    /// [`MumagBackend::trims`]).
+    fn trim_key<const N: usize, L: TriangleLayout<N>>(&self, layout: &L) -> TrimKey {
+        let f = &self.film;
+        let mut backend: Vec<u64> = [
+            f.ms(),
+            f.aex(),
+            f.alpha(),
+            f.anisotropy_field(),
+            f.thickness(),
+            f.external_field(),
+            f.gamma(),
+            self.cell,
+            self.drive_amplitude,
+            self.settle_factor,
+            self.absorber_lambdas,
+            self.alpha_absorber,
+        ]
+        .map(f64::to_bits)
+        .to_vec();
+        let (has_width, width) = self.guide_width.map_or((0, 0), |w| (1, w.to_bits()));
+        let (rough, amplitude, correlation, seed) =
+            self.roughness.map_or((0, 0, 0, 0), |(a, c, seed)| {
+                (1, a.to_bits(), c.to_bits(), seed)
+            });
+        backend.extend([
+            u64::from(self.measure_periods),
+            u64::from(self.samples_per_period),
+            u64::from(self.compensate),
+            has_width,
+            width,
+            rough,
+            amplitude,
+            correlation,
+            seed,
+        ]);
+        TrimKey {
+            gate: L::PREFIX,
+            dims: layout.dims(),
+            backend,
+        }
+    }
+
+    /// Rasterizes and wires one simulation per input pattern, each
+    /// driven with the gate's trims.
+    fn prepare_patterns<const N: usize, L: TriangleLayout<N>>(
+        &self,
+        layout: &L,
+        patterns: &[[Bit; N]],
+    ) -> Result<Vec<PreparedGate>, SwGateError> {
+        let trims = self.trims(layout)?;
+        patterns
+            .iter()
+            .map(|inputs| {
+                let drives = trimmed_drives(inputs, &trims);
+                self.prepare(layout.plan(self)?, &drives)
+            })
+            .collect()
     }
 
     /// Rasterizes and wires a gate plan into a ready-to-run simulation
     /// plus the timing and probe metadata the measurement phase needs.
-    fn prepare(
-        &self,
-        plan: GatePlan,
-        drives: &[DriveSpec],
-        wavelength: f64,
-    ) -> Result<PreparedGate, SwGateError> {
+    fn prepare(&self, plan: GatePlan, drives: &[DriveSpec]) -> Result<PreparedGate, SwGateError> {
         assert_eq!(
             drives.len(),
             plan.antennas.len(),
             "drive count must match the plan's antenna count"
         );
+        let wavelength = plan.wavelength;
         let frequency = self.drive_frequency(wavelength);
         let k_nominal = 2.0 * PI / wavelength;
         let period = 1.0 / frequency;
@@ -1189,6 +966,243 @@ impl MumagBackend {
     }
 }
 
+impl sealed::Gate<3> for TriangleMaj3Layout {
+    /// The stage-1 inputs (I1, I2) are weighted 0.7 relative to I3 so the
+    /// combined trunk wave reaches the second crossings about 1.4×
+    /// stronger than I3's split wave — the balance implied by the paper's
+    /// own Table I, where the I3-minority residual is
+    /// 0.164 = (1.4 − 1)/(1.4 + 1). This keeps the tie-break semantics of
+    /// the majority (the pair outvotes the single input) with the same
+    /// margin the published gate exhibits.
+    const AMPLITUDE_TARGETS: [f64; 3] = [0.7, 0.7, 1.0];
+
+    fn dims(&self) -> [u64; 6] {
+        [
+            self.wavelength(),
+            self.width(),
+            self.d1(),
+            self.d2(),
+            self.d3(),
+            self.d4(),
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// Builds the simulation plan for the MAJ3 gate: the
+    /// combine-then-split network documented in [`crate::layout`], laid
+    /// out with the trunk along +x.
+    ///
+    /// ```text
+    ///        A1──d1╲(45°)          C2L─[stub d4 ↑]─O1
+    ///  I1 feed d2    ╲         d1╱    ╲d1
+    ///                 J──d3──▶ S       S3──d2 feed── I3
+    ///        A2──d1╱(45°)      d1╲    ╱d1
+    ///  (I2 antenna at A2)         C2R─[stub d4 ↓]─O2
+    /// ```
+    fn plan(&self, backend: &MumagBackend) -> Result<GatePlan, SwGateError> {
+        let lambda = self.wavelength();
+        let w = backend.effective_width(self.width(), lambda);
+        let (d1, d2, d3, d4) = (self.d1(), self.d2(), self.d3(), self.d4());
+        let abs_len = backend.absorber_lambdas * lambda;
+        let pad = 3.0 * backend.cell + w;
+        let h1 = d1 / SQRT_2;
+
+        // Stations along the trunk axis (y = 0).
+        let j = (0.0, 0.0);
+        let s = (d3, 0.0);
+        let c2l = (s.0 + h1, h1); // upper second crossing
+        let c2r = (s.0 + h1, -h1); // lower second crossing
+        let s3 = (s.0 + 2.0 * h1, 0.0); // I3's splitter
+
+        // I1: elbow A1 up-left of J, horizontal feed to the left.
+        let a1 = (-h1, h1);
+        let i1_ant = (a1.0 - d2, a1.1);
+        let i1_end = (i1_ant.0 - abs_len, a1.1);
+        // I2: antenna directly on the lower diagonal at distance d1.
+        let a2 = (-h1, -h1);
+        let a2_ext = (a2.0 - abs_len / SQRT_2, a2.1 - abs_len / SQRT_2);
+        // I3: horizontal feed to the right of S3.
+        let i3_ant = (s3.0 + d2, 0.0);
+        let i3_end = (i3_ant.0 + abs_len, 0.0);
+        // Output stubs: up from C2L, down from C2R, probe at distance d4,
+        // absorber beyond.
+        let o1 = (c2l.0, c2l.1 + d4);
+        let o2 = (c2r.0, c2r.1 - d4);
+        let stub1_end = (o1.0, o1.1 + abs_len);
+        let stub2_end = (o2.0, o2.1 - abs_len);
+
+        let mut shapes = ShapeSet::new();
+        shapes.push(Bar::new(i1_end, a1, w)); // I1 feed
+        shapes.push(Bar::new(a1, j, w)); // I1 diagonal
+        shapes.push(Bar::new(a2_ext, j, w)); // I2 diagonal (with absorber tail)
+        shapes.push(Bar::new(j, s, w)); // trunk
+        shapes.push(Bar::new(s, c2l, w)); // fan-out arms
+        shapes.push(Bar::new(s, c2r, w));
+        shapes.push(Bar::new(s3, c2l, w)); // I3 split arms
+        shapes.push(Bar::new(s3, c2r, w));
+        shapes.push(Bar::new(s3, i3_end, w)); // I3 feed
+        shapes.push(Bar::new(c2l, stub1_end, w)); // output stubs
+        shapes.push(Bar::new(c2r, stub2_end, w));
+
+        let quarter = PI / 4.0;
+        let antennas = vec![
+            AntennaPlan {
+                rect: cross_section_x(i1_ant.0, i1_ant.1, w, backend.cell),
+                nominal: i1_ant,
+                direction: (1.0, 0.0),
+                feed_angle: 0.0,
+                segments: vec![
+                    (d2, 0.0),
+                    (d1, quarter),
+                    (d3, 0.0),
+                    (d1, quarter),
+                    (d4, FRAC_PI_2),
+                ],
+            },
+            AntennaPlan {
+                rect: diagonal_cross_section(a2, w, backend.cell),
+                nominal: a2,
+                direction: (1.0 / SQRT_2, 1.0 / SQRT_2),
+                feed_angle: quarter,
+                segments: vec![(d1, quarter), (d3, 0.0), (d1, quarter), (d4, FRAC_PI_2)],
+            },
+            AntennaPlan {
+                rect: cross_section_x(i3_ant.0, i3_ant.1, w, backend.cell),
+                nominal: i3_ant,
+                direction: (-1.0, 0.0),
+                feed_angle: 0.0,
+                segments: vec![(d2, 0.0), (d1, quarter), (d4, FRAC_PI_2)],
+            },
+        ];
+
+        let probes = [
+            cross_section_y(o1.0, o1.1, w, backend.cell),
+            cross_section_y(o2.0, o2.1, w, backend.cell),
+        ];
+
+        let absorbers = vec![
+            AbsorberPlan::left(i1_end.0, i1_ant.0 - 2.0 * backend.cell, a1.1, w),
+            AbsorberPlan::diag(a2_ext, a2, w, false),
+            AbsorberPlan::right(i3_ant.0 + 2.0 * backend.cell, i3_end.0, 0.0, w),
+            AbsorberPlan::up(o1.0, o1.1 + 2.0 * backend.cell, stub1_end.1, w),
+            AbsorberPlan::down(o2.0, stub2_end.1, o2.1 - 2.0 * backend.cell, w),
+        ];
+
+        Ok(GatePlan {
+            shapes,
+            antennas,
+            probes,
+            absorbers,
+            bounds: (
+                i1_end.0.min(a2_ext.0) - pad,
+                (a2_ext.1).min(stub2_end.1) - pad,
+                i3_end.0 + pad,
+                (a1.1).max(stub1_end.1) + pad,
+            ),
+            transit_distance: self.path_i1() + abs_len,
+            wavelength: lambda,
+        })
+    }
+}
+
+impl sealed::Gate<2> for TriangleXorLayout {
+    /// Balanced: both inputs arrive with equal amplitude.
+    const AMPLITUDE_TARGETS: [f64; 2] = [1.0, 1.0];
+
+    fn dims(&self) -> [u64; 6] {
+        [
+            self.wavelength(),
+            self.width(),
+            self.d1(),
+            self.d2(),
+            0.0,
+            0.0,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// Builds the simulation plan for the XOR gate (Fig. 4): the MAJ3
+    /// network without I3/S3/C2 — two d1 input diagonals into J, a short
+    /// trunk, the fan-out splitter, and probes d1 + d2 down the arms.
+    fn plan(&self, backend: &MumagBackend) -> Result<GatePlan, SwGateError> {
+        let lambda = self.wavelength();
+        let w = backend.effective_width(self.width(), lambda);
+        let (d1, d2) = (self.d1(), self.d2());
+        let trunk = self.trunk();
+        let abs_len = backend.absorber_lambdas * lambda;
+        let pad = 3.0 * backend.cell + w;
+        let h1 = d1 / SQRT_2;
+
+        let j = (0.0, 0.0);
+        let s = (trunk, 0.0);
+        // Antennas on the two input diagonals at path distance d1.
+        let a1 = (-h1, h1);
+        let a1_ext = (a1.0 - abs_len / SQRT_2, a1.1 + abs_len / SQRT_2);
+        let a2 = (-h1, -h1);
+        let a2_ext = (a2.0 - abs_len / SQRT_2, a2.1 - abs_len / SQRT_2);
+        // Fan-out arms: probes at path distance d1 + d2 from S, absorber
+        // beyond.
+        let arm_probe = d1 + d2;
+        let p_up = (s.0 + arm_probe / SQRT_2, arm_probe / SQRT_2);
+        let p_dn = (s.0 + arm_probe / SQRT_2, -arm_probe / SQRT_2);
+        let arm_total = arm_probe + abs_len;
+        let e_up = (s.0 + arm_total / SQRT_2, arm_total / SQRT_2);
+        let e_dn = (s.0 + arm_total / SQRT_2, -arm_total / SQRT_2);
+
+        let mut shapes = ShapeSet::new();
+        shapes.push(Bar::new(a1_ext, j, w));
+        shapes.push(Bar::new(a2_ext, j, w));
+        shapes.push(Bar::new(j, s, w));
+        shapes.push(Bar::new(s, e_up, w));
+        shapes.push(Bar::new(s, e_dn, w));
+
+        let quarter = PI / 4.0;
+        let antennas = vec![
+            AntennaPlan {
+                rect: diagonal_cross_section(a1, w, backend.cell),
+                nominal: a1,
+                direction: (1.0 / SQRT_2, -1.0 / SQRT_2),
+                feed_angle: quarter,
+                segments: vec![(d1, quarter), (trunk, 0.0), (d1 + d2, quarter)],
+            },
+            AntennaPlan {
+                rect: diagonal_cross_section(a2, w, backend.cell),
+                nominal: a2,
+                direction: (1.0 / SQRT_2, 1.0 / SQRT_2),
+                feed_angle: quarter,
+                segments: vec![(d1, quarter), (trunk, 0.0), (d1 + d2, quarter)],
+            },
+        ];
+
+        let probes = [
+            diagonal_cross_section(p_up, w, backend.cell),
+            diagonal_cross_section(p_dn, w, backend.cell),
+        ];
+
+        let absorbers = vec![
+            AbsorberPlan::diag(a1_ext, a1, w, false),
+            AbsorberPlan::diag(a2_ext, a2, w, false),
+            AbsorberPlan::diag(p_up, e_up, w, true),
+            AbsorberPlan::diag(p_dn, e_dn, w, true),
+        ];
+
+        Ok(GatePlan {
+            shapes,
+            antennas,
+            probes,
+            absorbers,
+            bounds: (
+                a1_ext.0.min(a2_ext.0) - pad,
+                a2_ext.1.min(e_dn.1) - pad,
+                e_up.0.max(e_dn.0) + pad,
+                a1_ext.1.max(e_up.1) + pad,
+            ),
+            transit_distance: self.path_length() + abs_len,
+            wavelength: lambda,
+        })
+    }
+}
+
 /// A gate simulation assembled by [`MumagBackend::prepare`] and ready to
 /// advance: the simulation plus the timing/probe metadata the
 /// measurement phase consumes.
@@ -1214,16 +1228,6 @@ struct AntennaPlan {
     /// Angle of the feed guide vs the mesh x-axis (for k lookup).
     feed_angle: f64,
     segments: Vec<(f64, f64)>,
-}
-
-/// A complete gate simulation plan.
-struct GatePlan {
-    shapes: ShapeSet,
-    antennas: Vec<AntennaPlan>,
-    probes: [(f64, f64, f64, f64); 2],
-    absorbers: Vec<AbsorberPlan>,
-    bounds: (f64, f64, f64, f64),
-    transit_distance: f64,
 }
 
 /// Damping absorber over a rectangle, ramping quadratically toward the
@@ -1355,6 +1359,7 @@ fn diagonal_cross_section(p: (f64, f64), w: f64, cell: f64) -> (f64, f64, f64, f
 
 #[cfg(test)]
 mod tests {
+    use super::sealed::Gate;
     use super::*;
 
     fn fast_backend() -> MumagBackend {
@@ -1391,7 +1396,7 @@ mod tests {
         // Equal transfers with MAJ3 targets [0.7, 0.7, 1.0]: inputs 0, 1
         // are deliberately under-driven.
         let one = (Complex64::ONE, Complex64::ONE);
-        let trims = trims_from_transfer(&[one, one, one], &MAJ3_AMPLITUDE_TARGETS);
+        let trims = trims_from_transfer(&[one, one, one], &TriangleMaj3Layout::AMPLITUDE_TARGETS);
         assert!((trims[0].amplitude_scale - 0.7).abs() < 1e-12);
         assert!((trims[1].amplitude_scale - 0.7).abs() < 1e-12);
         assert!((trims[2].amplitude_scale - 1.0).abs() < 1e-12);
@@ -1424,33 +1429,45 @@ mod tests {
 
     #[test]
     fn trim_keys_distinguish_layouts_and_kinds() {
-        let a = TrimKey::maj3(&TriangleMaj3Layout::paper());
-        let b =
-            TrimKey::maj3(&TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 4, 1).unwrap());
-        assert_ne!(a, b);
-        let x = TrimKey::xor(&TriangleXorLayout::paper());
-        assert_ne!(a.kind, x.kind);
+        let b = fast_backend();
+        let a = b.trim_key(&TriangleMaj3Layout::paper());
+        assert_ne!(a, b.trim_key(&TriangleMaj3Layout::fast()));
+        let x = b.trim_key(&TriangleXorLayout::paper());
+        assert_ne!(a.gate, x.gate);
+        // A plain clone and a clone that only changes the thread count,
+        // temperature or thermal seed share the calibration ...
+        let xor = TriangleXorLayout::fast();
+        let key = b.trim_key(&xor);
+        assert_eq!(b.clone().trim_key(&xor), key);
+        assert_eq!(b.clone().with_threads(2).trim_key(&xor), key);
+        assert_eq!(b.clone().with_temperature(300.0, 7).trim_key(&xor), key);
+        // ... while every setting a calibration run reads gets its own.
+        let reconfigured = [
+            b.clone().with_guide_width(15e-9),
+            b.clone().with_edge_roughness(1e-9, 10e-9, 3),
+            b.clone().with_settle_factor(1.2),
+            b.clone().with_measure_periods(2),
+            b.clone().with_drive_amplitude(4e3),
+            b.clone().without_compensation(),
+            MumagBackend::new(PerpendicularFilm::fecob(2e-9), b.cell()),
+            MumagBackend::new(PerpendicularFilm::fecob(1e-9), 5e-9),
+        ];
+        for (i, other) in reconfigured.iter().enumerate() {
+            assert_ne!(other.trim_key(&xor), key, "reconfiguration {i}");
+        }
     }
 
     #[test]
-    fn clones_share_the_trim_cache_and_linked_backends_join_it() {
+    fn clones_share_the_trim_cache() {
         let a = fast_backend();
         let clone = a.clone();
-        let linked = MumagBackend::fast().with_trim_cache_from(&a);
         let independent = fast_backend();
-        let layout = TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9).unwrap();
+        let layout = TriangleXorLayout::fast();
         assert_eq!(a.cached_trim_count(), 0);
-        a.prewarm_xor(&layout).unwrap();
+        a.prewarm(&layout).unwrap();
         assert_eq!(a.cached_trim_count(), 1);
         assert_eq!(clone.cached_trim_count(), 1);
-        assert_eq!(linked.cached_trim_count(), 1);
         assert_eq!(independent.cached_trim_count(), 0);
-        // The linked backend's trims come straight from the cache (same
-        // values, no recomputation drift).
-        assert_eq!(
-            a.xor_trims(&layout).unwrap(),
-            linked.xor_trims(&layout).unwrap()
-        );
     }
 
     #[test]
@@ -1541,7 +1558,7 @@ mod tests {
     fn maj3_plan_has_expected_structure() {
         let b = fast_backend();
         let layout = TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 1, 1).unwrap();
-        let plan = b.plan_maj3(&layout).unwrap();
+        let plan = layout.plan(&b).unwrap();
         assert_eq!(plan.antennas.len(), 3);
         assert_eq!(plan.absorbers.len(), 5);
         assert!(plan.bounds.2 > plan.bounds.0);
@@ -1553,8 +1570,8 @@ mod tests {
         let b = fast_backend();
         let small = TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 1, 1).unwrap();
         let large = TriangleMaj3Layout::paper();
-        let ps = b.plan_maj3(&small).unwrap();
-        let pl = b.plan_maj3(&large).unwrap();
+        let ps = small.plan(&b).unwrap();
+        let pl = large.plan(&b).unwrap();
         assert!(pl.bounds.2 - pl.bounds.0 > ps.bounds.2 - ps.bounds.0);
         assert!(pl.transit_distance > ps.transit_distance);
     }
@@ -1565,14 +1582,12 @@ mod tests {
     fn sequential_transfer(
         b: &MumagBackend,
         n_inputs: usize,
-        wavelength: f64,
         plan: impl Fn() -> GatePlan,
     ) -> Vec<(Complex64, Complex64)> {
         (0..n_inputs)
             .map(|active| {
-                let run = b
-                    .execute(plan(), &solo_drives(n_inputs, active), wavelength)
-                    .unwrap();
+                let solo = b.prepare(plan(), &solo_drives(n_inputs, active)).unwrap();
+                let run = b.measure_batch(vec![solo]).unwrap().remove(0);
                 (run.o1, run.o2)
             })
             .collect()
@@ -1595,9 +1610,9 @@ mod tests {
         let b = MumagBackend::fast()
             .with_measure_periods(1)
             .with_settle_factor(1.0);
-        let xor = TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9).unwrap();
-        let batched = b.xor_transfer(&xor).unwrap();
-        let solo = sequential_transfer(&b, 2, xor.wavelength(), || b.plan_xor(&xor).unwrap());
+        let xor = TriangleXorLayout::fast();
+        let batched = b.transfer(&xor).unwrap();
+        let solo = sequential_transfer(&b, 2, || xor.plan(&b).unwrap());
         assert_eq!(phasor_bits(&batched), phasor_bits(&solo), "XOR transfer");
         assert!(batched
             .iter()
@@ -1605,8 +1620,8 @@ mod tests {
         assert_ne!(phasor_bits(&batched[..1]), phasor_bits(&batched[1..]));
 
         let maj3 = TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 1, 1).unwrap();
-        let batched = b.maj3_transfer(&maj3).unwrap();
-        let solo = sequential_transfer(&b, 3, maj3.wavelength(), || b.plan_maj3(&maj3).unwrap());
+        let batched = b.transfer(&maj3).unwrap();
+        let solo = sequential_transfer(&b, 3, || maj3.plan(&b).unwrap());
         assert_eq!(phasor_bits(&batched), phasor_bits(&solo), "MAJ3 transfer");
     }
 
@@ -1618,8 +1633,8 @@ mod tests {
         let b = MumagBackend::fast()
             .with_measure_periods(2)
             .with_settle_factor(1.2);
-        let layout = TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9).unwrap();
-        let run = b.xor_run(&layout, [Bit::Zero, Bit::Zero]).unwrap();
+        let layout = TriangleXorLayout::fast();
+        let run = b.run(&layout, [Bit::Zero, Bit::Zero]).unwrap();
         assert!(run.o1.abs() > 1e-7, "no signal at O1: {}", run.o1.abs());
         assert!(run.o2.abs() > 1e-7, "no signal at O2: {}", run.o2.abs());
         // Fan-out symmetry within a loose tolerance.

@@ -1,14 +1,22 @@
 //! The bridge from the batch engine to the spin-wave gates: pattern
-//! batches over [`MumagBackend`], sweep helpers, and a memoized
+//! batches over [`MumagBackend`], an XOR sweep helper, and a memoized
 //! [`GateBackend`] that feeds batch results back into the ordinary
 //! truth-table decoding.
 //!
+//! Every runner is generic over the gate's [`TriangleLayout`] (MAJ3 with
+//! 3 inputs, XOR with 2): [`patterns`] fans a gate's `2^N` pattern jobs
+//! out over worker threads, [`BatchedBackend::patterns`] advances them
+//! in lockstep batched solves, and one [`MemoBackend`] answers from
+//! either's results. Job ids (`maj3-011`, `xor-01`) and batch names
+//! (`maj3-patterns`, `xor-patterns`) derive from the layout's
+//! [`TriangleLayout::PREFIX`].
+//!
 //! The expensive shared state is the drive-trim calibration (3 LLG runs
 //! for MAJ3, 2 for XOR). Batches prewarm it **once** on the supplied
-//! backend before fanning out; the workers run on clones, which share
-//! the trim cache, so every pattern job starts from the identical
-//! calibration — this is what makes a parallel truth table bit-for-bit
-//! equal to a serial one at T = 0.
+//! backend before fanning out; the workers share the backend's trim
+//! cache, so every pattern job starts from the identical calibration —
+//! this is what makes a parallel truth table bit-for-bit equal to a
+//! serial one at T = 0.
 
 use std::collections::HashMap;
 
@@ -16,7 +24,7 @@ use magnum::Complex64;
 use swgates::encoding::{all_patterns, Bit};
 use swgates::gates::GateBackend;
 use swgates::layout::{TriangleMaj3Layout, TriangleXorLayout};
-use swgates::mumag::{GateRun, MumagBackend};
+use swgates::mumag::{GateRun, MumagBackend, TriangleLayout};
 use swgates::SwGateError;
 
 use crate::batch::{Batch, JobSpec, Outcome, RunOptions};
@@ -86,57 +94,42 @@ impl<const N: usize> PatternBatchReport<N> {
         self.patterns.iter().find_map(|p| p.error.as_deref())
     }
 
-    /// Pattern → phasors map over every successful pattern.
-    fn phasor_map(&self) -> HashMap<[Bit; N], (Complex64, Complex64)> {
-        self.patterns
-            .iter()
-            .filter_map(|p| p.phasors.map(|ph| (p.pattern, ph)))
-            .collect()
-    }
-}
-
-impl PatternBatchReport<3> {
     /// Wraps the batch results in a [`MemoBackend`] so the ordinary
-    /// `Maj3Gate::truth_table` decoding runs on them unchanged.
+    /// `truth_table` decoding runs on them unchanged.
     pub fn memo(&self) -> MemoBackend {
-        MemoBackend {
-            maj3: self.phasor_map(),
-            xor: HashMap::new(),
-        }
+        MemoBackend::new(&self.patterns)
     }
 }
 
-impl PatternBatchReport<2> {
-    /// Wraps the batch results in a [`MemoBackend`] so the ordinary
-    /// `XorGate::truth_table` decoding runs on them unchanged.
-    pub fn memo(&self) -> MemoBackend {
-        MemoBackend {
-            maj3: HashMap::new(),
-            xor: self.phasor_map(),
-        }
-    }
-}
-
-/// A [`GateBackend`] that answers from precomputed pattern → phasor
-/// maps. Built by [`PatternBatchReport::memo`]; the layout argument is
-/// ignored (the map was computed for one specific layout).
+/// A [`GateBackend`] that answers from a precomputed pattern → phasor
+/// map. Built by [`PatternBatchReport::memo`] and
+/// [`SweepPointReport::memo`]; the layout argument is ignored (the map
+/// was computed for one specific layout), and a pattern of the other
+/// gate's input count is never in it.
 #[derive(Debug, Clone, Default)]
 pub struct MemoBackend {
-    maj3: HashMap<[Bit; 3], (Complex64, Complex64)>,
-    xor: HashMap<[Bit; 2], (Complex64, Complex64)>,
+    phasors: HashMap<Vec<Bit>, (Complex64, Complex64)>,
 }
 
 impl MemoBackend {
-    fn lookup<const N: usize>(
-        map: &HashMap<[Bit; N], (Complex64, Complex64)>,
-        inputs: [Bit; N],
-    ) -> Result<(Complex64, Complex64), SwGateError> {
-        map.get(&inputs)
+    /// A memo over every outcome that carries phasors.
+    fn new<const N: usize>(outcomes: &[PatternOutcome<N>]) -> MemoBackend {
+        MemoBackend {
+            phasors: outcomes
+                .iter()
+                .filter_map(|p| p.phasors.map(|ph| (p.pattern.to_vec(), ph)))
+                .collect(),
+        }
+    }
+
+    fn lookup(&self, inputs: &[Bit]) -> Result<(Complex64, Complex64), SwGateError> {
+        self.phasors
+            .get(inputs)
             .copied()
             .ok_or_else(|| SwGateError::Simulation {
                 reason: format!(
                     "pattern {:?} is not in the batch results (job failed or batch incomplete)",
-                    inputs.map(|b| b.as_u8())
+                    inputs.iter().map(|b| b.as_u8()).collect::<Vec<_>>()
                 ),
             })
     }
@@ -148,7 +141,7 @@ impl GateBackend for MemoBackend {
         _layout: &TriangleMaj3Layout,
         inputs: [Bit; 3],
     ) -> Result<(Complex64, Complex64), SwGateError> {
-        MemoBackend::lookup(&self.maj3, inputs)
+        self.lookup(&inputs)
     }
 
     fn xor(
@@ -156,7 +149,7 @@ impl GateBackend for MemoBackend {
         _layout: &TriangleXorLayout,
         inputs: [Bit; 2],
     ) -> Result<(Complex64, Complex64), SwGateError> {
-        MemoBackend::lookup(&self.xor, inputs)
+        self.lookup(&inputs)
     }
 }
 
@@ -209,64 +202,39 @@ fn pattern_outcomes<const N: usize>(
         .collect()
 }
 
-/// Runs all 8 MAJ3 input patterns as a batch: prewarms the drive-trim
-/// calibration once on `backend`, then fans the patterns out over
-/// `options.jobs` workers on clones sharing that calibration.
-///
-/// # Errors
-///
-/// Returns [`RunError`] if the calibration fails or the manifest cannot
-/// be used. Individual pattern failures are reported per pattern.
-pub fn maj3_patterns(
+/// The job body of one gate pattern: the run and its manifest record.
+fn run_pattern<const N: usize, L: TriangleLayout<N>>(
     backend: &MumagBackend,
-    layout: &TriangleMaj3Layout,
-    options: &RunOptions,
-) -> Result<PatternBatchReport<3>, RunError> {
-    let batch = Batch::new("maj3-patterns", pattern_specs::<3>("maj3"));
-    if batch.pending(options)? > 0 {
-        backend
-            .prewarm_maj3(layout)
-            .map_err(|e| RunError::setup(&e))?;
-    }
-    let report = batch.run(options, |&pattern| {
-        let run = backend
-            .clone()
-            .maj3_run(layout, pattern)
-            .map_err(|e| e.to_string())?;
-        let json = run_to_json(&run);
-        Ok((run, json))
-    })?;
-    Ok(PatternBatchReport {
-        patterns: pattern_outcomes(batch.specs(), report.outcomes),
-        metrics: report.metrics,
-    })
+    layout: &L,
+    pattern: [Bit; N],
+) -> Result<(GateRun, Json), String> {
+    let run = backend.run(layout, pattern).map_err(|e| e.to_string())?;
+    let json = run_to_json(&run);
+    Ok((run, json))
 }
 
-/// Runs all 4 XOR input patterns as a batch (see [`maj3_patterns`]).
+/// Runs all `2^N` input patterns of a gate as a batch named
+/// `"<prefix>-patterns"`: prewarms the drive-trim calibration once on
+/// `backend`, then fans the patterns out over `options.jobs` workers
+/// sharing that calibration.
 ///
 /// # Errors
 ///
 /// Returns [`RunError`] if the calibration fails or the manifest cannot
 /// be used. Individual pattern failures are reported per pattern.
-pub fn xor_patterns(
+pub fn patterns<const N: usize, L: TriangleLayout<N>>(
     backend: &MumagBackend,
-    layout: &TriangleXorLayout,
+    layout: &L,
     options: &RunOptions,
-) -> Result<PatternBatchReport<2>, RunError> {
-    let batch = Batch::new("xor-patterns", pattern_specs::<2>("xor"));
+) -> Result<PatternBatchReport<N>, RunError> {
+    let batch = Batch::new(
+        format!("{}-patterns", L::PREFIX),
+        pattern_specs::<N>(L::PREFIX),
+    );
     if batch.pending(options)? > 0 {
-        backend
-            .prewarm_xor(layout)
-            .map_err(|e| RunError::setup(&e))?;
+        backend.prewarm(layout).map_err(|e| RunError::setup(&e))?;
     }
-    let report = batch.run(options, |&pattern| {
-        let run = backend
-            .clone()
-            .xor_run(layout, pattern)
-            .map_err(|e| e.to_string())?;
-        let json = run_to_json(&run);
-        Ok((run, json))
-    })?;
+    let report = batch.run(options, |&pattern| run_pattern(backend, layout, pattern))?;
     Ok(PatternBatchReport {
         patterns: pattern_outcomes(batch.specs(), report.outcomes),
         metrics: report.metrics,
@@ -276,7 +244,7 @@ pub fn xor_patterns(
 /// A gate runner that maps whole pattern sweeps onto **lockstep batched**
 /// LLG solves: instead of fanning `2^N` independent jobs over worker
 /// threads, up to `batch_width` patterns advance together through one
-/// K-wide interleaved solve (see [`MumagBackend::maj3_run_batch`]).
+/// K-wide interleaved solve (see [`MumagBackend::run_batch`]).
 ///
 /// On a core-starved host this is the faster shape — one sweep amortizes
 /// its bookkeeping over K magnetization lanes per cell instead of paying
@@ -309,53 +277,25 @@ impl BatchedBackend {
         self.batch_width
     }
 
-    /// Runs all 8 MAJ3 patterns in `ceil(8 / K)` lockstep batches.
+    /// Runs all `2^N` patterns of a gate in `ceil(2^N / K)` lockstep
+    /// batches.
     ///
     /// # Errors
     ///
     /// Returns [`RunError`] if the drive-trim calibration fails; pattern
     /// failures are reported per pattern in the report.
-    pub fn maj3_patterns(
+    pub fn patterns<const N: usize, L: TriangleLayout<N>>(
         &self,
-        layout: &TriangleMaj3Layout,
-    ) -> Result<PatternBatchReport<3>, RunError> {
-        self.backend
-            .prewarm_maj3(layout)
-            .map_err(|e| RunError::setup(&e))?;
-        self.run_batched(all_patterns::<3>(), |chunk| {
-            self.backend.maj3_run_batch(layout, chunk)
-        })
-    }
-
-    /// Runs all 4 XOR patterns in `ceil(4 / K)` lockstep batches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError`] if the drive-trim calibration fails; pattern
-    /// failures are reported per pattern in the report.
-    pub fn xor_patterns(
-        &self,
-        layout: &TriangleXorLayout,
-    ) -> Result<PatternBatchReport<2>, RunError> {
-        self.backend
-            .prewarm_xor(layout)
-            .map_err(|e| RunError::setup(&e))?;
-        self.run_batched(all_patterns::<2>(), |chunk| {
-            self.backend.xor_run_batch(layout, chunk)
-        })
-    }
-
-    /// Chunks `patterns` by the batch width, runs each chunk through one
-    /// batched solve, and assembles the standard report shape.
-    fn run_batched<const N: usize>(
-        &self,
-        patterns: Vec<[Bit; N]>,
-        run_chunk: impl Fn(&[[Bit; N]]) -> Result<Vec<GateRun>, SwGateError>,
+        layout: &L,
     ) -> Result<PatternBatchReport<N>, RunError> {
+        self.backend
+            .prewarm(layout)
+            .map_err(|e| RunError::setup(&e))?;
+        let patterns = all_patterns::<N>();
         let start = std::time::Instant::now();
         let mut outcomes = Vec::with_capacity(patterns.len());
         for chunk in patterns.chunks(self.batch_width) {
-            match run_chunk(chunk) {
+            match self.backend.run_batch(layout, chunk) {
                 Ok(runs) => {
                     for (&pattern, run) in chunk.iter().zip(runs) {
                         outcomes.push(PatternOutcome {
@@ -396,6 +336,19 @@ impl BatchedBackend {
             patterns: outcomes,
         })
     }
+
+    /// [`BatchedBackend::patterns`] of the XOR gate, kept under this name
+    /// because the perfbench `gate_batched` workload calls it.
+    ///
+    /// # Errors
+    ///
+    /// See [`BatchedBackend::patterns`].
+    pub fn xor_patterns(
+        &self,
+        layout: &TriangleXorLayout,
+    ) -> Result<PatternBatchReport<2>, RunError> {
+        self.patterns(layout)
+    }
 }
 
 /// One point of a parameter sweep: a label (used in job ids and
@@ -428,17 +381,10 @@ pub struct SweepPointReport<const N: usize> {
     pub patterns: Vec<PatternOutcome<N>>,
 }
 
-impl SweepPointReport<2> {
+impl<const N: usize> SweepPointReport<N> {
     /// The point's results as a [`MemoBackend`] for truth-table decoding.
     pub fn memo(&self) -> MemoBackend {
-        MemoBackend {
-            maj3: HashMap::new(),
-            xor: self
-                .patterns
-                .iter()
-                .filter_map(|p| p.phasors.map(|ph| (p.pattern, ph)))
-                .collect(),
-        }
+        MemoBackend::new(&self.patterns)
     }
 }
 
@@ -457,8 +403,8 @@ pub struct SweepReport {
 ///
 /// Calibration stays per point — each point's backend is prewarmed once
 /// (serially) before the fan-out, because points may differ in geometry
-/// (edge roughness) and must not share trims. Clones within a point do
-/// share them.
+/// (edge roughness) and must not share trims. The jobs of a point share
+/// its calibration.
 ///
 /// # Errors
 ///
@@ -501,19 +447,13 @@ pub fn xor_sweep(
         if !all_done {
             point
                 .backend
-                .prewarm_xor(layout)
+                .prewarm(layout)
                 .map_err(|e| RunError::setup(&e))?;
         }
     }
 
     let report = batch.run(options, |&(point_index, pattern)| {
-        let run = points[point_index]
-            .backend
-            .clone()
-            .xor_run(layout, pattern)
-            .map_err(|e| e.to_string())?;
-        let json = run_to_json(&run);
-        Ok((run, json))
+        run_pattern(&points[point_index].backend, layout, pattern)
     })?;
 
     // Split the flattened outcomes back per point.

@@ -18,10 +18,10 @@
 //! * [`resident`] — a long-lived worker pool with per-job handles for
 //!   resident processes (the `swserve` HTTP service), with graceful
 //!   drain on close.
-//! * [`gates`] — the bridge to [`swgates`]: pattern batches for the
-//!   triangle MAJ3/XOR gates with shared drive-trim calibration, sweep
-//!   helpers, and [`gates::MemoBackend`] to feed batch results back into
-//!   the ordinary truth-table decoding.
+//! * [`gates`] — the bridge to [`swgates`]: pattern batches generic
+//!   over the triangle MAJ3/XOR layouts with shared drive-trim
+//!   calibration, an XOR sweep helper, and [`gates::MemoBackend`] to feed
+//!   batch results back into the ordinary truth-table decoding.
 //!
 //! ## Example
 //!
@@ -29,14 +29,14 @@
 //! use swgates::layout::TriangleMaj3Layout;
 //! use swgates::mumag::MumagBackend;
 //! use swrun::batch::RunOptions;
-//! use swrun::gates::maj3_patterns;
+//! use swrun::gates::patterns;
 //!
 //! let backend = MumagBackend::fast();
 //! let layout = TriangleMaj3Layout::paper();
 //! let options = RunOptions::default()
 //!     .with_jobs(4)
 //!     .with_manifest("fig5.manifest.jsonl");
-//! let report = maj3_patterns(&backend, &layout, &options).unwrap();
+//! let report = patterns(&backend, &layout, &options).unwrap();
 //! println!("{}", report.metrics.summary_line());
 //! // Re-running with the same manifest skips everything already done.
 //! ```

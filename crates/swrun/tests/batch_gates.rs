@@ -16,14 +16,14 @@ use swgates::encoding::{all_patterns, Bit};
 use swgates::layout::{TriangleMaj3Layout, TriangleXorLayout};
 use swgates::mumag::MumagBackend;
 use swrun::batch::RunOptions;
-use swrun::gates::{maj3_patterns, xor_patterns};
+use swrun::gates::patterns;
 
 fn mini_maj3_layout() -> TriangleMaj3Layout {
-    TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 4, 1).expect("valid mini layout")
+    TriangleMaj3Layout::fast()
 }
 
 fn mini_xor_layout() -> TriangleXorLayout {
-    TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9).expect("valid mini layout")
+    TriangleXorLayout::fast()
 }
 
 fn quick_backend() -> MumagBackend {
@@ -44,10 +44,10 @@ fn parallel_maj3_patterns_match_serial_exactly() {
     let layout = mini_maj3_layout();
 
     let serial =
-        maj3_patterns(&backend, &layout, &RunOptions::serial().quiet()).expect("serial batch runs");
+        patterns(&backend, &layout, &RunOptions::serial().quiet()).expect("serial batch runs");
     // Same backend: the parallel workers reuse the cached calibration,
     // exactly as a long sweep would.
-    let parallel = maj3_patterns(
+    let parallel = patterns(
         &backend,
         &layout,
         &RunOptions::serial().with_jobs(4).quiet(),
@@ -86,19 +86,19 @@ fn batched_maj3_patterns_match_independent_runs_exactly() {
 
     let backend = quick_backend();
     let layout = mini_maj3_layout();
-    backend.prewarm_maj3(&layout).expect("calibration");
+    backend.prewarm(&layout).expect("calibration");
 
     let independent: Vec<_> = all_patterns::<3>()
         .into_iter()
         .map(|p| {
-            let run = backend.maj3_run(&layout, p).expect("independent run");
+            let run = backend.run(&layout, p).expect("independent run");
             (p, run.o1, run.o2)
         })
         .collect();
 
     for threads in [1, 2] {
         let batched = BatchedBackend::new(backend.clone().with_threads(threads), 4);
-        let report = batched.maj3_patterns(&layout).expect("batched sweep");
+        let report = batched.patterns(&layout).expect("batched sweep");
         assert_eq!(report.metrics.total, 8);
         assert_eq!(report.metrics.failed, 0);
         for (outcome, &(pattern, o1, o2)) in report.patterns.iter().zip(independent.iter()) {
@@ -126,7 +126,7 @@ fn xor_batch_resumes_from_manifest() {
     let options = RunOptions::serial().with_manifest(&path).quiet();
 
     // First run simulates everything.
-    let first = xor_patterns(&backend, &layout, &options).expect("first run");
+    let first = patterns(&backend, &layout, &options).expect("first run");
     assert_eq!(first.metrics.done, 4);
     assert_eq!(first.metrics.resumed, 0);
 
@@ -134,7 +134,7 @@ fn xor_batch_resumes_from_manifest() {
     // backend with an empty trim cache proves no calibration happens
     // either (prewarm is skipped when there is no pending work).
     let cold = quick_backend();
-    let second = xor_patterns(&cold, &layout, &options).expect("resumed run");
+    let second = patterns(&cold, &layout, &options).expect("resumed run");
     assert_eq!(second.metrics.resumed, 4);
     assert_eq!(second.metrics.done, 0);
     assert_eq!(cold.cached_trim_count(), 0, "resume must not calibrate");
@@ -159,7 +159,7 @@ fn xor_batch_resumes_from_manifest() {
         .map(String::from)
         .collect();
     std::fs::write(&path, kept.join("\n") + "\n").unwrap();
-    let third = xor_patterns(&backend, &layout, &options).expect("partial resume");
+    let third = patterns(&backend, &layout, &options).expect("partial resume");
     assert_eq!(third.metrics.resumed, 3);
     assert_eq!(third.metrics.done, 1);
     let rerun = third

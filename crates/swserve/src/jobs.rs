@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use swgates::encoding::Bit;
 use swgates::layout::{TriangleMaj3Layout, TriangleXorLayout};
-use swgates::mumag::MumagBackend;
+use swgates::mumag::{MumagBackend, TriangleLayout};
 use swjson::Json;
 use swrun::gates::{run_to_json, BatchedBackend, PatternBatchReport};
 use swrun::resident::{JobHandle, JobStage, ResidentPool};
@@ -487,35 +487,35 @@ fn job_closure(
             let bits = bits_from(normalized);
             Box::new(move || {
                 if kind == "maj3" {
-                    let layout = TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 4, 1)
-                        .map_err(|e| e.to_string())?;
-                    if let Some(k) = batch {
-                        let report = BatchedBackend::new(backend, k)
-                            .maj3_patterns(&layout)
-                            .map_err(|e| e.to_string())?;
-                        return batch_report_json(k, &report);
-                    }
-                    let run = backend
-                        .maj3_run(&layout, [bits[0], bits[1], bits[2]])
-                        .map_err(|e| e.to_string())?;
-                    Ok(run_to_json(&run))
+                    gate_job(backend, &TriangleMaj3Layout::fast(), batch, bits)
                 } else {
-                    let layout = TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9)
-                        .map_err(|e| e.to_string())?;
-                    if let Some(k) = batch {
-                        let report = BatchedBackend::new(backend, k)
-                            .xor_patterns(&layout)
-                            .map_err(|e| e.to_string())?;
-                        return batch_report_json(k, &report);
-                    }
-                    let run = backend
-                        .xor_run(&layout, [bits[0], bits[1]])
-                        .map_err(|e| e.to_string())?;
-                    Ok(run_to_json(&run))
+                    gate_job(backend, &TriangleXorLayout::fast(), batch, bits)
                 }
             })
         }
     }
+}
+
+/// Runs one micromagnetic gate job on the `--fast` layout: the whole
+/// truth table as one `batch: K` lockstep sweep, or the single pattern
+/// `bits`.
+fn gate_job<const N: usize, L: TriangleLayout<N>>(
+    backend: MumagBackend,
+    layout: &L,
+    batch: Option<usize>,
+    bits: Vec<Bit>,
+) -> Result<Json, String> {
+    if let Some(k) = batch {
+        let report = BatchedBackend::new(backend, k)
+            .patterns(layout)
+            .map_err(|e| e.to_string())?;
+        return batch_report_json(k, &report);
+    }
+    let inputs: [Bit; N] = bits
+        .try_into()
+        .expect("normalized jobs carry one bit per gate input");
+    let run = backend.run(layout, inputs).map_err(|e| e.to_string())?;
+    Ok(run_to_json(&run))
 }
 
 /// Result JSON for a `batch: K` sweep: one record per input pattern, in

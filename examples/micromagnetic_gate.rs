@@ -47,16 +47,16 @@ fn main() -> Result<(), SwGateError> {
         let layout = if paper_size {
             TriangleXorLayout::paper()
         } else {
-            TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9)?
+            TriangleXorLayout::fast()
         };
         let bits = [pattern[0], pattern[1]];
         println!("running XOR gate, inputs ({}, {}) ...", bits[0], bits[1]);
-        backend.xor_run(&layout, bits)?
+        backend.run(&layout, bits)?
     } else {
         let layout = if paper_size {
             TriangleMaj3Layout::paper()
         } else {
-            TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 4, 1)?
+            TriangleMaj3Layout::fast()
         };
         let bits = [
             pattern[0],
@@ -67,7 +67,7 @@ fn main() -> Result<(), SwGateError> {
             "running MAJ3 gate, inputs ({}, {}, {}) ...",
             bits[0], bits[1], bits[2]
         );
-        backend.maj3_run(&layout, bits)?
+        backend.run(&layout, bits)?
     };
 
     println!(

@@ -10,11 +10,11 @@ use swgates::encoding::Bit;
 use swgates::prelude::*;
 
 fn mini_xor_layout() -> TriangleXorLayout {
-    TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9).expect("valid mini layout")
+    TriangleXorLayout::fast()
 }
 
 fn mini_maj3_layout() -> TriangleMaj3Layout {
-    TriangleMaj3Layout::from_multiples(55e-9, 50e-9, 2, 3, 4, 1).expect("valid mini layout")
+    TriangleMaj3Layout::fast()
 }
 
 #[test]
@@ -64,10 +64,10 @@ fn maj3_decodes_majority_micromagnetically() {
 fn maj3_transfer_is_cached_and_balanced() {
     let backend = MumagBackend::fast();
     let layout = mini_maj3_layout();
-    let trims = backend.maj3_trims(&layout).expect("calibration runs");
+    let trims = backend.trims(&layout).expect("calibration runs");
     assert_eq!(trims.len(), 3);
     // Second call must be served from the cache (same values).
-    let again = backend.maj3_trims(&layout).expect("cached");
+    let again = backend.trims(&layout).expect("cached");
     for (a, b) in trims.iter().zip(again.iter()) {
         assert_eq!(a.amplitude_scale, b.amplitude_scale);
         assert_eq!(a.phase_offset, b.phase_offset);
@@ -82,9 +82,7 @@ fn maj3_transfer_is_cached_and_balanced() {
 #[test]
 fn single_input_transfer_reaches_both_outputs() {
     let backend = MumagBackend::fast();
-    let transfer = backend
-        .xor_transfer(&mini_xor_layout())
-        .expect("transfer runs");
+    let transfer = backend.transfer(&mini_xor_layout()).expect("transfer runs");
     assert_eq!(transfer.len(), 2);
     for (i, (o1, o2)) in transfer.iter().enumerate() {
         assert!(o1.abs() > 1e-7, "input {i} does not reach O1");
@@ -126,7 +124,7 @@ fn thermal_noise_at_100k_does_not_corrupt_the_xor() {
 fn snapshots_capture_the_wave_pattern() {
     let backend = MumagBackend::fast().with_measure_periods(2);
     let run = backend
-        .xor_run(&mini_xor_layout(), [Bit::Zero, Bit::Zero])
+        .run(&mini_xor_layout(), [Bit::Zero, Bit::Zero])
         .expect("run");
     let snap = &run.snapshot;
     // The interference pattern leaves a visible m_x ripple.

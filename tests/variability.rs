@@ -5,7 +5,7 @@ use swgates::encoding::Bit;
 use swgates::prelude::*;
 
 fn mini_xor_layout() -> TriangleXorLayout {
-    TriangleXorLayout::new(55e-9, 50e-9, 110e-9, 40e-9).expect("valid mini layout")
+    TriangleXorLayout::fast()
 }
 
 #[test]
@@ -28,7 +28,7 @@ fn roughness_is_deterministic_per_seed() {
             .with_edge_roughness(2e-9, 20e-9, seed)
             .with_measure_periods(2);
         backend
-            .xor_outputs(&layout, [Bit::Zero, Bit::Zero])
+            .outputs(&layout, [Bit::Zero, Bit::Zero])
             .expect("runs")
     };
     let (a1, a2) = run(3);
@@ -47,10 +47,10 @@ fn roughness_perturbs_but_does_not_destroy_the_outputs() {
         .with_edge_roughness(2e-9, 20e-9, 11)
         .with_measure_periods(2);
     let (s1, _) = smooth
-        .xor_outputs(&layout, [Bit::Zero, Bit::Zero])
+        .outputs(&layout, [Bit::Zero, Bit::Zero])
         .expect("runs");
     let (r1, _) = rough
-        .xor_outputs(&layout, [Bit::Zero, Bit::Zero])
+        .outputs(&layout, [Bit::Zero, Bit::Zero])
         .expect("runs");
     // The rough gate still transmits a usable constructive signal. The
     // simulated guides are ~22 nm wide (0.4·λ, see MumagBackend docs),
